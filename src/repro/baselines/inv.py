@@ -18,7 +18,7 @@ queries — shared paths across queries are processed once *per query*.
 """
 from __future__ import annotations
 
-from repro.engine.assembler import AssemblyOverflow, QueryAssembler
+from repro.engine.assembler import QueryAssembler
 from repro.engine.base import Engine, EngineOverflow
 from repro.graph.covering import CoverPath, covering_paths
 from repro.graph.model import EdgeSig, QueryPattern, Triple, update_sigs
@@ -75,6 +75,20 @@ class _InvertedBase(Engine):
             )
         return rows
 
+    def _extend_right(
+        self, rows: list[Row], chain: tuple[EdgeSig, ...], start: int, qid: int
+    ) -> list[Row]:
+        """Extend ``rows`` (spanning slots ``0..start``) rightward along
+        ``chain[start:]`` through the base views: last slot == base.s."""
+        for i in range(start, len(chain)):
+            rows = hash_join(
+                rows, (i,), self.base[chain[i]], (0,), lambda pr, br: pr + (br[1],)
+            )
+            if not rows:
+                return []
+            self._guard(rows, qid)
+        return rows
+
 
 class InvEngine(_InvertedBase):
     """Algorithm INV (``cached=False``) / INV+ (``cached=True``)."""
@@ -92,36 +106,22 @@ class InvEngine(_InvertedBase):
             self.base[sig].add(row)
 
         out: list[int] = []
-        try:
-            for qid in self._affected_queries(sigs):
-                if not self._all_views_nonempty(qid):
-                    continue
-                _, _, chains = self.query_ind[qid]
-                asm = self.assemblers[qid]
-                for pidx, chain in enumerate(chains):
-                    rows = self._full_path_rows(chain, qid)
-                    asm.on_path_delta(pidx, rows)
-                if asm.finish_update():
-                    out.append(qid)
-                # INV's final join is always computed in full over all paths
-                # (§5.1 Step 3) — no delta shortcut, unlike TRIC.
-                asm.full_join_rows()
-        except AssemblyOverflow as e:
-            raise EngineOverflow(str(e)) from e
+        for qid in self._affected_queries(sigs):
+            if not self._all_views_nonempty(qid):
+                continue
+            _, _, chains = self.query_ind[qid]
+            asm = self.assemblers[qid]
+            for pidx, chain in enumerate(chains):
+                # full left-to-right materialization of the path from the
+                # base views, recomputed on every update (INV's cost)
+                rows = self._extend_right(self.base[chain[0]].rows, chain, 1, qid)
+                asm.on_path_delta(pidx, rows)
+            if asm.finish_update():
+                out.append(qid)
+            # INV's final join is always computed in full over all paths
+            # (§5.1 Step 3) — no delta shortcut, unlike TRIC.
+            asm.full_join_rows()
         return out
-
-    def _full_path_rows(self, chain: tuple[EdgeSig, ...], qid: int) -> list[Row]:
-        """Full left-to-right materialization of one covering path from the
-        base views — recomputed from scratch on every update (INV's cost)."""
-        rows: list[Row] = list(self.base[chain[0]].rows)
-        for i, sig in enumerate(chain[1:], start=1):
-            rows = hash_join(
-                rows, (i,), self.base[sig], (0,), lambda pr, br: pr + (br[1],)
-            )
-            if not rows:
-                return []
-            self._guard(rows, qid)
-        return rows
 
 
 class IncEngine(_InvertedBase):
@@ -141,25 +141,22 @@ class IncEngine(_InvertedBase):
         sig_set = set(sigs)
 
         out: list[int] = []
-        try:
-            for qid in self._affected_queries(sigs):
-                _, _, chains = self.query_ind[qid]
-                asm = self.assemblers[qid]
-                touched = False
-                for pidx, chain in enumerate(chains):
-                    for k, sig in enumerate(chain):
-                        if sig in sig_set:
-                            delta = self._extend(chain, k, row, qid)
-                            if delta:
-                                asm.on_path_delta(pidx, delta)
-                                touched = True
-                if touched and asm.finish_update():
-                    out.append(qid)
-                # INC differs from INV only inside the *path* joins (§5.2);
-                # the final join across paths is still computed in full.
-                asm.full_join_rows()
-        except AssemblyOverflow as e:
-            raise EngineOverflow(str(e)) from e
+        for qid in self._affected_queries(sigs):
+            _, _, chains = self.query_ind[qid]
+            asm = self.assemblers[qid]
+            touched = False
+            for pidx, chain in enumerate(chains):
+                for k, sig in enumerate(chain):
+                    if sig in sig_set:
+                        delta = self._extend(chain, k, row, qid)
+                        if delta:
+                            asm.on_path_delta(pidx, delta)
+                            touched = True
+            if touched and asm.finish_update():
+                out.append(qid)
+            # INC differs from INV only inside the *path* joins (§5.2);
+            # the final join across paths is still computed in full.
+            asm.full_join_rows()
         return out
 
     def _extend(self, chain: tuple[EdgeSig, ...], k: int, u_row: Row, qid: int) -> list[Row]:
@@ -173,12 +170,4 @@ class IncEngine(_InvertedBase):
             if not rows:
                 return []
             self._guard(rows, qid)
-        for i in range(k + 1, len(chain)):  # rightward: last slot == base.s
-            last = i  # rows currently span slots 0..i
-            rows = hash_join(
-                rows, (last,), self.base[chain[i]], (0,), lambda pr, br: pr + (br[1],)
-            )
-            if not rows:
-                return []
-            self._guard(rows, qid)
-        return rows
+        return self._extend_right(rows, chain, k + 1, qid)

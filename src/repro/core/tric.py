@@ -19,8 +19,8 @@ structures (indexes) incrementally instead of rebuilding them per join.
 """
 from __future__ import annotations
 
-from repro.engine.assembler import AssemblyOverflow, QueryAssembler
-from repro.engine.base import Engine, EngineOverflow
+from repro.engine.assembler import QueryAssembler
+from repro.engine.base import Engine
 from repro.core.trie import TrieForest, TrieNode
 from repro.graph.covering import covering_paths
 from repro.graph.model import EdgeSig, QueryPattern, Triple, update_sigs
@@ -64,16 +64,12 @@ class TricEngine(Engine):
         sig_set = set(sigs)
 
         affected: set[int] = set()
-        try:
-            for root in self.forest.affected_roots(sigs):
-                root_delta: list[Row] = []
-                if root.sig in sig_set:
-                    root_delta = root.matv.add_all([row])
-                self._descend(root, root_delta, sig_set, affected, row)
-            out = [qid for qid in sorted(affected) if self.assemblers[qid].finish_update()]
-        except AssemblyOverflow as e:
-            raise EngineOverflow(str(e)) from e
-        return out
+        for root in self.forest.affected_roots(sigs):
+            root_delta: list[Row] = []
+            if root.sig in sig_set:
+                root_delta = root.matv.add_all([row])
+            self._descend(root, root_delta, sig_set, affected, row)
+        return [qid for qid in sorted(affected) if self.assemblers[qid].finish_update()]
 
     def _descend(
         self,

@@ -16,8 +16,6 @@ the case where one signature occurs at several depths (BioGRID-style).
 """
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.graph.covering import CoverPath
 from repro.graph.model import EdgeSig, QueryPattern
 from repro.relational.relation import View
@@ -30,12 +28,11 @@ class TrieNode:
     chain into the current graph, as ``depth + 2`` vertex-label slots.
     """
 
-    __slots__ = ("sig", "depth", "parent", "children", "matv", "registered", "subtree_sigs")
+    __slots__ = ("sig", "depth", "children", "matv", "registered", "subtree_sigs")
 
-    def __init__(self, sig: EdgeSig, depth: int, parent: Optional["TrieNode"], cached: bool):
+    def __init__(self, sig: EdgeSig, depth: int, cached: bool):
         self.sig = sig
         self.depth = depth
-        self.parent = parent
         self.children: dict[EdgeSig, TrieNode] = {}
         self.matv = View(arity=depth + 2, cached=cached)
         self.registered: list[tuple[int, int]] = []  # (qid, path_idx)
@@ -65,13 +62,13 @@ class TrieForest:
         root_sig = chain[0]
         node = self.roots.get(root_sig)
         if node is None:
-            node = self.roots[root_sig] = TrieNode(root_sig, 0, None, self.cached)
+            node = self.roots[root_sig] = TrieNode(root_sig, 0, self.cached)
         self.edge_ind.setdefault(root_sig, set()).add(root_sig)
         ancestors = [node]
         for d, sig in enumerate(chain[1:], start=1):
             child = node.children.get(sig)
             if child is None:
-                child = node.children[sig] = TrieNode(sig, d, node, self.cached)
+                child = node.children[sig] = TrieNode(sig, d, self.cached)
             node = child
             ancestors.append(node)
             self.edge_ind.setdefault(sig, set()).add(root_sig)

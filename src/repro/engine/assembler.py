@@ -17,15 +17,19 @@ Paths are grouped into variable-connected components; a component is
 *satisfied* monotonically once a cross-path join over it succeeds.  A new
 full-query embedding exists after an update iff some component had a
 successful delta join this update and all components are satisfied.
+
+One greedy join serves both final-join modes: TRIC starts it from a path's
+new rows (delta), INV and INC from a whole canonical view (full).
 """
 from __future__ import annotations
 
+from repro.engine.base import EngineOverflow
 from repro.graph.covering import CoverPath
 from repro.graph.model import QueryPattern
 from repro.relational.relation import Row, View, hash_join
 
 
-class AssemblyOverflow(RuntimeError):
+class AssemblyOverflow(EngineOverflow):
     """Cross-path join exceeded the configured row cap."""
 
 
@@ -80,9 +84,17 @@ class QueryAssembler:
                     parent[find(i)] = find(var_owner[v])
                 else:
                     var_owner[v] = i
-        self.path_comp = [find(i) for i in range(len(paths))]
-        self.components = sorted(set(self.path_comp))
-        self.comp_satisfied: dict[int, bool] = {c: False for c in self.components}
+        roots = [find(i) for i in range(len(paths))]
+        comp_roots = sorted(set(roots))
+        #: per component: its path indexes; per path: its component's index
+        self.components = [[i for i, r in enumerate(roots) if r == c] for c in comp_roots]
+        self.path_comp = [comp_roots.index(r) for r in roots]
+        #: per path: the other paths of its component (its join partners)
+        self._partners = [
+            [j for j in self.components[c] if j != i]
+            for i, c in enumerate(self.path_comp)
+        ]
+        self.comp_satisfied = [False] * len(self.components)
 
         self._pending: dict[int, list[Row]] = {}
 
@@ -124,97 +136,64 @@ class QueryAssembler:
             return False
         delta_success = False
         for pidx, delta in self._pending.items():
-            comp = self.path_comp[pidx]
-            if self._component_delta_join(pidx, delta):
-                self.comp_satisfied[comp] = True
+            if self._join(delta, pidx, self._partners[pidx]):
+                self.comp_satisfied[self.path_comp[pidx]] = True
                 delta_success = True
         self._pending.clear()
-        return delta_success and all(self.comp_satisfied.values())
+        return delta_success and all(self.comp_satisfied)
 
-    # ------------------------------------------------------------------
     def full_join_rows(self) -> int:
         """Full (non-delta) cross-path join over all canonical views — the
         final-join work INV and INC perform per affected query (paper §5.1
         Step 3: "performs the final join operation among all the paths").
 
-        Joins run per variable-connected component (cross-component products
-        are not materialized); returns the number of result rows computed.
-        Raises :class:`AssemblyOverflow` past ``max_rows`` — the row-cap
-        analogue of the paper's execution-time threshold.
+        Joins run per variable-connected component, each starting from its
+        smallest view (cross-component products are not materialized);
+        returns the number of result rows computed.
         """
+        views = self.canon_views
         total = 0
-        for comp in self.components:
-            members = [j for j in range(len(self.paths)) if self.path_comp[j] == comp]
-            if any(len(self.canon_views[j]) == 0 for j in members):
-                continue  # pruned: some path still unmatched
-            first = min(members, key=lambda j: len(self.canon_views[j]))
-            acc = list(self.canon_views[first].rows)
-            acc_vars = list(self.path_vars[first])
-            remaining = set(members) - {first}
-            while remaining and acc:
-                cands = [
-                    j for j in remaining if any(v in acc_vars for v in self.path_vars[j])
-                ]
-                j = min(cands, key=lambda x: len(self.canon_views[x]))
-                shared = [v for v in self.path_vars[j] if v in acc_vars]
-                probe_key = tuple(acc_vars.index(v) for v in shared)
-                build_key = tuple(self.path_vars[j].index(v) for v in shared)
-                new_cols = tuple(
-                    i for i, v in enumerate(self.path_vars[j]) if v not in acc_vars
-                )
-
-                def emit(pr: Row, br: Row, cols=new_cols) -> Row:
-                    return pr + tuple(br[c] for c in cols)
-
-                acc = hash_join(acc, probe_key, self.canon_views[j], build_key, emit)
-                if len(acc) > self.max_rows:
-                    raise AssemblyOverflow(
-                        f"Q{self.q.qid}: full final join exceeded {self.max_rows} rows"
-                    )
-                acc_vars += [self.path_vars[j][c] for c in new_cols]
-                remaining.discard(j)
-            total += len(acc)
+        for members in self.components:
+            first = min(members, key=lambda j: len(views[j]))
+            total += len(self._join(views[first].rows, first, self._partners[first]))
         return total
 
-    def _component_delta_join(self, pidx: int, delta: list[Row]) -> bool:
-        comp = self.path_comp[pidx]
-        others = [
-            j
-            for j in range(len(self.paths))
-            if self.path_comp[j] == comp and j != pidx
-        ]
-        # fast bail: a component partner with no matches yet kills the join
-        if any(len(self.canon_views[j]) == 0 for j in others):
-            return False
-        acc = delta
-        acc_vars = list(self.path_vars[pidx])
+    def _join(self, acc: list[Row], start: int, others: list[int]) -> list[Row]:
+        """Join ``acc`` (rows over path ``start``'s variables) with the
+        canonical views of ``others`` on the variables they share.
+
+        Each step takes, among the paths sharing a variable with the rows so
+        far (one exists by construction of components), the one with the
+        smallest view.  Returns ``[]`` as soon as a partner is empty or an
+        intermediate result is; raises :class:`AssemblyOverflow` past
+        ``max_rows`` — the row-cap analogue of the paper's execution-time
+        threshold.
+        """
+        views = self.canon_views
+        if any(len(views[j]) == 0 for j in others):
+            return []
+        acc_vars = list(self.path_vars[start])
         remaining = set(others)
-        while remaining:
-            # next path sharing a variable with the accumulator (exists by
-            # construction of components); prefer the smallest view
+        while remaining and acc:
             cands = [
-                j
-                for j in remaining
-                if any(v in acc_vars for v in self.path_vars[j])
+                j for j in remaining if any(v in acc_vars for v in self.path_vars[j])
             ]
-            j = min(cands, key=lambda x: len(self.canon_views[x]))
+            j = min(cands, key=lambda x: len(views[x]))
             shared = [v for v in self.path_vars[j] if v in acc_vars]
             probe_key = tuple(acc_vars.index(v) for v in shared)
             build_key = tuple(self.path_vars[j].index(v) for v in shared)
-            new_cols = [
+            new_cols = tuple(
                 i for i, v in enumerate(self.path_vars[j]) if v not in acc_vars
-            ]
+            )
 
-            def emit(pr: Row, br: Row, cols=tuple(new_cols)) -> Row:
+            def emit(pr: Row, br: Row, cols=new_cols) -> Row:
                 return pr + tuple(br[c] for c in cols)
 
-            acc = hash_join(acc, probe_key, self.canon_views[j], build_key, emit)
-            if not acc:
-                return False
+            acc = hash_join(acc, probe_key, views[j], build_key, emit)
             if len(acc) > self.max_rows:
                 raise AssemblyOverflow(
                     f"Q{self.q.qid}: cross-path join exceeded {self.max_rows} rows"
                 )
             acc_vars += [self.path_vars[j][c] for c in new_cols]
             remaining.discard(j)
-        return True
+        return acc

@@ -104,9 +104,9 @@ def _is_subpath(a: CoverPath, b: CoverPath) -> bool:
 def covering_paths(q: QueryPattern) -> list[CoverPath]:
     """Extract the set of covering paths :math:`CP(Q_i)` of a query pattern.
 
-    Guarantees (tested): every edge appears in exactly one path, every vertex
-    appears in at least one path, consecutive edges of a path chain
-    source→target, and no path is a sub-path of another.
+    Guarantees (tested): every edge and every vertex appears in at least one
+    path (a walk may re-traverse edges an earlier walk visited), consecutive
+    edges of a path chain source→target, and no path is a sub-path of another.
     """
     unvisited = set(range(len(q.edges)))
     paths: list[CoverPath] = []

@@ -33,13 +33,17 @@ def reset_counters() -> None:
 
 
 class HashIndex:
-    """Incrementally maintained hash index of rows on a key-column tuple."""
+    """Hash index of rows on a key-column tuple, built from ``rows`` and then
+    maintained incrementally through :meth:`add`."""
 
     __slots__ = ("key_cols", "buckets")
 
-    def __init__(self, key_cols: tuple[int, ...]):
+    def __init__(self, key_cols: tuple[int, ...], rows: Iterable[Row] = ()):
         self.key_cols = key_cols
-        self.buckets: dict[tuple, list[Row]] = {}
+        buckets: dict[tuple, list[Row]] = {}
+        for r in rows:
+            buckets.setdefault(tuple(r[c] for c in key_cols), []).append(r)
+        self.buckets = buckets
 
     def add(self, row: Row) -> None:
         k = tuple(row[c] for c in self.key_cols)
@@ -95,19 +99,14 @@ class View:
             return None
         idx = self._indexes.get(key_cols)
         if idx is None:
-            idx = HashIndex(key_cols)
-            for r in self.rows:
-                idx.add(r)
-            self._indexes[key_cols] = idx
+            idx = self._indexes[key_cols] = HashIndex(key_cols, self.rows)
         return idx
 
 
-def _build(rows: list[Row], key_cols: tuple[int, ...]) -> dict[tuple, list[Row]]:
+def _build(rows: list[Row], key_cols: tuple[int, ...]) -> HashIndex:
+    """Build phase of an uncached join: a throwaway index over ``rows``."""
     COUNTERS["build_rows"] += len(rows)
-    table: dict[tuple, list[Row]] = {}
-    for r in rows:
-        table.setdefault(tuple(r[c] for c in key_cols), []).append(r)
-    return table
+    return HashIndex(key_cols, rows)
 
 
 def probe_join(
@@ -116,11 +115,12 @@ def probe_join(
     index: HashIndex,
     emit: Callable[[Row, Row], Row],
 ) -> list[Row]:
-    """Probe an already-built (cached) index — no build phase."""
+    """Probe phase: join ``probe_rows`` against an already-built index."""
+    buckets = index.buckets
     out: list[Row] = []
     COUNTERS["probe_rows"] += len(probe_rows)
     for pr in probe_rows:
-        for br in index.get(tuple(pr[c] for c in probe_key)):
+        for br in buckets.get(tuple(pr[c] for c in probe_key), ()):
             out.append(emit(pr, br))
     COUNTERS["out_rows"] += len(out)
     return out
@@ -140,13 +140,6 @@ def hash_join(
     the entire plain-vs-``+`` performance story of the paper.
     """
     idx = build_view.index(build_key)
-    if idx is not None:
-        return probe_join(probe_rows, probe_key, idx, emit)
-    table = _build(build_view.rows, build_key)
-    out: list[Row] = []
-    COUNTERS["probe_rows"] += len(probe_rows)
-    for pr in probe_rows:
-        for br in table.get(tuple(pr[c] for c in probe_key), ()):
-            out.append(emit(pr, br))
-    COUNTERS["out_rows"] += len(out)
-    return out
+    if idx is None:
+        idx = _build(build_view.rows, build_key)
+    return probe_join(probe_rows, probe_key, idx, emit)

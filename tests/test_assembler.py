@@ -180,3 +180,54 @@ class TestFullJoin:
             asm.finish_update()
         with pytest.raises(AssemblyOverflow):
             asm.full_join_rows()
+
+
+class TestNonAdjacentPaths:
+    """Three paths where the first and the last share no variable: every
+    join order must go through the middle path, in both final-join modes."""
+
+    def query(self):
+        # v1 -a-> v0, v1 -b-> v2, v3 -c-> v2
+        return QueryPattern(
+            qid=0,
+            vertices=[None, None, None, None],
+            edges=[(1, "a", 0), (1, "b", 2), (3, "c", 2)],
+        )
+
+    @staticmethod
+    def hand_join(a, b, c):
+        return {
+            (v0, v1, v2, v3)
+            for v1, v0 in a
+            for b1, v2 in b
+            if b1 == v1
+            for v3, c2 in c
+            if c2 == v2
+        }
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_delta_and_full_join_equal_hand_join(self, cached):
+        # row cap 3: joining the first and last paths directly (a cross
+        # product of 1 x 5 rows in step 3) would overflow
+        asm, paths = make(self.query(), cached=cached, max_rows=3)
+        assert [p.slots for p in paths] == [(1, 0), (1, 2), (3, 2)]
+        views = ([], [], [])
+        steps = [
+            (1, [(f"x{i}", f"y{i}") for i in range(1, 7)]),
+            (2, [("z1", "y1"), ("z2", "y1"), ("z3", "y2"), ("z4", "y9"), ("z5", "y9")]),
+            (0, [("x1", "w1")]),
+            (0, [("x6", "w2")]),
+            (2, [("z6", "y6")]),
+        ]
+        fired, sizes = [], []
+        for pidx, rows in steps:
+            before = self.hand_join(*views)
+            views[pidx].extend(rows)
+            after = self.hand_join(*views)
+            asm.on_path_delta(pidx, rows)
+            assert asm.finish_update() is bool(after - before)
+            assert asm.full_join_rows() == len(after)
+            fired.append(bool(after - before))
+            sizes.append(len(after))
+        assert fired == [False, False, True, False, True]
+        assert sizes == [0, 0, 2, 2, 3]

@@ -9,6 +9,7 @@ from repro.streams.datasets import (
     nyc_stream,
     snb_stream,
     stream_to_pandas,
+    stream_to_spark,
 )
 
 
@@ -25,10 +26,14 @@ class TestCommon:
     def test_seed_changes_stream(self, name):
         assert DATASETS[name](150, seed=1) != DATASETS[name](150, seed=2)
 
-    def test_to_pandas_schema(self, name):
-        pdf = stream_to_pandas(DATASETS[name](50, seed=0))
+    def test_to_pandas_schema(self, name, spark):
+        updates = DATASETS[name](50, seed=0)
+        pdf = stream_to_pandas(updates)
         assert list(pdf.columns) == ["t", "s", "p", "o"]
         assert pdf["t"].tolist() == list(range(50))
+        # the Spark frame holds the same rows
+        got = stream_to_spark(spark, updates).toPandas()
+        assert got.sort_values("t").reset_index(drop=True).equals(pdf)
 
 
 class TestSNB:

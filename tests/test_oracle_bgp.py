@@ -95,41 +95,38 @@ class TestHandwrittenPatterns:
         assert_equivalent(spark_bgp_match(df, q), bgp_to_sql(q), g=pdf)
 
 
-class TestProvidedTpchOracle:
-    """Smoke tests that the provided DuckDB bridge itself behaves, using the
-    stock TPC-H-lite generators."""
+class TestTriplesOracle:
+    """The DuckDB bridge itself on the SNB triples table: float columns go
+    through the rounding in ``assert_equivalent``, and several tables, Spark
+    and pandas, are registered at once."""
 
-    def test_lineitem_aggregate(self, spark):
+    def test_predicate_float_aggregate(self, snb):
         from pyspark.sql import functions as F
 
-        from repro.synth_data import lineitem
-
-        li = lineitem(spark, sf=0.001)
-        got = li.groupBy("l_returnflag").agg(
-            F.count("*").alias("cnt"), F.round(F.sum("l_quantity"), 2).alias("qty")
+        _, _, triples_df = snb
+        got = triples_df.groupBy("p").agg(
+            F.count("*").alias("cnt"), F.avg("t").alias("mean_t")
         )
         assert_equivalent(
             got,
-            "SELECT l_returnflag, count(*) AS cnt, round(sum(l_quantity), 2) AS qty "
-            "FROM li GROUP BY l_returnflag",
-            li=li,
+            "SELECT p, count(*) AS cnt, avg(t) AS mean_t FROM g GROUP BY p",
+            g=triples_df,
         )
 
-    def test_orders_join(self, spark):
+    def test_two_table_join(self, snb):
         from pyspark.sql import functions as F
 
-        from repro.synth_data import lineitem, orders
-
-        li, o = lineitem(spark, sf=0.001), orders(spark, sf=0.001)
+        updates, _, triples_df = snb
+        g, g2 = triples_df.alias("g"), triples_df.alias("g2")
         got = (
-            li.join(o, li.l_orderkey == o.o_orderkey)
-            .groupBy("o_orderstatus")
+            g.join(g2, F.col("g.o") == F.col("g2.s"))
+            .groupBy(F.col("g.p").alias("p1"), F.col("g2.p").alias("p2"))
             .agg(F.count("*").alias("cnt"))
         )
         assert_equivalent(
             got,
-            "SELECT o_orderstatus, count(*) AS cnt FROM li JOIN o "
-            "ON l_orderkey = o_orderkey GROUP BY o_orderstatus",
-            li=li,
-            o=o,
+            "SELECT g.p AS p1, g2.p AS p2, count(*) AS cnt FROM g JOIN g2 "
+            "ON g.o = g2.s GROUP BY g.p, g2.p",
+            g=triples_df,
+            g2=stream_to_pandas(updates),
         )
