@@ -102,8 +102,8 @@ class InvEngine(_InvertedBase):
         if not sigs:
             return []
         row: Row = (u.s, u.o)
-        for sig in sigs:
-            self.base[sig].add(row)
+        if not any([self.base[sig].add(row) for sig in sigs]):
+            return []  # repeated triple: no new edge, no new embedding
 
         out: list[int] = []
         for qid in self._affected_queries(sigs):
@@ -136,8 +136,8 @@ class IncEngine(_InvertedBase):
         if not sigs:
             return []
         row: Row = (u.s, u.o)
-        for sig in sigs:
-            self.base[sig].add(row)
+        if not any([self.base[sig].add(row) for sig in sigs]):
+            return []  # repeated triple: no new edge, no new embedding
         sig_set = set(sigs)
 
         out: list[int] = []

@@ -58,9 +58,12 @@ class TricEngine(Engine):
         if not sigs:
             return []
         row: Row = (u.s, u.o)
-        # update base views first: trie deltas join against base *including* u
-        for sig in sigs:
-            self.base[sig].add(row)
+        # update base views first: trie deltas join against base *including* u.
+        # A repeated triple adds no edge and so no embedding; stopping here is
+        # what lets the trie views skip duplicate checks.  (A list, not a
+        # generator: every base view must take the row.)
+        if not any([self.base[sig].add(row) for sig in sigs]):
+            return []
         sig_set = set(sigs)
 
         affected: set[int] = set()
@@ -83,6 +86,7 @@ class TricEngine(Engine):
             for qid, pidx in node.registered:
                 self.assemblers[qid].on_path_delta(pidx, delta)
                 affected.add(qid)
+        dset = None
         for child in node.children.values():
             # pruning: nothing below can change
             if not delta and not (sig_set & child.subtree_sigs):
@@ -108,7 +112,8 @@ class TricEngine(Engine):
                 idx = node.matv.index((last,)) if self.cached else None
                 if idx is not None:
                     COUNTERS["probe_rows"] += 1
-                    dset = set(delta)
+                    if dset is None:
+                        dset = set(delta)
                     for pr in idx.get((u_s,)):
                         if pr not in dset:
                             child_rows.append(pr + (u_o,))

@@ -25,7 +25,10 @@ class TrieNode:
     """One trie node indexing one edge signature at depth ``depth``.
 
     Its materialized view holds every embedding of the root→node signature
-    chain into the current graph, as ``depth + 2`` vertex-label slots.
+    chain into the current graph, as ``depth + 2`` vertex-label slots.  The
+    view keeps no duplicate set (``distinct=False``): every row TRIC's
+    semi-naive descent adds for a new triple uses that triple's edge, so it
+    is absent from the view and derived only once.
     """
 
     __slots__ = ("sig", "depth", "children", "matv", "registered", "subtree_sigs")
@@ -34,7 +37,7 @@ class TrieNode:
         self.sig = sig
         self.depth = depth
         self.children: dict[EdgeSig, TrieNode] = {}
-        self.matv = View(arity=depth + 2, cached=cached)
+        self.matv = View(arity=depth + 2, cached=cached, distinct=False)
         self.registered: list[tuple[int, int]] = []  # (qid, path_idx)
         self.subtree_sigs: set[EdgeSig] = {sig}
 

@@ -30,6 +30,8 @@ def embeddings(q: QueryPattern, triples: Sequence[Triple]) -> list[tuple[str, ..
                     continue
                 if o_term is not None and o_term != t.o:
                     continue
+                if s_vid == o_vid and t.s != t.o:
+                    continue  # a self-loop edge needs a self-loop triple
                 nb = dict(b)
                 nb[s_vid] = t.s
                 nb[o_vid] = t.o
@@ -76,6 +78,8 @@ def first_match_index(q: QueryPattern, stream: Sequence[Triple]) -> Optional[int
                     continue
                 if o_term is not None and o_term != t.o:
                     continue
+                if s_vid == o_vid and t.s != t.o:
+                    continue  # a self-loop edge needs a self-loop triple
                 nb = dict(b)
                 nb[s_vid] = t.s
                 nb[o_vid] = t.o

@@ -1,9 +1,13 @@
 """Tuple relations + hash joins (build & probe phases, per paper §4.2).
 
-All engine materialized views are :class:`View`s — append-only *sets* of
-tuples (duplicate updates are idempotent; embeddings are sets).  A join is
-the classic two-phase hash join the paper describes: *build* a hash table on
-one side's key, *probe* with the other side.
+All engine materialized views are append-only :class:`View` objects of
+tuples.  Base and canonical views are *sets*: they drop rows already
+present, since a repeated triple adds no edge and a projection repeats
+rows.  Trie views are created with ``distinct=False`` and keep no duplicate
+set: the engines stop at a repeated triple, so semi-naive deltas are
+disjoint from the view they are added to.  A join is the classic two-phase
+hash join the paper describes: *build* a hash table on one side's key,
+*probe* with the other side.
 
 The caching distinction between the plain and ``+`` algorithm variants maps
 directly onto :class:`HashIndex`:
@@ -14,11 +18,13 @@ directly onto :class:`HashIndex`:
   maintained incrementally as tuples arrive, so joins skip the build phase
   (``probe_join`` against ``view.index(key)``).
 
-Join-work counters (`JOIN_BUILD_ROWS`, `JOIN_PROBE_ROWS`) let tests assert
-that caching actually removes build work, not just that it is equivalent.
+Join-work counters (``COUNTERS``: build, probe and output rows) let tests
+assert that caching actually removes build work, not just that it is
+equivalent.
 """
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 Row = tuple
@@ -34,30 +40,54 @@ def reset_counters() -> None:
 
 class HashIndex:
     """Hash index of rows on a key-column tuple, built from ``rows`` and then
-    maintained incrementally through :meth:`add`."""
+    maintained incrementally through :meth:`add`.
 
-    __slots__ = ("key_cols", "buckets")
+    Bucket keys come from ``operator.itemgetter(*key_cols)``: the bare value
+    for one key column, a tuple for several.  :meth:`get` takes a tuple
+    either way, so the format stays inside this module.
+    """
+
+    __slots__ = ("key", "buckets")
 
     def __init__(self, key_cols: tuple[int, ...], rows: Iterable[Row] = ()):
-        self.key_cols = key_cols
-        buckets: dict[tuple, list[Row]] = {}
-        for r in rows:
-            buckets.setdefault(tuple(r[c] for c in key_cols), []).append(r)
-        self.buckets = buckets
+        self.key = itemgetter(*key_cols)
+        self.buckets: dict[object, list[Row]] = {}
+        self.extend(rows)
 
     def add(self, row: Row) -> None:
-        k = tuple(row[c] for c in self.key_cols)
-        self.buckets.setdefault(k, []).append(row)
+        k = self.key(row)
+        bucket = self.buckets.get(k)
+        if bucket is None:
+            self.buckets[k] = [row]
+        else:
+            bucket.append(row)
+
+    def extend(self, rows: Iterable[Row]) -> None:
+        key, buckets = self.key, self.buckets
+        get = buckets.get
+        for r in rows:
+            k = key(r)
+            bucket = get(k)
+            if bucket is None:
+                buckets[k] = [r]
+            else:
+                bucket.append(r)
 
     def get(self, key: tuple) -> list[Row]:
-        return self.buckets.get(key, [])
+        return self.buckets.get(key[0] if len(key) == 1 else key, [])
 
     def __len__(self) -> int:
         return sum(len(v) for v in self.buckets.values())
 
 
 class View:
-    """Append-only set of rows with optional maintained hash indexes.
+    """Append-only list of rows with optional maintained hash indexes.
+
+    ``distinct=True`` makes the view a set: :meth:`add` and :meth:`add_all`
+    drop rows already present, checked against a set of every row.
+    ``distinct=False`` keeps no such set; :meth:`add_all` appends every row
+    it is given and returns them all, so the caller must guarantee they are
+    new and pairwise distinct (TRIC's trie views, see DESIGN.md §2).
 
     ``cached=True`` (the ``+`` variants) keeps every index requested via
     :meth:`index` up to date on insert; ``cached=False`` answers
@@ -66,10 +96,10 @@ class View:
 
     __slots__ = ("arity", "rows", "_seen", "cached", "_indexes")
 
-    def __init__(self, arity: int, cached: bool = False):
+    def __init__(self, arity: int, cached: bool = False, *, distinct: bool = True):
         self.arity = arity
         self.rows: list[Row] = []
-        self._seen: set[Row] = set()
+        self._seen: Optional[set[Row]] = set() if distinct else None
         self.cached = cached
         self._indexes: dict[tuple[int, ...], HashIndex] = {}
 
@@ -77,21 +107,30 @@ class View:
         return len(self.rows)
 
     def __contains__(self, row: Row) -> bool:
+        """Membership test; distinct views only."""
         return row in self._seen
 
     def add(self, row: Row) -> bool:
-        """Insert; returns True if the row is new."""
-        if row in self._seen:
-            return False
-        self._seen.add(row)
+        """Insert; returns True if the row is new (always, if not distinct)."""
+        seen = self._seen
+        if seen is not None:
+            if row in seen:
+                return False
+            seen.add(row)
         self.rows.append(row)
         for idx in self._indexes.values():
             idx.add(row)
         return True
 
-    def add_all(self, rows: Iterable[Row]) -> list[Row]:
-        """Insert many; returns the sub-list of genuinely new rows (the delta)."""
-        return [r for r in rows if self.add(r)]
+    def add_all(self, rows: list[Row]) -> list[Row]:
+        """Insert many; returns the sub-list of genuinely new rows (the delta).
+        A view without ``distinct`` takes and returns ``rows`` unchanged."""
+        if self._seen is not None:
+            return [r for r in rows if self.add(r)]
+        self.rows.extend(rows)
+        for idx in self._indexes.values():
+            idx.extend(rows)
+        return rows
 
     def index(self, key_cols: tuple[int, ...]) -> Optional[HashIndex]:
         """Maintained index on ``key_cols`` (cached views only)."""
@@ -116,11 +155,12 @@ def probe_join(
     emit: Callable[[Row, Row], Row],
 ) -> list[Row]:
     """Probe phase: join ``probe_rows`` against an already-built index."""
-    buckets = index.buckets
+    get = index.buckets.get
+    key = itemgetter(*probe_key)
     out: list[Row] = []
     COUNTERS["probe_rows"] += len(probe_rows)
     for pr in probe_rows:
-        for br in buckets.get(tuple(pr[c] for c in probe_key), ()):
+        for br in get(key(pr), ()):
             out.append(emit(pr, br))
     COUNTERS["out_rows"] += len(out)
     return out

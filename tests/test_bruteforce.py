@@ -45,6 +45,12 @@ class TestEmbeddings:
         q = QueryPattern(qid=0, vertices=[None, None], edges=[(0, "p", 1)])
         assert embeddings(q, g) == [("a", "a")]
 
+    def test_self_loop_edge_needs_self_loop_triple(self):
+        q = QueryPattern(qid=0, vertices=[None], edges=[(0, "p", 0)])
+        g = [Triple("a", "p", "b"), Triple("c", "p", "c")]
+        assert embeddings(q, g) == [("c",)]
+        assert first_match_index(q, g) == 1
+
 
 class TestFirstMatch:
     def test_last_edge_completes(self):

@@ -120,3 +120,44 @@ class TestHashJoin:
         v.add(("a", "c", "2"))
         got = hash_join([("a", "b")], (0, 1), v, (0, 1), lambda a, b: (b[2],))
         assert got == [("1",)]
+
+
+class TestNonDistinctView:
+    def test_add_all_appends_and_returns_every_row(self):
+        v = View(arity=2, distinct=False)
+        rows = [("a", "b"), ("c", "d")]
+        assert v.add_all(rows) == rows
+        assert v.add_all([("e", "f")]) == [("e", "f")]
+        assert v.rows == [("a", "b"), ("c", "d"), ("e", "f")]
+
+    def test_cached_index_maintained_by_add_all(self):
+        v = View(arity=2, cached=True, distinct=False)
+        v.add_all([("a", "b")])
+        idx = v.index((0,))  # backfills the row added before it existed
+        v.add_all([("a", "c"), ("x", "y")])
+        assert idx.get(("a",)) == [("a", "b"), ("a", "c")]
+        assert idx.get(("x",)) == [("x", "y")]
+        assert len(idx) == 3
+
+
+class TestHashIndexKeys:
+    ROWS = [("a", "x", "1"), ("a", "y", "1"), ("b", "x", "2")]
+
+    def test_get_one_and_multi_column_tuple_keys(self):
+        one = HashIndex((0,), self.ROWS)
+        multi = HashIndex((0, 2), self.ROWS)
+        assert one.get(("a",)) == self.ROWS[:2]
+        assert multi.get(("a", "1")) == self.ROWS[:2]
+        assert multi.get(("b", "2")) == [self.ROWS[2]]
+        assert one.get(("z",)) == [] and multi.get(("a", "2")) == []
+
+    @pytest.mark.parametrize("probe_key,build_key", [((1,), (0,)), ((0, 1), (1, 0))])
+    def test_probe_join_on_built_index_equals_hash_join(self, probe_key, build_key):
+        v = View(arity=2)
+        for r in [("x", "a"), ("y", "b"), ("x", "c"), ("a", "x")]:
+            v.add(r)
+        probe = [("a", "x"), ("b", "y"), ("q", "q")]
+        emit = lambda a, b: a + b  # noqa: E731
+        got = probe_join(probe, probe_key, HashIndex(build_key, v.rows), emit)
+        assert got == hash_join(probe, probe_key, v, build_key, emit)
+        assert got
