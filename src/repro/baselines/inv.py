@@ -22,7 +22,7 @@ from repro.engine.assembler import QueryAssembler
 from repro.engine.base import Engine, EngineOverflow
 from repro.graph.covering import CoverPath, covering_paths
 from repro.graph.model import EdgeSig, QueryPattern, Triple, update_sigs
-from repro.relational.relation import Row, View, hash_join
+from repro.relational.relation import Row, View, append_target, hash_join
 
 
 class _InvertedBase(Engine):
@@ -81,9 +81,7 @@ class _InvertedBase(Engine):
         """Extend ``rows`` (spanning slots ``0..start``) rightward along
         ``chain[start:]`` through the base views: last slot == base.s."""
         for i in range(start, len(chain)):
-            rows = hash_join(
-                rows, (i,), self.base[chain[i]], (0,), lambda pr, br: pr + (br[1],)
-            )
+            rows = hash_join(rows, (i,), self.base[chain[i]], (0,), append_target)
             if not rows:
                 return []
             self._guard(rows, qid)

@@ -19,12 +19,14 @@ structures (indexes) incrementally instead of rebuilding them per join.
 """
 from __future__ import annotations
 
+from itertools import islice
+
 from repro.engine.assembler import QueryAssembler
 from repro.engine.base import Engine
 from repro.core.trie import TrieForest, TrieNode
 from repro.graph.covering import covering_paths
 from repro.graph.model import EdgeSig, QueryPattern, Triple, update_sigs
-from repro.relational.relation import COUNTERS, Row, View, hash_join
+from repro.relational.relation import COUNTERS, Row, View, append_target, hash_join
 
 
 class TricEngine(Engine):
@@ -88,44 +90,43 @@ class TricEngine(Engine):
                 affected.add(qid)
         dset = None
         for child in node.children.values():
-            # pruning: nothing below can change
-            if not delta and not (sig_set & child.subtree_sigs):
+            # pruning: nothing in this sub-trie can change
+            if (
+                not delta
+                and child.sig not in sig_set
+                and sig_set.isdisjoint(child.below_sigs)
+            ):
                 continue
             child_rows: list[Row] = []
+            last = node.depth + 1
             if delta:
-                last = node.depth + 1
-                child_rows.extend(
-                    hash_join(
-                        delta,
-                        (last,),
-                        self.base[child.sig],
-                        (0,),
-                        lambda pr, br: pr + (br[1],),
-                    )
+                child_rows = hash_join(
+                    delta, (last,), self.base[child.sig], (0,), append_target
                 )
             if child.sig in sig_set:
                 # old(parent) ⋈ {u}: parent rows (minus this update's delta)
                 # whose last slot equals u's source
                 u_s, u_o = u_row
                 old_stop = len(node.matv.rows) - len(delta)
-                last = node.depth + 1
                 idx = node.matv.index((last,)) if self.cached else None
                 if idx is not None:
                     COUNTERS["probe_rows"] += 1
                     if dset is None:
                         dset = set(delta)
-                    for pr in idx.get((u_s,)):
-                        if pr not in dset:
-                            child_rows.append(pr + (u_o,))
+                    child_rows += [
+                        pr + (u_o,) for pr in idx.get((u_s,)) if pr not in dset
+                    ]
                 else:
                     # uncached: the build phase scans the whole parent view
                     # on every call (§4.2 Caching — this is what TRIC+ saves)
                     COUNTERS["build_rows"] += old_stop
-                    rows = node.matv.rows
-                    for i in range(old_stop):
-                        pr = rows[i]
-                        if pr[last] == u_s:
-                            child_rows.append(pr + (u_o,))
+                    child_rows += [
+                        pr + (u_o,)
+                        for pr in islice(node.matv.rows, old_stop)
+                        if pr[last] == u_s
+                    ]
             child_delta = child.matv.add_all(child_rows) if child_rows else []
-            if child_delta or (sig_set & child.subtree_sigs):
+            # a matching child whose delta is empty is entered only when a
+            # signature below it matches
+            if child_delta or not sig_set.isdisjoint(child.below_sigs):
                 self._descend(child, child_delta, sig_set, affected, u_row)

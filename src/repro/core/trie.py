@@ -9,10 +9,13 @@ Data structures, named as in the paper:
 * ``queryInd`` → :attr:`TrieForest.query_ind`: query id → the trie nodes its
   covering paths were registered under (the "last node" references of Fig. 8).
 
-Each node additionally keeps ``subtree_sigs`` (every signature occurring in
-its subtree) so the answering phase can prune sub-tries that cannot contain
-the update's edge — the paper's pruning (Fig. 9 / Example 4) generalized to
-the case where one signature occurs at several depths (BioGRID-style).
+Each node additionally keeps ``below_sigs`` (every signature occurring at a
+strict descendant) so the answering phase can prune sub-tries that cannot
+contain the update's edge — the paper's pruning (Fig. 9 / Example 4)
+generalized to the case where one signature occurs at several depths
+(BioGRID-style).  A sub-trie is skipped when neither its root's signature
+nor ``below_sigs`` matches; a node whose delta came back empty is entered
+only when ``below_sigs`` matches.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ class TrieNode:
     is absent from the view and derived only once.
     """
 
-    __slots__ = ("sig", "depth", "children", "matv", "registered", "subtree_sigs")
+    __slots__ = ("sig", "depth", "children", "matv", "registered", "below_sigs")
 
     def __init__(self, sig: EdgeSig, depth: int, cached: bool):
         self.sig = sig
@@ -39,7 +42,7 @@ class TrieNode:
         self.children: dict[EdgeSig, TrieNode] = {}
         self.matv = View(arity=depth + 2, cached=cached, distinct=False)
         self.registered: list[tuple[int, int]] = []  # (qid, path_idx)
-        self.subtree_sigs: set[EdgeSig] = {sig}
+        self.below_sigs: set[EdgeSig] = set()
 
     def walk(self):
         """DFS iterator over this subtree (self first)."""
@@ -76,7 +79,7 @@ class TrieForest:
             ancestors.append(node)
             self.edge_ind.setdefault(sig, set()).add(root_sig)
         for a in ancestors:
-            a.subtree_sigs.update(chain[a.depth:])
+            a.below_sigs.update(chain[a.depth + 1:])
         node.registered.append((q.qid, pidx))
         self.query_ind.setdefault(q.qid, []).append(node)
         return node

@@ -23,6 +23,9 @@ new rows (delta), INV and INC from a whole canonical view (full).
 """
 from __future__ import annotations
 
+from operator import itemgetter
+from typing import Callable, Optional
+
 from repro.engine.base import EngineOverflow
 from repro.graph.covering import CoverPath
 from repro.graph.model import QueryPattern
@@ -31,6 +34,18 @@ from repro.relational.relation import Row, View, hash_join
 
 class AssemblyOverflow(EngineOverflow):
     """Cross-path join exceeded the configured row cap."""
+
+
+Getter = Callable[[Row], Row]
+
+
+def _getter(cols: tuple[int, ...]) -> Getter:
+    """``row -> tuple(row[c] for c in cols)`` as one ``itemgetter`` call; a
+    slice for one or zero columns, so the result is always a tuple."""
+    if len(cols) > 1:
+        return itemgetter(*cols)
+    i = cols[0] if cols else 0
+    return itemgetter(slice(i, i + len(cols)))
 
 
 class QueryAssembler:
@@ -48,21 +63,29 @@ class QueryAssembler:
         self.cached = cached
         self.max_rows = max_rows
 
-        # per path: ordered distinct variable vids + their slot positions
+        # per path: ordered distinct variable vids, the getter projecting a
+        # slot row onto their first positions, and the (left, right) getter
+        # pair of repeated positions that must agree (None: no repeat)
         self.path_vars: list[tuple[int, ...]] = []
-        self._var_positions: list[dict[int, list[int]]] = []
+        self._project: list[Getter] = []
+        self._closure: list[Optional[tuple[Getter, Getter]]] = []
         for p in paths:
-            order: list[int] = []
-            pos: dict[int, list[int]] = {}
+            first: dict[int, int] = {}
+            left: list[int] = []
+            right: list[int] = []
             for i, vid in enumerate(p.slots):
                 if q.vertices[vid] is not None:
                     continue  # literal slot: value fixed by signature
-                if vid not in pos:
-                    pos[vid] = []
-                    order.append(vid)
-                pos[vid].append(i)
-            self.path_vars.append(tuple(order))
-            self._var_positions.append(pos)
+                if vid in first:
+                    left.append(first[vid])
+                    right.append(i)
+                else:
+                    first[vid] = i
+            self.path_vars.append(tuple(first))
+            self._project.append(_getter(tuple(first.values())))
+            self._closure.append(
+                (_getter(tuple(left)), _getter(tuple(right))) if left else None
+            )
 
         self.canon_views = [
             View(arity=len(v), cached=cached) for v in self.path_vars
@@ -102,25 +125,12 @@ class QueryAssembler:
     def canon(self, pidx: int, slot_rows: list[Row]) -> list[Row]:
         """Project slot tuples to the path's variable bindings, dropping rows
         whose repeated-vertex positions disagree (cycle closure)."""
-        pos = self._var_positions[pidx]
-        order = self.path_vars[pidx]
-        out: list[Row] = []
-        for r in slot_rows:
-            ok = True
-            vals = []
-            for v in order:
-                ps = pos[v]
-                val = r[ps[0]]
-                for extra in ps[1:]:
-                    if r[extra] != val:
-                        ok = False
-                        break
-                if not ok:
-                    break
-                vals.append(val)
-            if ok:
-                out.append(tuple(vals))
-        return out
+        proj = self._project[pidx]
+        closure = self._closure[pidx]
+        if closure is None:
+            return [proj(r) for r in slot_rows]
+        left, right = closure
+        return [proj(r) for r in slot_rows if left(r) == right(r)]
 
     def on_path_delta(self, pidx: int, slot_rows: list[Row]) -> None:
         """Feed newly materialized slot tuples for one covering path."""
@@ -186,8 +196,8 @@ class QueryAssembler:
                 i for i, v in enumerate(self.path_vars[j]) if v not in acc_vars
             )
 
-            def emit(pr: Row, br: Row, cols=new_cols) -> Row:
-                return pr + tuple(br[c] for c in cols)
+            def emit(pr: Row, br: Row, tail=_getter(new_cols)) -> Row:
+                return pr + tail(br)
 
             acc = hash_join(acc, probe_key, views[j], build_key, emit)
             if len(acc) > self.max_rows:

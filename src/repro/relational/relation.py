@@ -142,6 +142,12 @@ class View:
         return idx
 
 
+def append_target(pr: Row, br: Row) -> Row:
+    """Join emit that extends a path row by one edge: the probe row plus the
+    target of the matching base-view row ``(s, o)``."""
+    return pr + (br[1],)
+
+
 def _build(rows: list[Row], key_cols: tuple[int, ...]) -> HashIndex:
     """Build phase of an uncached join: a throwaway index over ``rows``."""
     COUNTERS["build_rows"] += len(rows)

@@ -1,5 +1,7 @@
 """QueryAssembler: canonicalization, cycle closure, components, delta and
 full final joins."""
+import random
+
 import pytest
 
 from repro.engine.assembler import AssemblyOverflow, QueryAssembler
@@ -34,6 +36,55 @@ class TestCanon:
         q = QueryPattern(qid=0, vertices=["A", "B"], edges=[(0, "a", 1)])
         asm, _ = make(q)
         assert asm.canon(0, [("A", "B")]) == [()]
+
+    @staticmethod
+    def reference_canon(q, path, rows):
+        """Per-row projection: first occurrence of each variable binds it, a
+        later occurrence with another value drops the row."""
+        out = []
+        for r in rows:
+            binding = {}
+            if all(
+                binding.setdefault(vid, r[i]) == r[i]
+                for i, vid in enumerate(path.slots)
+                if q.vertices[vid] is None
+            ):
+                out.append(tuple(binding.values()))
+        return out
+
+    @pytest.mark.parametrize(
+        "vertices, edges, slots",
+        [
+            # one variable: canonical rows are 1-tuples, not bare values
+            ([None, "L"], [(0, "a", 1)], (0, 1)),
+            # multigraph walk 0->1->0->1: two independent closure checks
+            ([None, None], [(0, "a", 1), (1, "b", 0), (0, "c", 1)], (0, 1, 0, 1)),
+            # vertex 0 occurs three times
+            (
+                [None, None, None],
+                [(0, "a", 1), (1, "b", 0), (0, "c", 2), (2, "d", 0)],
+                (0, 1, 0, 2, 0),
+            ),
+            # a repeated literal is not checked, a repeated variable is
+            (
+                ["X", None, None],
+                [(0, "a", 1), (1, "b", 2), (2, "c", 1), (1, "d", 0)],
+                (0, 1, 2, 1, 0),
+            ),
+        ],
+    )
+    def test_matches_per_row_reference(self, vertices, edges, slots):
+        q = QueryPattern(qid=0, vertices=vertices, edges=edges)
+        asm, paths = make(q)
+        assert [p.slots for p in paths] == [slots]
+        rng = random.Random(len(slots))
+        rows = [tuple(rng.choice("xyz") for _ in slots) for _ in range(500)]
+        got = asm.canon(0, rows)
+        assert got == self.reference_canon(q, paths[0], rows)
+        assert all(type(r) is tuple for r in got)
+        assert {len(r) for r in got} == {len(asm.path_vars[0])}
+        if len(set(slots)) < len(slots):
+            assert 0 < len(got) < len(rows)  # the closure keeps some, drops some
 
 
 class TestComponents:

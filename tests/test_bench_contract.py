@@ -4,8 +4,13 @@
 attribute name.  A refactor that renames or moves one of them must fail
 here, not only when the benchmark runs.
 """
+import inspect
 import sys
 from pathlib import Path
+
+from repro.bench.harness import build_workload
+from repro.core.tric import TricEngine
+from repro.engine.runner import index_queries, run_stream
 
 _PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 sys.path.insert(0, _PERFBENCH)
@@ -31,3 +36,33 @@ def test_install_then_uninstall_leaves_no_wrapper():
     finally:
         rec.uninstall()
     assert tracing.active_wrappers() == []
+
+
+def test_descend_useful_tally_reads_the_delta(monkeypatch):
+    """``tracing`` counts a ``_descend`` call as useful from its third
+    positional argument; that argument must be the delta."""
+    descend = TricEngine.__dict__["_descend"]
+    sig = inspect.signature(descend)
+    seen = {"calls": 0, "useful": 0}
+
+    def counting(*args, **kwargs):
+        seen["calls"] += 1
+        seen["useful"] += bool(sig.bind(*args, **kwargs).arguments["delta"])
+        return descend(*args, **kwargs)
+
+    monkeypatch.setattr(TricEngine, "_descend", counting)
+    updates, queries = build_workload("snb", 200, 20, seed=0)
+    rec = tracing.Recorder()
+    rec.install()
+    try:
+        engine = TricEngine(cached=True)
+        index_queries(engine, queries)
+        answer_from = len(rec.span_name)
+        res = run_stream(engine, updates)
+    finally:
+        rec.uninstall()
+    layers = tracing.layer_metrics(rec, res.elapsed_s, res.elapsed_s, answer_from)
+    assert 0 < seen["useful"] < seen["calls"]
+    assert layers["core.tric.descend_calls"] == seen["calls"]
+    assert layers["core.tric.descend_useful"] == seen["useful"]
+    assert layers["trace.stray_spans"] == 0

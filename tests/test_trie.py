@@ -85,16 +85,32 @@ class TestInsertPath:
         assert leaf.registered == [(7, 0)]
         assert f.query_ind[7] == [leaf]
 
-    def test_subtree_sigs(self):
+    def test_below_sigs(self):
         f = TrieForest(cached=False)
         q = QueryPattern(
             qid=0, vertices=[None, None, None], edges=[(0, "a", 1), (1, "b", 2)]
         )
         index_query(f, q)
         root = next(iter(f.roots.values()))
-        assert root.subtree_sigs == {("a", None, None), ("b", None, None)}
+        assert root.below_sigs == {("b", None, None)}
         child = list(root.children.values())[0]
-        assert child.subtree_sigs == {("b", None, None)}
+        assert child.below_sigs == set()
+
+        # BioGRID-style: one predicate, so one signature at depths 0, 1, 2
+        q = QueryPattern(
+            qid=1,
+            vertices=[None, None, None, None],
+            edges=[(0, "i", 1), (1, "i", 2), (2, "i", 3)],
+        )
+        index_query(f, q)
+        sig = ("i", None, None)
+        root = f.roots[sig]
+        mid = root.children[sig]
+        leaf = mid.children[sig]
+        assert (root.depth, mid.depth, leaf.depth) == (0, 1, 2)
+        assert root.below_sigs == {sig}
+        assert mid.below_sigs == {sig}
+        assert leaf.below_sigs == set()
 
     def test_edge_ind_points_to_tries(self):
         f = TrieForest(cached=False)

@@ -1,0 +1,48 @@
+"""Join work pinned on one small fixed workload.
+
+Timing is noisy; the join counters (``build_rows``, ``probe_rows``,
+``out_rows``) are exact on any machine.  The numbers below are what each
+engine does on a 300-update SNB stream with 30 queries.  A change that
+alters the join work of an engine fails here deterministically: a rise is
+a work regression, a fall must be explained and the numbers updated.
+"""
+import pytest
+
+from repro.bench.harness import build_workload
+from repro.engine.base import make_engine
+from repro.engine.runner import index_queries, run_stream
+from repro.relational.relation import COUNTERS, reset_counters
+
+#: engine -> (build_rows, probe_rows, out_rows, events)
+EXPECTED = {
+    "tric": (18674, 1616, 1317, 51),
+    "tric+": (0, 2910, 1317, 51),
+    "inv": (5108, 21951, 26891, 51),
+    "inv+": (0, 21951, 26891, 51),
+    "inc": (27187, 4419, 3684, 51),
+    "inc+": (0, 4419, 3684, 51),
+}
+
+
+@pytest.fixture(scope="module")
+def workload():
+    return build_workload(
+        "snb", 300, 30, seed=0, avg_len=5, selectivity=0.25, overlap=0.35
+    )
+
+
+@pytest.mark.parametrize("name", list(EXPECTED))
+def test_join_work_is_pinned(workload, name):
+    updates, queries = workload
+    e = make_engine(name)
+    index_queries(e, queries)
+    reset_counters()
+    r = run_stream(e, updates)
+    assert not r.timed_out and r.processed == len(updates)
+    got = (
+        COUNTERS["build_rows"],
+        COUNTERS["probe_rows"],
+        COUNTERS["out_rows"],
+        len(r.events),
+    )
+    assert got == EXPECTED[name]
