@@ -63,6 +63,7 @@ class GraphDBEngine(Engine):
 
     # -- indexing phase -------------------------------------------------
     def add_query(self, q: QueryPattern) -> None:
+        self._check_indexing()
         q.validate()
         self.queries[q.qid] = q
         for i in range(len(q.edges)):
@@ -81,6 +82,7 @@ class GraphDBEngine(Engine):
         return True
 
     def process_update(self, u: Triple) -> list[int]:
+        self.answering = True
         if not self._insert(u):
             return []
         qids: set[int] = set()

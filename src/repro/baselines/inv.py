@@ -41,6 +41,7 @@ class _InvertedBase(Engine):
         self.n_queries = 0
 
     def add_query(self, q: QueryPattern) -> None:
+        self._check_indexing()
         q.validate()
         paths = covering_paths(q)
         chains = [p.sig_chain(q) for p in paths]
@@ -96,6 +97,7 @@ class InvEngine(_InvertedBase):
         self.name = "inv+" if cached else "inv"
 
     def process_update(self, u: Triple) -> list[int]:
+        self.answering = True
         sigs = self._matching_sigs(u)
         if not sigs:
             return []
@@ -130,6 +132,7 @@ class IncEngine(_InvertedBase):
         self.name = "inc+" if cached else "inc"
 
     def process_update(self, u: Triple) -> list[int]:
+        self.answering = True
         sigs = self._matching_sigs(u)
         if not sigs:
             return []

@@ -10,7 +10,9 @@ each is traversed top-down computing *delta* views semi-naively:
 
     Δ(child) = Δ(parent) ⋈ base[child.sig]  ∪  old(parent) ⋈ {u}
 
-(the second term only where the child's signature matches ``u``).  Sub-tries
+(the second term only where the child's signature matches ``u``).  Only an
+inner node keeps its delta in its view, for its children's second term; a
+leaf's delta goes to its registered queries alone.  Sub-tries
 with an empty delta and no matching signature below are pruned.  Queries
 registered at nodes that received deltas are assembled via the shared
 :class:`~repro.engine.assembler.QueryAssembler` (final join across covering
@@ -44,6 +46,7 @@ class TricEngine(Engine):
 
     # -- indexing phase -------------------------------------------------
     def add_query(self, q: QueryPattern) -> None:
+        self._check_indexing()
         q.validate()
         paths = covering_paths(q)
         for pidx, p in enumerate(paths):
@@ -51,11 +54,14 @@ class TricEngine(Engine):
             for sig in p.sig_chain(q):
                 if sig not in self.base:
                     self.base[sig] = View(arity=2, cached=self.cached)
-        self.assemblers[q.qid] = QueryAssembler(q, paths, self.cached, self.max_rows)
+        self.assemblers[q.qid] = QueryAssembler(
+            q, paths, self.cached, self.max_rows, fresh_rows=True
+        )
         self.n_queries += 1
 
     # -- answering phase ------------------------------------------------
     def process_update(self, u: Triple) -> list[int]:
+        self.answering = True
         sigs = [s for s in update_sigs(u) if s in self.base]
         if not sigs:
             return []
@@ -72,7 +78,9 @@ class TricEngine(Engine):
         for root in self.forest.affected_roots(sigs):
             root_delta: list[Row] = []
             if root.sig in sig_set:
-                root_delta = root.matv.add_all([row])
+                root_delta = [row]
+                if root.children:  # a leaf's view is never read
+                    root.matv.add_all(root_delta)
             self._descend(root, root_delta, sig_set, affected, row)
         return [qid for qid in sorted(affected) if self.assemblers[qid].finish_update()]
 
@@ -125,8 +133,9 @@ class TricEngine(Engine):
                         for pr in islice(node.matv.rows, old_stop)
                         if pr[last] == u_s
                     ]
-            child_delta = child.matv.add_all(child_rows) if child_rows else []
+            if child_rows and child.children:
+                child.matv.add_all(child_rows)
             # a matching child whose delta is empty is entered only when a
             # signature below it matches
-            if child_delta or not sig_set.isdisjoint(child.below_sigs):
-                self._descend(child, child_delta, sig_set, affected, u_row)
+            if child_rows or not sig_set.isdisjoint(child.below_sigs):
+                self._descend(child, child_rows, sig_set, affected, u_row)

@@ -6,8 +6,11 @@ Data structures, named as in the paper:
 * ``rootInd``  → :attr:`TrieForest.roots`: signature of a first edge → root.
 * ``edgeInd``  → :attr:`TrieForest.edge_ind`: signature → set of tries (roots)
   that index it somewhere — the entry point of the answering phase.
-* ``queryInd`` → :attr:`TrieForest.query_ind`: query id → the trie nodes its
-  covering paths were registered under (the "last node" references of Fig. 8).
+
+The paper's ``queryInd`` (query id → the nodes its covering paths end at)
+has no reader here: the answering phase reaches a query only through
+:attr:`TrieNode.registered` at the node that got the delta, so the forest
+keeps just that reverse link.
 
 Each node additionally keeps ``below_sigs`` (every signature occurring at a
 strict descendant) so the answering phase can prune sub-tries that cannot
@@ -27,8 +30,12 @@ from repro.relational.relation import View
 class TrieNode:
     """One trie node indexing one edge signature at depth ``depth``.
 
-    Its materialized view holds every embedding of the root→node signature
-    chain into the current graph, as ``depth + 2`` vertex-label slots.  The
+    An inner node's materialized view holds every embedding of the
+    root→node signature chain into the current graph, as ``depth + 2``
+    vertex-label slots.  Only its children's ``old(parent) ⋈ {u}`` term
+    reads it, so a leaf stores no rows: its deltas go to the registered
+    queries' assemblers and nowhere else.  This needs the trie's shape fixed
+    before the first update, which is why engines refuse late queries.  The
     view keeps no duplicate set (``distinct=False``): every row TRIC's
     semi-naive descent adds for a new triple uses that triple's edge, so it
     is absent from the view and derived only once.
@@ -52,13 +59,12 @@ class TrieNode:
 
 
 class TrieForest:
-    """The forest of tries plus the paper's three index structures."""
+    """The forest of tries plus the paper's root and edge indexes."""
 
     def __init__(self, cached: bool):
         self.cached = cached
         self.roots: dict[EdgeSig, TrieNode] = {}  # rootInd
         self.edge_ind: dict[EdgeSig, set[EdgeSig]] = {}  # sig -> root sigs
-        self.query_ind: dict[int, list[TrieNode]] = {}  # queryInd
 
     def insert_path(self, q: QueryPattern, pidx: int, path: CoverPath) -> TrieNode:
         """Index one covering path (Fig. 6): descend along the existing trie
@@ -81,7 +87,6 @@ class TrieForest:
         for a in ancestors:
             a.below_sigs.update(chain[a.depth + 1:])
         node.registered.append((q.qid, pidx))
-        self.query_ind.setdefault(q.qid, []).append(node)
         return node
 
     def affected_roots(self, sigs: list[EdgeSig]) -> list[TrieNode]:

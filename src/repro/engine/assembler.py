@@ -12,6 +12,8 @@ projected to the path's distinct variable vertices (literal slots carry no
 information — their values are fixed by the edge signatures), after checking
 within-path consistency of repeated vertices (this is where a cycle's
 closure constraint is enforced, since tries index paths obliviously to it).
+A canonical view is read only as a join partner of the other paths in its
+component, and by INV and INC's full final join.
 
 Paths are grouped into variable-connected components; a component is
 *satisfied* monotonically once a cross-path join over it succeeds.  A new
@@ -49,7 +51,17 @@ def _getter(cols: tuple[int, ...]) -> Getter:
 
 
 class QueryAssembler:
-    """Final-join state machine for one indexed query."""
+    """Final-join state machine for one indexed query.
+
+    ``fresh_rows=True`` is the caller's promise that the slot rows fed to
+    one path over the whole run are pairwise distinct, as TRIC's trie
+    deltas are.  Projection is injective on the rows that pass the closure
+    check (literal slots hold values the signatures fix, and every repeated
+    variable equals its first slot), so the canonical views then keep no
+    duplicate set; and a path alone in its component, which no join reads,
+    stores no rows at all.  INV re-derives whole paths and INC can derive
+    one row at two chain positions, so they keep the default.
+    """
 
     def __init__(
         self,
@@ -57,6 +69,7 @@ class QueryAssembler:
         paths: list[CoverPath],
         cached: bool,
         max_rows: int = 2_000_000,
+        fresh_rows: bool = False,
     ):
         self.q = q
         self.paths = paths
@@ -88,7 +101,8 @@ class QueryAssembler:
             )
 
         self.canon_views = [
-            View(arity=len(v), cached=cached) for v in self.path_vars
+            View(arity=len(v), cached=cached, distinct=not fresh_rows)
+            for v in self.path_vars
         ]
 
         # variable-connected components of paths (union-find)
@@ -118,6 +132,8 @@ class QueryAssembler:
             for i, c in enumerate(self.path_comp)
         ]
         self.comp_satisfied = [False] * len(self.components)
+        #: per path: whether its canonical view is kept (read by a join)
+        self._stored = [not fresh_rows or bool(ps) for ps in self._partners]
 
         self._pending: dict[int, list[Row]] = {}
 
@@ -136,7 +152,9 @@ class QueryAssembler:
         """Feed newly materialized slot tuples for one covering path."""
         if not slot_rows:
             return
-        new = self.canon_views[pidx].add_all(self.canon(pidx, slot_rows))
+        new = self.canon(pidx, slot_rows)
+        if self._stored[pidx]:
+            new = self.canon_views[pidx].add_all(new)
         if new:
             self._pending.setdefault(pidx, []).extend(new)
 
@@ -159,7 +177,9 @@ class QueryAssembler:
 
         Joins run per variable-connected component, each starting from its
         smallest view (cross-component products are not materialized);
-        returns the number of result rows computed.
+        returns the number of result rows computed.  It reads every view, so
+        it is wrong for a ``fresh_rows`` assembler, whose lone paths store
+        nothing.
         """
         views = self.canon_views
         total = 0

@@ -17,9 +17,23 @@ class Engine(ABC):
     Life cycle: ``add_query`` for every pattern (indexing phase), then
     ``process_update`` once per stream update (answering phase); the return
     value lists the query ids with *new* full embeddings caused by the update.
+    The phases do not interleave: TRIC, INV and INC keep state only for the
+    signatures (TRIC: the inner trie nodes) indexed so far, so a query added
+    later would silently miss the earlier updates.  So that all engines
+    agree, ``add_query`` raises ``RuntimeError`` in every engine once
+    ``process_update`` has been called.
     """
 
     name: str = "?"
+    #: set by the first ``process_update``: the indexing phase is over
+    answering: bool = False
+
+    def _check_indexing(self) -> None:
+        if self.answering:
+            raise RuntimeError(
+                f"{self.name}: add_query after process_update; index every "
+                "query before the first update"
+            )
 
     @abstractmethod
     def add_query(self, q: QueryPattern) -> None: ...

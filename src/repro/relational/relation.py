@@ -1,13 +1,14 @@
 """Tuple relations + hash joins (build & probe phases, per paper §4.2).
 
 All engine materialized views are append-only :class:`View` objects of
-tuples.  Base and canonical views are *sets*: they drop rows already
-present, since a repeated triple adds no edge and a projection repeats
-rows.  Trie views are created with ``distinct=False`` and keep no duplicate
-set: the engines stop at a repeated triple, so semi-naive deltas are
-disjoint from the view they are added to.  A join is the classic two-phase
-hash join the paper describes: *build* a hash table on one side's key,
-*probe* with the other side.
+tuples.  Base views are *sets*: they drop rows already present, since a
+repeated triple adds no edge; so are INV's and INC's canonical views, since
+they re-derive path rows.  TRIC's trie and canonical views are created with
+``distinct=False`` and keep no duplicate set: the engines stop at a
+repeated triple, so semi-naive deltas are disjoint from the view they are
+added to, and projecting them to a path's variables is injective.  A join
+is the classic two-phase hash join the paper describes: *build* a hash
+table on one side's key, *probe* with the other side.
 
 The caching distinction between the plain and ``+`` algorithm variants maps
 directly onto :class:`HashIndex`:
@@ -87,7 +88,8 @@ class View:
     drop rows already present, checked against a set of every row.
     ``distinct=False`` keeps no such set; :meth:`add_all` appends every row
     it is given and returns them all, so the caller must guarantee they are
-    new and pairwise distinct (TRIC's trie views, see DESIGN.md §2).
+    new and pairwise distinct (TRIC's trie and canonical views, see
+    DESIGN.md §2).
 
     ``cached=True`` (the ``+`` variants) keeps every index requested via
     :meth:`index` up to date on insert; ``cached=False`` answers

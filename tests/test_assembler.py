@@ -282,3 +282,53 @@ class TestNonAdjacentPaths:
             sizes.append(len(after))
         assert fired == [False, False, True, False, True]
         assert sizes == [0, 0, 2, 2, 3]
+
+
+class TestFreshRows:
+    """``fresh_rows=True`` (TRIC's promise that each path's slot rows never
+    repeat) keeps no duplicate set and no rows of a lone path, and fires on
+    exactly the updates a default assembler fires on."""
+
+    QUERIES = {
+        "lone path": QueryPattern(
+            qid=0, vertices=[None, None, None], edges=[(0, "a", 1), (1, "b", 2)]
+        ),
+        "two-path component": QueryPattern(
+            qid=0, vertices=[None, "X", None], edges=[(0, "a", 1), (0, "b", 2)]
+        ),
+        "closure path": QueryPattern(
+            qid=0, vertices=[None, None], edges=[(0, "a", 1), (1, "b", 0)]
+        ),
+    }
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("kind", sorted(QUERIES))
+    def test_fires_like_default(self, kind, cached):
+        q = self.QUERIES[kind]
+        paths = covering_paths(q)
+        plain = QueryAssembler(q, paths, cached)
+        fresh = QueryAssembler(q, paths, cached, fresh_rows=True)
+        rng = random.Random(kind)
+        fed = [set() for _ in paths]
+        fired = []
+        for _ in range(60):
+            pidx = rng.randrange(len(paths))
+            rows = []
+            for _ in range(rng.randint(1, 3)):
+                r = tuple(
+                    "X" if q.vertices[v] is not None else rng.choice("uvwxy")
+                    for v in paths[pidx].slots
+                )
+                if r not in fed[pidx]:  # fresh: never fed to this path before
+                    fed[pidx].add(r)
+                    rows.append(r)
+            plain.on_path_delta(pidx, rows)
+            fresh.on_path_delta(pidx, rows)
+            fired.append(plain.finish_update())
+            assert fresh.finish_update() is fired[-1], kind
+        assert True in fired and False in fired  # both outcomes exercised
+        for pidx, v in enumerate(fresh.canon_views):
+            if len(fresh.components[fresh.path_comp[pidx]]) > 1:
+                assert v.rows == plain.canon_views[pidx].rows
+            else:
+                assert len(v) == 0 < len(plain.canon_views[pidx])

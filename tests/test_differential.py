@@ -6,8 +6,11 @@ break engines in practice are common rather than rare: duplicate triples,
 self-loops, one edge signature at several trie depths, literal-only paths
 (whose canonical rows project to ``()``), and query components that meet
 only at a literal.  After every update each engine must report exactly the
-queries whose embedding set grew, and TRIC's trie views must hold no
-duplicate row (they keep no duplicate set; see ``TrieNode``).
+queries whose embedding set grew, and TRIC must hold only the state it
+reads: no row in a leaf trie view or in the canonical view of a path alone
+in its component, no duplicate row in any trie or canonical view (they keep
+no duplicate set; see ``TrieNode`` and ``QueryAssembler``), and every other
+canonical view equal, as a set, to the one INC derives.
 """
 from hypothesis import given, settings, strategies as st
 
@@ -62,9 +65,18 @@ def workloads(draw):
     return qs, draw(streams())
 
 
-def trie_views(engine):
-    forest = getattr(engine, "forest", None)
-    return [n.matv for n in forest.all_nodes()] if forest else []
+def check_tric_state(tric, inc):
+    for n in tric.forest.all_nodes():
+        rows = n.matv.rows
+        assert len(set(rows)) == len(rows)
+        assert n.children or not rows, "a leaf view stored rows"
+    for qid, asm in tric.assemblers.items():
+        for pidx, v in enumerate(asm.canon_views):
+            assert len(set(v.rows)) == len(v.rows)
+            if len(asm.components[asm.path_comp[pidx]]) == 1:
+                assert not v.rows, "a lone path's canonical view stored rows"
+            else:
+                assert set(v.rows) == set(inc.assemblers[qid].canon_views[pidx].rows)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -72,6 +84,7 @@ def trie_views(engine):
 def test_engines_match_bruteforce(workload):
     qs, stream = workload
     engines = [make_engine(name) for name in ALGORITHMS]
+    by_name = {e.name: e for e in engines}
     for e in engines:
         for q in qs:
             e.add_query(q)
@@ -88,8 +101,8 @@ def test_engines_match_bruteforce(workload):
             got = e.process_update(u)
             assert sorted(got) == grew, (e.name, t, u)
             events[e.name].extend((t, qid) for qid in got)
-            for v in trie_views(e):
-                assert len(set(v.rows)) == len(v.rows), (e.name, t, u)
+        for name in ("tric", "tric+"):
+            check_tric_state(by_name[name], by_name["inc"])
     for q in qs:
         expected = first_match_index(q, stream)
         for name, ev in events.items():

@@ -120,6 +120,24 @@ class TestEdgeCases:
             ts = [t for t, _ in r.events]
             assert ts == sorted(ts)
 
+    @pytest.mark.parametrize("name", ALGORITHMS)
+    def test_add_query_after_update_is_refused(self, name):
+        """Queries are indexed before the first update.  Accepting a later
+        one made the engines disagree: tric..inc+ never matched it on the
+        stream below, graphdb did."""
+        from repro.graph.model import QueryPattern, Triple
+
+        e = make_engine(name)
+        e.add_query(QueryPattern(qid=0, vertices=[None, None], edges=[(0, "a", 1)]))
+        e.add_query(QueryPattern(qid=2, vertices=[None, None], edges=[(0, "c", 1)]))
+        assert e.process_update(Triple("x", "b", "y")) == []  # no indexed signature
+        late = QueryPattern(
+            qid=1, vertices=[None, None, None], edges=[(0, "b", 1), (1, "c", 2)]
+        )
+        with pytest.raises(RuntimeError, match="add_query after process_update"):
+            e.add_query(late)
+        assert e.process_update(Triple("y", "c", "z")) == [2]
+
     def test_engine_factory_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown engine"):
             make_engine("nope")

@@ -1,5 +1,5 @@
-"""Trie forest (rootInd / edgeInd / queryInd) — clustering behaviour, incl.
-the paper's Fig. 5/8 worked example."""
+"""Trie forest (rootInd / edgeInd / registered queries) — clustering
+behaviour, incl. the paper's Fig. 5/8 worked example."""
 import pytest
 
 from repro.core.trie import TrieForest
@@ -83,7 +83,7 @@ class TestInsertPath:
         leaf = list(root.children.values())[0]
         assert root.registered == []
         assert leaf.registered == [(7, 0)]
-        assert f.query_ind[7] == [leaf]
+        assert [n for n in f.all_nodes() if n.registered] == [leaf]
 
     def test_below_sigs(self):
         f = TrieForest(cached=False)
@@ -153,7 +153,7 @@ class TestPaperFig8:
             ("hasCreator", "com1", None),
         }
         # Q1 was registered under 3 nodes (its 3 covering paths)
-        assert len(f.query_ind[1]) == 3
+        assert len([n for n in f.all_nodes() for qid, _ in n.registered if qid == 1]) == 3
 
     def test_shared_posted_pst1_node(self):
         f = TrieForest(cached=False)
