@@ -31,7 +31,8 @@ def render(name: str) -> str:
     if name == "table1_memory":
         algos = list(data["algorithms"])
         dss = list(next(iter(data["algorithms"].values())))
-        lines = ["| algorithm | " + " | ".join(dss) + " |",
+        heads = [f"{ds} ({data['updates'][ds]} updates)" for ds in dss]
+        lines = ["| algorithm | " + " | ".join(heads) + " |",
                  "|---|" + "---|" * len(dss)]
         for a in algos:
             cells = [f"{data['algorithms'][a][ds] / (1 << 20):.1f} MiB" for ds in dss]

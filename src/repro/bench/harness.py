@@ -87,24 +87,33 @@ def measure_memory(
     name: str,
     updates: Sequence[Triple],
     queries: Sequence[QueryPattern],
-    time_limit_s: float = 30.0,
+    max_updates: Optional[int] = None,
 ) -> int:
-    """Resident tracemalloc bytes held after indexing + answering — the
-    analogue of Table 1's resident MB (peak would be dominated by the
-    uncached variants' *transient* build tables, which the paper's resident
-    measurement does not see)."""
+    """Resident tracemalloc bytes held after indexing + answering the first
+    ``max_updates`` updates (all of them if ``None``) — the analogue of
+    Table 1's resident MB (peak would be dominated by the uncached variants'
+    *transient* build tables, which the paper's resident measurement does
+    not see).
+
+    The cap is an update count, not a wall-clock limit, so every engine
+    measured on the same prefix holds the state of the same stream; an
+    engine that overflows before the prefix ends raises ``RuntimeError``
+    rather than report memory at less work.
+    """
+    prefix = updates[:max_updates]
     tracemalloc.start()
     try:
         engine = make_engine(name)
         index_queries(engine, queries)
-        # tracemalloc slows execution several-fold; cap the answering phase
-        # (state keeps growing monotonically, so this under-reports slow
-        # engines slightly — noted in EXPERIMENTS.md)
-        run_stream(engine, updates, collect_events=False, time_limit_s=time_limit_s)
+        res = run_stream(engine, prefix, collect_events=False)
         current, _ = tracemalloc.get_traced_memory()
     finally:
         del engine
         tracemalloc.stop()
+    if res.timed_out:
+        raise RuntimeError(
+            f"{name}: {res.timeout_reason} after {res.processed} of {len(prefix)} updates"
+        )
     return current
 
 

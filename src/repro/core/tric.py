@@ -6,15 +6,23 @@ prefixes across queries share trie nodes and therefore share materialized
 views and join work.
 
 Answering (§4.2): for update ``u``, the affected tries come from ``edgeInd``;
-each is traversed top-down computing *delta* views semi-naively:
+each is traversed top-down computing *delta* views semi-naively.  With
+``last = parent.depth + 1`` and ``k = child.ref``:
 
-    Δ(child) = Δ(parent) ⋈ base[child.sig]  ∪  old(parent) ⋈ {u}
+    Δ(child) = Δ(parent) ⋈[last = s, k = o] base[child.sig]
+             ∪ {pr + (u.o,) : pr ∈ old(parent), pr[last] = u.s, pr[k] = u.o}
 
-(the second term only where the child's signature matches ``u``).  Only an
-inner node keeps its delta in its view, for its children's second term; a
-leaf's delta goes to its registered queries alone.  Sub-tries
-with an empty delta and no matching signature below are pruned.  Queries
-registered at nodes that received deltas are assembled via the shared
+(the second term only where the child's signature matches ``u``; the
+``k`` conditions only where the child closes a cycle, ``k`` not ``None``,
+and a root with ``k = 0`` takes ``u`` only if it is a self-loop).  So TRIC
+closes a cycle in the trie step that reaches its repeated vertex, and its
+views never hold an open walk of a cyclic path; INV and INC still leave the
+closure to the assembler.  Only an inner node keeps its delta in its view,
+for its children's second term; a leaf's delta goes to its registered
+queries alone.  A child delta above ``max_rows`` rows raises
+:class:`~repro.engine.base.EngineOverflow`.  Sub-tries with an empty delta
+and no matching signature below are pruned.  Queries registered at nodes
+that received deltas are assembled via the shared
 :class:`~repro.engine.assembler.QueryAssembler` (final join across covering
 paths).  ``cached=True`` gives TRIC+: all views keep their hash-join build
 structures (indexes) incrementally instead of rebuilding them per join.
@@ -24,7 +32,7 @@ from __future__ import annotations
 from itertools import islice
 
 from repro.engine.assembler import QueryAssembler
-from repro.engine.base import Engine
+from repro.engine.base import Engine, EngineOverflow
 from repro.core.trie import TrieForest, TrieNode
 from repro.graph.covering import covering_paths
 from repro.graph.model import EdgeSig, QueryPattern, Triple, update_sigs
@@ -74,10 +82,11 @@ class TricEngine(Engine):
             return []
         sig_set = set(sigs)
 
+        loop = u.s == u.o
         affected: set[int] = set()
         for root in self.forest.affected_roots(sigs):
             root_delta: list[Row] = []
-            if root.sig in sig_set:
+            if root.sig in sig_set and (root.ref is None or loop):
                 root_delta = [row]
                 if root.children:  # a leaf's view is never read
                     root.matv.add_all(root_delta)
@@ -107,13 +116,18 @@ class TricEngine(Engine):
                 continue
             child_rows: list[Row] = []
             last = node.depth + 1
+            k = child.ref
             if delta:
+                if k is None:
+                    probe_key, build_key = (last,), (0,)
+                else:
+                    probe_key, build_key = (last, k), (0, 1)
                 child_rows = hash_join(
-                    delta, (last,), self.base[child.sig], (0,), append_target
+                    delta, probe_key, self.base[child.sig], build_key, append_target
                 )
             if child.sig in sig_set:
                 # old(parent) ⋈ {u}: parent rows (minus this update's delta)
-                # whose last slot equals u's source
+                # whose last slot equals u's source, and slot k u's target
                 u_s, u_o = u_row
                 old_stop = len(node.matv.rows) - len(delta)
                 idx = node.matv.index((last,)) if self.cached else None
@@ -121,18 +135,20 @@ class TricEngine(Engine):
                     COUNTERS["probe_rows"] += 1
                     if dset is None:
                         dset = set(delta)
-                    child_rows += [
-                        pr + (u_o,) for pr in idx.get((u_s,)) if pr not in dset
-                    ]
+                    old = [pr for pr in idx.get((u_s,)) if pr not in dset]
                 else:
                     # uncached: the build phase scans the whole parent view
                     # on every call (§4.2 Caching — this is what TRIC+ saves)
                     COUNTERS["build_rows"] += old_stop
-                    child_rows += [
-                        pr + (u_o,)
-                        for pr in islice(node.matv.rows, old_stop)
-                        if pr[last] == u_s
+                    old = [
+                        pr for pr in islice(node.matv.rows, old_stop) if pr[last] == u_s
                     ]
+                child_rows += [pr + (u_o,) for pr in old if k is None or pr[k] == u_o]
+            if len(child_rows) > self.max_rows:
+                raise EngineOverflow(
+                    f"{self.name}: trie delta at depth {child.depth} exceeded "
+                    f"{self.max_rows} rows"
+                )
             if child_rows and child.children:
                 child.matv.add_all(child_rows)
             # a matching child whose delta is empty is entered only when a

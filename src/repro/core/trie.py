@@ -3,9 +3,18 @@ Step 2, Figs. 6 & 8).
 
 Data structures, named as in the paper:
 
-* ``rootInd``  → :attr:`TrieForest.roots`: signature of a first edge → root.
-* ``edgeInd``  → :attr:`TrieForest.edge_ind`: signature → set of tries (roots)
-  that index it somewhere — the entry point of the answering phase.
+* ``rootInd``  → :attr:`TrieForest.roots`: key of a first edge → root.
+* ``edgeInd``  → :attr:`TrieForest.edge_ind`: signature → set of tries (root
+  keys) that index it somewhere — the entry point of the answering phase.
+
+A node's key is ``(signature, back-reference)``
+(:meth:`~repro.graph.covering.CoverPath.back_refs`).  The paper indexes
+paths by signature alone and leaves a cycle's closure to the final join
+(§4.1 "Variable Handling"), so its tries materialize every open walk of a
+cyclic path.  Here the edge that closes a cycle gets its own node, which
+keeps only the walks whose new vertex equals the one the back-reference
+names: paths share nodes up to the step where their equality patterns
+differ, and split there.
 
 The paper's ``queryInd`` (query id → the nodes its covering paths end at)
 has no reader here: the answering phase reaches a query only through
@@ -22,9 +31,14 @@ only when ``below_sigs`` matches.
 """
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.graph.covering import CoverPath
 from repro.graph.model import EdgeSig, QueryPattern
 from repro.relational.relation import View
+
+#: a trie node's key among its siblings: (edge signature, back-reference)
+NodeKey = tuple[EdgeSig, Optional[int]]
 
 
 class TrieNode:
@@ -32,21 +46,25 @@ class TrieNode:
 
     An inner node's materialized view holds every embedding of the
     root→node signature chain into the current graph, as ``depth + 2``
-    vertex-label slots.  Only its children's ``old(parent) ⋈ {u}`` term
-    reads it, so a leaf stores no rows: its deltas go to the registered
-    queries' assemblers and nowhere else.  This needs the trie's shape fixed
-    before the first update, which is why engines refuse late queries.  The
-    view keeps no duplicate set (``distinct=False``): every row TRIC's
-    semi-naive descent adds for a new triple uses that triple's edge, so it
-    is absent from the view and derived only once.
+    vertex-label slots, that closes the cycles the chain's back-references
+    name: with ``ref = k`` the new slot ``depth + 1`` equals slot ``k`` (a
+    root with ``ref = 0`` matches self-loops only).  Only its children's
+    ``old(parent) ⋈ {u}`` term reads the view, so a leaf stores no rows: its
+    deltas go to the registered queries' assemblers and nowhere else.  This
+    needs the trie's shape fixed before the first update, which is why
+    engines refuse late queries.  The view keeps no duplicate set
+    (``distinct=False``): every row TRIC's semi-naive descent adds for a
+    new triple uses that triple's edge, so it is absent from the view and
+    derived only once.
     """
 
-    __slots__ = ("sig", "depth", "children", "matv", "registered", "below_sigs")
+    __slots__ = ("sig", "ref", "depth", "children", "matv", "registered", "below_sigs")
 
-    def __init__(self, sig: EdgeSig, depth: int, cached: bool):
+    def __init__(self, sig: EdgeSig, ref: Optional[int], depth: int, cached: bool):
         self.sig = sig
+        self.ref = ref
         self.depth = depth
-        self.children: dict[EdgeSig, TrieNode] = {}
+        self.children: dict[NodeKey, TrieNode] = {}
         self.matv = View(arity=depth + 2, cached=cached, distinct=False)
         self.registered: list[tuple[int, int]] = []  # (qid, path_idx)
         self.below_sigs: set[EdgeSig] = set()
@@ -63,27 +81,28 @@ class TrieForest:
 
     def __init__(self, cached: bool):
         self.cached = cached
-        self.roots: dict[EdgeSig, TrieNode] = {}  # rootInd
-        self.edge_ind: dict[EdgeSig, set[EdgeSig]] = {}  # sig -> root sigs
+        self.roots: dict[NodeKey, TrieNode] = {}  # rootInd
+        self.edge_ind: dict[EdgeSig, set[NodeKey]] = {}  # sig -> root keys
 
     def insert_path(self, q: QueryPattern, pidx: int, path: CoverPath) -> TrieNode:
         """Index one covering path (Fig. 6): descend along the existing trie
-        path that matches the signature chain, creating the missing suffix,
-        then register the query id at the last node."""
+        path that matches the (signature, back-reference) chain, creating
+        the missing suffix, then register the query id at the last node."""
         chain = path.sig_chain(q)
-        root_sig = chain[0]
-        node = self.roots.get(root_sig)
+        keys = list(zip(chain, path.back_refs(q)))
+        root_key = keys[0]
+        node = self.roots.get(root_key)
         if node is None:
-            node = self.roots[root_sig] = TrieNode(root_sig, 0, self.cached)
-        self.edge_ind.setdefault(root_sig, set()).add(root_sig)
+            node = self.roots[root_key] = TrieNode(*root_key, 0, self.cached)
         ancestors = [node]
-        for d, sig in enumerate(chain[1:], start=1):
-            child = node.children.get(sig)
+        for d, key in enumerate(keys[1:], start=1):
+            child = node.children.get(key)
             if child is None:
-                child = node.children[sig] = TrieNode(sig, d, self.cached)
+                child = node.children[key] = TrieNode(*key, d, self.cached)
             node = child
             ancestors.append(node)
-            self.edge_ind.setdefault(sig, set()).add(root_sig)
+        for sig in chain:
+            self.edge_ind.setdefault(sig, set()).add(root_key)
         for a in ancestors:
             a.below_sigs.update(chain[a.depth + 1:])
         node.registered.append((q.qid, pidx))
@@ -91,13 +110,17 @@ class TrieForest:
 
     def affected_roots(self, sigs: list[EdgeSig]) -> list[TrieNode]:
         """Tries containing any of the update's signatures (answering Step 1)."""
-        root_sigs: set[EdgeSig] = set()
+        root_keys: set[NodeKey] = set()
         for s in sigs:
-            root_sigs.update(self.edge_ind.get(s, ()))
-        # deterministic order (None-safe: signatures contain None for ?var)
+            root_keys.update(self.edge_ind.get(s, ()))
+        # deterministic order (None-safe: signatures contain None for ?var,
+        # and a root's back-reference is None or 0)
         return [
             self.roots[r]
-            for r in sorted(root_sigs, key=lambda x: (x[0], x[1] or "", x[2] or ""))
+            for r in sorted(
+                root_keys,
+                key=lambda x: (x[0][0], x[0][1] or "", x[0][2] or "", x[1] is not None),
+            )
         ]
 
     # -- introspection used by tests -----------------------------------

@@ -10,8 +10,10 @@ information, §4.1) to decide whether new full-query embeddings appeared.
 The assembler keeps, per covering path, a *canonical* view: slot tuples
 projected to the path's distinct variable vertices (literal slots carry no
 information — their values are fixed by the edge signatures), after checking
-within-path consistency of repeated vertices (this is where a cycle's
-closure constraint is enforced, since tries index paths obliviously to it).
+within-path consistency of repeated vertices.  That check is where INV and
+INC enforce a cycle's closure; TRIC's tries already close each cycle at the
+node whose back-reference names the repeated vertex, so TRIC's rows always
+pass it.
 A canonical view is read only as a join partner of the other paths in its
 component, and by INV and INC's full final join.
 

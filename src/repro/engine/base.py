@@ -22,6 +22,14 @@ class Engine(ABC):
     later would silently miss the earlier updates.  So that all engines
     agree, ``add_query`` raises ``RuntimeError`` in every engine once
     ``process_update`` has been called.
+
+    Every engine bounds the rows one update may derive: TRIC a trie delta
+    and INV/INC a path's rows (``max_rows``), the shared final join its
+    intermediate results (``max_rows``), graphdb a query's results
+    (``max_results``).  Past the cap ``process_update`` raises
+    :class:`EngineOverflow` (``run_stream`` reports a timeout).  An engine
+    cannot be used after an overflow: the update that raised it is
+    half-applied, so later events would be wrong.
     """
 
     name: str = "?"

@@ -15,6 +15,7 @@ information used during the final per-query join, §4.1 Variable Handling).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.graph.model import EdgeSig, QueryPattern
 
@@ -36,6 +37,23 @@ class CoverPath:
 
     def sig_chain(self, q: QueryPattern) -> tuple[EdgeSig, ...]:
         return tuple(q.edge_sig(e) for e in self.edge_idxs)
+
+    def back_refs(self, q: QueryPattern) -> tuple[Optional[int], ...]:
+        """Per edge ``i``: the first earlier slot holding the variable that
+        edge ``i``'s target (slot ``i + 1``) repeats, or ``None``.
+
+        A back-reference closes a cycle: an embedding of the path must bind
+        slot ``i + 1`` to the same vertex as that slot.  Literal slots get
+        none, since their edge signatures already fix their values.
+        """
+        first: dict[int, int] = {}
+        refs: list[Optional[int]] = []
+        for i, vid in enumerate(self.slots):
+            if i:
+                refs.append(first.get(vid))
+            if q.vertices[vid] is None:
+                first.setdefault(vid, i)
+        return tuple(refs)
 
 
 def _reaches_unvisited(q: QueryPattern, start_v: int, unvisited: set[int], banned: set[int]) -> bool:

@@ -53,9 +53,10 @@ class TestMemory:
         # at test scale just require the same order of magnitude
         assert 0.2 < cached / plain < 5
 
-    def test_time_limit_respected(self):
+    def test_update_cap_respected(self):
         updates, queries = build_workload("snb", n_updates=600, n_queries=60, seed=0)
-        assert measure_memory("inv", updates, queries, time_limit_s=0.2) > 0
+        prefix = measure_memory("tric", updates, queries, max_updates=100)
+        assert 0 < prefix < measure_memory("tric", updates, queries)
 
 
 class TestFormatting:

@@ -9,8 +9,10 @@ only at a literal.  After every update each engine must report exactly the
 queries whose embedding set grew, and TRIC must hold only the state it
 reads: no row in a leaf trie view or in the canonical view of a path alone
 in its component, no duplicate row in any trie or canonical view (they keep
-no duplicate set; see ``TrieNode`` and ``QueryAssembler``), and every other
-canonical view equal, as a set, to the one INC derives.
+no duplicate set; see ``TrieNode`` and ``QueryAssembler``), no open walk at
+a trie node that closes a cycle (its new slot equals the slot its
+back-reference names), and every other canonical view equal, as a set, to
+the one INC derives.
 """
 from hypothesis import given, settings, strategies as st
 
@@ -70,6 +72,9 @@ def check_tric_state(tric, inc):
         rows = n.matv.rows
         assert len(set(rows)) == len(rows)
         assert n.children or not rows, "a leaf view stored rows"
+        if n.ref is not None:
+            k, new = n.ref, n.depth + 1
+            assert all(r[k] == r[new] for r in rows), "an open walk at a closing node"
     for qid, asm in tric.assemblers.items():
         for pidx, v in enumerate(asm.canon_views):
             assert len(set(v.rows)) == len(v.rows)

@@ -98,6 +98,46 @@ class TestDeltaPropagation:
         assert e.process_update(Triple("y", "k", "z")) == []  # open, not closed
         assert e.process_update(Triple("y", "k", "x")) == [0]
 
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_closing_node_stores_only_closed_walks(self, cached):
+        """a→b→a→c: the inner node for the edge back to ``a`` keeps only
+        rows whose third slot equals the first, in both semi-naive terms."""
+        q = QueryPattern(
+            qid=0,
+            vertices=[None, None, None],
+            edges=[(0, "k", 1), (1, "k", 0), (0, "m", 2)],
+        )
+        e = TricEngine(cached=cached)
+        e.add_query(q)
+        root = e.forest.roots[(("k", None, None), None)]
+        closing = root.children[(("k", None, None), 0)]
+        assert closing.ref == 0 and closing.children
+        ups = [
+            Triple("x", "k", "y"),
+            Triple("y", "k", "z"),  # extends x→y to an open walk: not kept
+            Triple("y", "k", "x"),  # closes x→y→x (and y→x→y)
+            Triple("z", "k", "y"),  # closes y→z→y
+            Triple("x", "m", "w"),
+        ]
+        fired = [e.process_update(u) for u in ups]
+        assert fired == [[], [], [], [], [0]]
+        assert sorted(closing.matv.rows) == [
+            ("x", "y", "x"), ("y", "x", "y"), ("y", "z", "y"), ("z", "y", "z")
+        ]
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_self_loop_root_takes_only_loops(self, cached):
+        e = TricEngine(cached=cached)
+        e.add_query(
+            QueryPattern(qid=0, vertices=[None, None], edges=[(0, "a", 0), (0, "b", 1)])
+        )
+        root = e.forest.roots[(("a", None, None), 0)]
+        assert root.children
+        assert e.process_update(Triple("x", "a", "y")) == []
+        assert e.process_update(Triple("x", "a", "x")) == []
+        assert e.process_update(Triple("x", "b", "z")) == [0]
+        assert root.matv.rows == [("x", "x")]
+
 
 class TestPruning:
     def test_unrelated_trie_not_traversed(self):
@@ -106,7 +146,7 @@ class TestPruning:
         e.add_query(chain_q(qid=1, preds=("x", "y")))
         e.process_update(Triple("u", "a", "v"))
         # the x-rooted trie's views must stay empty
-        root_x = e.forest.roots[("x", None, None)]
+        root_x = e.forest.roots[(("x", None, None), None)]
         assert len(root_x.matv) == 0
 
     def test_empty_delta_prunes_subtree(self):

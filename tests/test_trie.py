@@ -104,9 +104,9 @@ class TestInsertPath:
         )
         index_query(f, q)
         sig = ("i", None, None)
-        root = f.roots[sig]
-        mid = root.children[sig]
-        leaf = mid.children[sig]
+        root = f.roots[(sig, None)]
+        mid = root.children[(sig, None)]
+        leaf = mid.children[(sig, None)]
         assert (root.depth, mid.depth, leaf.depth) == (0, 1, 2)
         assert root.below_sigs == {sig}
         assert mid.below_sigs == {sig}
@@ -118,8 +118,9 @@ class TestInsertPath:
             qid=0, vertices=[None, None, None], edges=[(0, "a", 1), (1, "b", 2)]
         )
         index_query(f, q)
-        assert f.edge_ind[("a", None, None)] == {("a", None, None)}
-        assert f.edge_ind[("b", None, None)] == {("a", None, None)}
+        root_key = (("a", None, None), None)
+        assert f.edge_ind[("a", None, None)] == {root_key}
+        assert f.edge_ind[("b", None, None)] == {root_key}
 
     def test_affected_roots_none_safe_and_deduped(self):
         f = TrieForest(cached=False)
@@ -131,6 +132,61 @@ class TestInsertPath:
         assert len(roots) == 2  # two distinct tries, each returned once
 
 
+class TestBackRefs:
+    """Trie nodes are keyed by (signature, back-reference): the edge that
+    closes a cycle gets its own node."""
+
+    SIG = ("a", None, None)
+
+    def test_closing_and_open_paths_split_at_closing_node(self):
+        f = TrieForest(cached=False)
+        closing = QueryPattern(
+            qid=0, vertices=[None, None], edges=[(0, "a", 1), (1, "a", 0)]
+        )
+        open_ = QueryPattern(
+            qid=1, vertices=[None, None, None], edges=[(0, "a", 1), (1, "a", 2)]
+        )
+        (p_closing,) = index_query(f, closing)
+        (p_open,) = index_query(f, open_)
+        assert p_closing.back_refs(closing) == (None, 0)
+        assert p_open.back_refs(open_) == (None, None)
+        # one shared root, two children that differ only in the back-reference
+        assert set(f.roots) == {(self.SIG, None)}
+        root = f.roots[(self.SIG, None)]
+        assert set(root.children) == {(self.SIG, 0), (self.SIG, None)}
+        assert root.children[(self.SIG, 0)].registered == [(0, 0)]
+        assert root.children[(self.SIG, None)].registered == [(1, 0)]
+        assert f.n_nodes() == 3
+
+    def test_self_loop_root(self):
+        f = TrieForest(cached=False)
+        q = QueryPattern(qid=0, vertices=[None], edges=[(0, "a", 0)])
+        index_query(f, q)
+        (root,) = f.roots.values()
+        assert (root.sig, root.ref, root.depth) == (self.SIG, 0, 0)
+        assert set(f.roots) == {(self.SIG, 0)}
+
+    def test_repeated_literal_gets_no_back_reference(self):
+        f = TrieForest(cached=False)
+        q = QueryPattern(qid=0, vertices=["L", None], edges=[(0, "a", 1), (1, "a", 0)])
+        (path,) = index_query(f, q)
+        assert path.slots == (0, 1, 0)
+        assert path.back_refs(q) == (None, None)
+        root = f.roots[(("a", "L", None), None)]
+        assert set(root.children) == {(("a", None, "L"), None)}
+
+    def test_edge_ind_keyed_by_bare_signature(self):
+        f = TrieForest(cached=False)
+        index_query(f, QueryPattern(qid=0, vertices=[None], edges=[(0, "a", 0)]))
+        index_query(
+            f, QueryPattern(qid=1, vertices=[None, None], edges=[(0, "a", 1), (1, "a", 0)])
+        )
+        # one signature, two tries (self-loop root and plain root)
+        assert f.edge_ind == {self.SIG: {(self.SIG, 0), (self.SIG, None)}}
+        roots = f.affected_roots([self.SIG])
+        assert [(r.sig, r.ref) for r in roots] == [(self.SIG, None), (self.SIG, 0)]
+
+
 class TestPaperFig8:
     """Clustering of Fig. 5(b)'s covering paths, per Fig. 8."""
 
@@ -140,17 +196,17 @@ class TestPaperFig8:
             index_query(f, q)
         # Tries rooted at hasMod, reply, hasCreator (paper's T1, T2, T3)
         assert set(f.roots) == {
-            ("hasMod", None, None),
-            ("reply", None, "pst2"),
-            ("hasCreator", "com1", None),
+            (("hasMod", None, None), None),
+            (("reply", None, "pst2"), None),
+            (("hasCreator", "com1", None), None),
         }
         # T1 clusters Q1.P1, Q1.P2, Q2.P1 and Q4.P1:
-        t1 = f.roots[("hasMod", None, None)]
+        t1 = f.roots[(("hasMod", None, None), None)]
         assert {qid for n in t1.walk() for qid, _ in n.registered} == {1, 2, 4}
         # posted=(?var,pst1) appears under both T1 (Q1/Q4) and T3 (Q3)
         assert f.edge_ind[("posted", None, "pst1")] == {
-            ("hasMod", None, None),
-            ("hasCreator", "com1", None),
+            (("hasMod", None, None), None),
+            (("hasCreator", "com1", None), None),
         }
         # Q1 was registered under 3 nodes (its 3 covering paths)
         assert len([n for n in f.all_nodes() for qid, _ in n.registered if qid == 1]) == 3
@@ -159,13 +215,13 @@ class TestPaperFig8:
         f = TrieForest(cached=False)
         for q in fig5_queries():
             index_query(f, q)
-        t1 = f.roots[("hasMod", None, None)]
+        t1 = f.roots[(("hasMod", None, None), None)]
         # hasMod -> posted:pst1 shared by Q1.P1 and Q4.P1 prefix
-        child = t1.children[("posted", None, "pst1")]
+        child = t1.children[(("posted", None, "pst1"), None)]
         regs = {qid for qid, _ in child.registered}
         assert 1 in regs  # Q1's P1 terminates here
         # Q4 continues below with containedIn
-        assert ("containedIn", "pst1", None) in child.children
+        assert (("containedIn", "pst1", None), None) in child.children
 
 
 @pytest.mark.parametrize("cached", [False, True])
