@@ -59,7 +59,6 @@ class GraphDBEngine(Engine):
         self.queries: dict[int, QueryPattern] = {}
         self.edge_ind: dict[tuple, set[int]] = {}
         self.plan_cache: dict[tuple[int, int], list[int]] = {}
-        self.n_queries = 0
 
     # -- indexing phase -------------------------------------------------
     def add_query(self, q: QueryPattern) -> None:
@@ -68,7 +67,6 @@ class GraphDBEngine(Engine):
         self.queries[q.qid] = q
         for i in range(len(q.edges)):
             self.edge_ind.setdefault(q.edge_sig(i), set()).add(q.qid)
-        self.n_queries += 1
 
     # -- answering phase ------------------------------------------------
     def _insert(self, u: Triple) -> bool:

@@ -18,6 +18,8 @@ queries — shared paths across queries are processed once *per query*.
 """
 from __future__ import annotations
 
+from abc import abstractmethod
+
 from repro.engine.assembler import QueryAssembler
 from repro.engine.base import Engine, EngineOverflow
 from repro.graph.covering import CoverPath, covering_paths
@@ -26,7 +28,8 @@ from repro.relational.relation import Row, View, append_target, hash_join
 
 
 class _InvertedBase(Engine):
-    """Shared indexing phase of INV and INC (§5.1 Steps 1–2)."""
+    """Shared indexing phase and answering loop of INV and INC (§5.1–5.2);
+    the engines differ only in how :meth:`_feed` materializes path rows."""
 
     def __init__(self, cached: bool, max_rows: int = 2_000_000):
         self.cached = cached
@@ -38,7 +41,6 @@ class _InvertedBase(Engine):
         #: queryInd: qid -> (pattern, covering paths, per-path sig chains)
         self.query_ind: dict[int, tuple[QueryPattern, list[CoverPath], list[tuple[EdgeSig, ...]]]] = {}
         self.assemblers: dict[int, QueryAssembler] = {}
-        self.n_queries = 0
 
     def add_query(self, q: QueryPattern) -> None:
         self._check_indexing()
@@ -50,25 +52,42 @@ class _InvertedBase(Engine):
             for sig in chain:
                 self.edge_ind.setdefault(sig, set()).add(q.qid)
                 if sig not in self.base:
-                    self.base[sig] = View(arity=2, cached=self.cached)
+                    self.base[sig] = View(cached=self.cached)
         self.assemblers[q.qid] = QueryAssembler(q, paths, self.cached, self.max_rows)
-        self.n_queries += 1
 
-    # -- answering helpers ---------------------------------------------
-    def _matching_sigs(self, u: Triple) -> list[EdgeSig]:
-        return [s for s in update_sigs(u) if s in self.base]
+    def process_update(self, u: Triple) -> list[int]:
+        self.answering = True
+        sigs = [s for s in update_sigs(u) if s in self.base]
+        if not sigs:
+            return []
+        row: Row = (u.s, u.o)
+        if not any([self.base[sig].add(row) for sig in sigs]):
+            return []  # repeated triple: no new edge, no new embedding
+        sig_set = set(sigs)
 
-    def _affected_queries(self, sigs: list[EdgeSig]) -> list[int]:
         qids: set[int] = set()
         for s in sigs:
-            qids.update(self.edge_ind.get(s, ()))
-        return sorted(qids)
+            qids.update(self.edge_ind[s])
+        out: list[int] = []
+        for qid in sorted(qids):
+            asm = self.assemblers[qid]
+            if not self._feed(qid, asm, sig_set, row):
+                continue
+            if asm.finish_update():
+                out.append(qid)
+            # the final join across paths is always computed in full over
+            # all paths (§5.1 Step 3) — no delta shortcut, unlike TRIC
+            asm.full_join_rows()
+        return out
 
-    def _all_views_nonempty(self, qid: int) -> bool:
-        """Step 1 check: every edge of the query has a non-empty matV."""
-        _, _, chains = self.query_ind[qid]
-        return all(len(self.base[s]) for chain in chains for s in chain)
+    @abstractmethod
+    def _feed(
+        self, qid: int, asm: QueryAssembler, sig_set: set[EdgeSig], u_row: Row
+    ) -> bool:
+        """Feed query ``qid``'s path rows for this update to ``asm``; False
+        skips the query's final join."""
 
+    # -- answering helpers ---------------------------------------------
     def _guard(self, rows: list[Row], qid: int) -> list[Row]:
         if len(rows) > self.max_rows:
             raise EngineOverflow(
@@ -96,32 +115,17 @@ class InvEngine(_InvertedBase):
         super().__init__(cached, max_rows)
         self.name = "inv+" if cached else "inv"
 
-    def process_update(self, u: Triple) -> list[int]:
-        self.answering = True
-        sigs = self._matching_sigs(u)
-        if not sigs:
-            return []
-        row: Row = (u.s, u.o)
-        if not any([self.base[sig].add(row) for sig in sigs]):
-            return []  # repeated triple: no new edge, no new embedding
-
-        out: list[int] = []
-        for qid in self._affected_queries(sigs):
-            if not self._all_views_nonempty(qid):
-                continue
-            _, _, chains = self.query_ind[qid]
-            asm = self.assemblers[qid]
-            for pidx, chain in enumerate(chains):
-                # full left-to-right materialization of the path from the
-                # base views, recomputed on every update (INV's cost)
-                rows = self._extend_right(self.base[chain[0]].rows, chain, 1, qid)
-                asm.on_path_delta(pidx, rows)
-            if asm.finish_update():
-                out.append(qid)
-            # INV's final join is always computed in full over all paths
-            # (§5.1 Step 3) — no delta shortcut, unlike TRIC.
-            asm.full_join_rows()
-        return out
+    def _feed(self, qid, asm, sig_set, u_row) -> bool:
+        _, _, chains = self.query_ind[qid]
+        # Step 1: a query with an empty base view has no embedding
+        if not all(len(self.base[s]) for chain in chains for s in chain):
+            return False
+        for pidx, chain in enumerate(chains):
+            # full left-to-right materialization of the path from the
+            # base views, recomputed on every update (INV's cost)
+            rows = self._extend_right(self.base[chain[0]].rows, chain, 1, qid)
+            asm.on_path_delta(pidx, rows)
+        return True
 
 
 class IncEngine(_InvertedBase):
@@ -131,34 +135,15 @@ class IncEngine(_InvertedBase):
         super().__init__(cached, max_rows)
         self.name = "inc+" if cached else "inc"
 
-    def process_update(self, u: Triple) -> list[int]:
-        self.answering = True
-        sigs = self._matching_sigs(u)
-        if not sigs:
-            return []
-        row: Row = (u.s, u.o)
-        if not any([self.base[sig].add(row) for sig in sigs]):
-            return []  # repeated triple: no new edge, no new embedding
-        sig_set = set(sigs)
-
-        out: list[int] = []
-        for qid in self._affected_queries(sigs):
-            _, _, chains = self.query_ind[qid]
-            asm = self.assemblers[qid]
-            touched = False
-            for pidx, chain in enumerate(chains):
-                for k, sig in enumerate(chain):
-                    if sig in sig_set:
-                        delta = self._extend(chain, k, row, qid)
-                        if delta:
-                            asm.on_path_delta(pidx, delta)
-                            touched = True
-            if touched and asm.finish_update():
-                out.append(qid)
-            # INC differs from INV only inside the *path* joins (§5.2);
-            # the final join across paths is still computed in full.
-            asm.full_join_rows()
-        return out
+    def _feed(self, qid, asm, sig_set, u_row) -> bool:
+        # INC differs from INV only inside the *path* joins (§5.2): each
+        # position of the update's signature in a path seeds one delta
+        _, _, chains = self.query_ind[qid]
+        for pidx, chain in enumerate(chains):
+            for k, sig in enumerate(chain):
+                if sig in sig_set:
+                    asm.on_path_delta(pidx, self._extend(chain, k, u_row, qid))
+        return True
 
     def _extend(self, chain: tuple[EdgeSig, ...], k: int, u_row: Row, qid: int) -> list[Row]:
         """Extend the update tuple (at position ``k``) left and right along

@@ -1,10 +1,10 @@
-"""Shared harness for the per-table jobs and pytest benchmarks.
+"""Shared harness for the per-table jobs.
 
 Each evaluation artifact of the paper maps to one job in ``jobs/`` (prints
 the same rows the paper reports: x-value × algorithm → answering time per
-update in ms, with "timeout at |G_E| = X" markers) and one pytest-benchmark
-module in ``benchmarks/``.  Results are also dumped as JSON under
-``results/`` so EXPERIMENTS.md can diff paper vs measured.
+update in ms, with "timeout at |G_E| = X" markers).  Results are also
+dumped as JSON under ``results/`` so EXPERIMENTS.md can diff paper vs
+measured.
 """
 from __future__ import annotations
 

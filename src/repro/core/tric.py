@@ -17,9 +17,13 @@ each is traversed top-down computing *delta* views semi-naively.  With
 and a root with ``k = 0`` takes ``u`` only if it is a self-loop).  So TRIC
 closes a cycle in the trie step that reaches its repeated vertex, and its
 views never hold an open walk of a cyclic path; INV and INC still leave the
-closure to the assembler.  Only an inner node keeps its delta in its view,
-for its children's second term; a leaf's delta goes to its registered
-queries alone.  A child delta above ``max_rows`` rows raises
+closure to the assembler.  A node appends its delta to its view only after
+its children have been processed, so while they read it the view *is*
+``old(parent)`` and needs no "minus this update's delta" filter; a leaf's
+delta goes to its registered queries alone.  This order, together with
+every new row using the new triple's edge, is why trie views keep no
+duplicate set: a delta row is absent from the view and derived once.
+A child delta above ``max_rows`` rows raises
 :class:`~repro.engine.base.EngineOverflow`.  Sub-tries with an empty delta
 and no matching signature below are pruned.  Queries registered at nodes
 that received deltas are assembled via the shared
@@ -28,8 +32,6 @@ paths).  ``cached=True`` gives TRIC+: all views keep their hash-join build
 structures (indexes) incrementally instead of rebuilding them per join.
 """
 from __future__ import annotations
-
-from itertools import islice
 
 from repro.engine.assembler import QueryAssembler
 from repro.engine.base import Engine, EngineOverflow
@@ -50,7 +52,6 @@ class TricEngine(Engine):
         #: base materialized view per edge signature (matV[e_i], §4.1)
         self.base: dict[EdgeSig, View] = {}
         self.assemblers: dict[int, QueryAssembler] = {}
-        self.n_queries = 0
 
     # -- indexing phase -------------------------------------------------
     def add_query(self, q: QueryPattern) -> None:
@@ -61,11 +62,10 @@ class TricEngine(Engine):
             self.forest.insert_path(q, pidx, p)
             for sig in p.sig_chain(q):
                 if sig not in self.base:
-                    self.base[sig] = View(arity=2, cached=self.cached)
+                    self.base[sig] = View(cached=self.cached)
         self.assemblers[q.qid] = QueryAssembler(
             q, paths, self.cached, self.max_rows, fresh_rows=True
         )
-        self.n_queries += 1
 
     # -- answering phase ------------------------------------------------
     def process_update(self, u: Triple) -> list[int]:
@@ -85,12 +85,8 @@ class TricEngine(Engine):
         loop = u.s == u.o
         affected: set[int] = set()
         for root in self.forest.affected_roots(sigs):
-            root_delta: list[Row] = []
-            if root.sig in sig_set and (root.ref is None or loop):
-                root_delta = [row]
-                if root.children:  # a leaf's view is never read
-                    root.matv.add_all(root_delta)
-            self._descend(root, root_delta, sig_set, affected, row)
+            hit = root.sig in sig_set and (root.ref is None or loop)
+            self._descend(root, [row] if hit else [], sig_set, affected, row)
         return [qid for qid in sorted(affected) if self.assemblers[qid].finish_update()]
 
     def _descend(
@@ -105,7 +101,7 @@ class TricEngine(Engine):
             for qid, pidx in node.registered:
                 self.assemblers[qid].on_path_delta(pidx, delta)
                 affected.add(qid)
-        dset = None
+        last = node.depth + 1
         for child in node.children.values():
             # pruning: nothing in this sub-trie can change
             if (
@@ -115,7 +111,6 @@ class TricEngine(Engine):
             ):
                 continue
             child_rows: list[Row] = []
-            last = node.depth + 1
             k = child.ref
             if delta:
                 if k is None:
@@ -126,32 +121,29 @@ class TricEngine(Engine):
                     delta, probe_key, self.base[child.sig], build_key, append_target
                 )
             if child.sig in sig_set:
-                # old(parent) ⋈ {u}: parent rows (minus this update's delta)
+                # old(parent) ⋈ {u}: the parent's view, which takes this
+                # update's delta only after this loop, filtered to rows
                 # whose last slot equals u's source, and slot k u's target
                 u_s, u_o = u_row
-                old_stop = len(node.matv.rows) - len(delta)
-                idx = node.matv.index((last,)) if self.cached else None
+                idx = node.matv.index((last,))
                 if idx is not None:
                     COUNTERS["probe_rows"] += 1
-                    if dset is None:
-                        dset = set(delta)
-                    old = [pr for pr in idx.get((u_s,)) if pr not in dset]
+                    old = idx.get((u_s,))
                 else:
                     # uncached: the build phase scans the whole parent view
                     # on every call (§4.2 Caching — this is what TRIC+ saves)
-                    COUNTERS["build_rows"] += old_stop
-                    old = [
-                        pr for pr in islice(node.matv.rows, old_stop) if pr[last] == u_s
-                    ]
+                    rows = node.matv.rows
+                    COUNTERS["build_rows"] += len(rows)
+                    old = [pr for pr in rows if pr[last] == u_s]
                 child_rows += [pr + (u_o,) for pr in old if k is None or pr[k] == u_o]
             if len(child_rows) > self.max_rows:
                 raise EngineOverflow(
                     f"{self.name}: trie delta at depth {child.depth} exceeded "
                     f"{self.max_rows} rows"
                 )
-            if child_rows and child.children:
-                child.matv.add_all(child_rows)
             # a matching child whose delta is empty is entered only when a
             # signature below it matches
             if child_rows or not sig_set.isdisjoint(child.below_sigs):
                 self._descend(child, child_rows, sig_set, affected, u_row)
+        if delta and node.children:  # a leaf's view is never read
+            node.matv.add_all(delta)

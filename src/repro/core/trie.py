@@ -52,10 +52,12 @@ class TrieNode:
     ``old(parent) ⋈ {u}`` term reads the view, so a leaf stores no rows: its
     deltas go to the registered queries' assemblers and nowhere else.  This
     needs the trie's shape fixed before the first update, which is why
-    engines refuse late queries.  The view keeps no duplicate set
-    (``distinct=False``): every row TRIC's semi-naive descent adds for a
-    new triple uses that triple's edge, so it is absent from the view and
-    derived only once.
+    engines refuse late queries.  A node appends an update's delta to its
+    view after its children have read the view, so during that read the
+    view is exactly ``old(parent)`` of the semi-naive rule.  The view keeps
+    no duplicate set (``distinct=False``): that order, together with every
+    row TRIC's descent adds for a new triple using that triple's edge,
+    means a delta row is absent from the view and derived only once.
     """
 
     __slots__ = ("sig", "ref", "depth", "children", "matv", "registered", "below_sigs")
@@ -65,7 +67,7 @@ class TrieNode:
         self.ref = ref
         self.depth = depth
         self.children: dict[NodeKey, TrieNode] = {}
-        self.matv = View(arity=depth + 2, cached=cached, distinct=False)
+        self.matv = View(cached=cached, distinct=False)
         self.registered: list[tuple[int, int]] = []  # (qid, path_idx)
         self.below_sigs: set[EdgeSig] = set()
 

@@ -75,7 +75,6 @@ class QueryAssembler:
     ):
         self.q = q
         self.paths = paths
-        self.cached = cached
         self.max_rows = max_rows
 
         # per path: ordered distinct variable vids, the getter projecting a
@@ -103,8 +102,7 @@ class QueryAssembler:
             )
 
         self.canon_views = [
-            View(arity=len(v), cached=cached, distinct=not fresh_rows)
-            for v in self.path_vars
+            View(cached=cached, distinct=not fresh_rows) for _ in self.path_vars
         ]
 
         # variable-connected components of paths (union-find)

@@ -96,10 +96,9 @@ class View:
     :meth:`index` with ``None`` so callers fall back to a from-scratch build.
     """
 
-    __slots__ = ("arity", "rows", "_seen", "cached", "_indexes")
+    __slots__ = ("rows", "_seen", "cached", "_indexes")
 
-    def __init__(self, arity: int, cached: bool = False, *, distinct: bool = True):
-        self.arity = arity
+    def __init__(self, cached: bool = False, *, distinct: bool = True):
         self.rows: list[Row] = []
         self._seen: Optional[set[Row]] = set() if distinct else None
         self.cached = cached

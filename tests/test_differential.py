@@ -11,8 +11,9 @@ reads: no row in a leaf trie view or in the canonical view of a path alone
 in its component, no duplicate row in any trie or canonical view (they keep
 no duplicate set; see ``TrieNode`` and ``QueryAssembler``), no open walk at
 a trie node that closes a cycle (its new slot equals the slot its
-back-reference names), and every other canonical view equal, as a set, to
-the one INC derives.
+back-reference names), every inner trie view equal, as a set, to the
+brute-force embeddings of its root-to-node chain into the stream so far,
+and every other canonical view equal, as a set, to the one INC derives.
 """
 from hypothesis import given, settings, strategies as st
 
@@ -67,7 +68,34 @@ def workloads(draw):
     return qs, draw(streams())
 
 
-def check_tric_state(tric, inc):
+def chain_embeddings(keys, triples):
+    """Brute-force rows of a root-to-node chain of ``(sig, ref)`` trie keys:
+    its embeddings into ``triples``, as slot tuples."""
+    slot_vid = [0]
+    vertices = [keys[0][0][1]]  # slot 0: the root signature's source literal or None
+    edges = []
+    for i, ((p, _, o_lit), ref) in enumerate(keys):
+        if ref is None:
+            slot_vid.append(len(vertices))
+            vertices.append(o_lit)
+        else:
+            slot_vid.append(slot_vid[ref])
+        edges.append((slot_vid[i], p, slot_vid[i + 1]))
+    q = QueryPattern(qid=-1, vertices=vertices, edges=edges)
+    return {tuple(b[v] for v in slot_vid) for b in embeddings(q, triples)}
+
+
+def check_inner_views(node, keys, triples):
+    keys = keys + [(node.sig, node.ref)]
+    if node.children:
+        assert set(node.matv.rows) == chain_embeddings(keys, triples), (
+            "an inner trie view differs from its chain's embeddings"
+        )
+    for child in node.children.values():
+        check_inner_views(child, keys, triples)
+
+
+def check_tric_state(tric, inc, triples):
     for n in tric.forest.all_nodes():
         rows = n.matv.rows
         assert len(set(rows)) == len(rows)
@@ -82,6 +110,8 @@ def check_tric_state(tric, inc):
                 assert not v.rows, "a lone path's canonical view stored rows"
             else:
                 assert set(v.rows) == set(inc.assemblers[qid].canon_views[pidx].rows)
+    for root in tric.forest.roots.values():
+        check_inner_views(root, [], triples)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -107,7 +137,7 @@ def test_engines_match_bruteforce(workload):
             assert sorted(got) == grew, (e.name, t, u)
             events[e.name].extend((t, qid) for qid in got)
         for name in ("tric", "tric+"):
-            check_tric_state(by_name[name], by_name["inc"])
+            check_tric_state(by_name[name], by_name["inc"], stream[: t + 1])
     for q in qs:
         expected = first_match_index(q, stream)
         for name, ev in events.items():

@@ -19,35 +19,35 @@ def _reset():
 
 class TestView:
     def test_add_dedups(self):
-        v = View(arity=2)
+        v = View()
         assert v.add(("a", "b"))
         assert not v.add(("a", "b"))
         assert len(v) == 1
 
     def test_add_all_returns_delta(self):
-        v = View(arity=2)
+        v = View()
         v.add(("a", "b"))
         delta = v.add_all([("a", "b"), ("c", "d"), ("c", "d")])
         assert delta == [("c", "d")]
         assert len(v) == 2
 
     def test_contains(self):
-        v = View(arity=2)
+        v = View()
         v.add(("a", "b"))
         assert ("a", "b") in v and ("x", "y") not in v
 
     def test_uncached_view_has_no_index(self):
-        assert View(arity=2, cached=False).index((0,)) is None
+        assert View(cached=False).index((0,)) is None
 
     def test_cached_index_maintained_on_insert(self):
-        v = View(arity=2, cached=True)
+        v = View(cached=True)
         idx = v.index((0,))
         v.add(("a", "b"))
         v.add(("a", "c"))
         assert sorted(idx.get(("a",))) == [("a", "b"), ("a", "c")]
 
     def test_cached_index_backfills_existing_rows(self):
-        v = View(arity=2, cached=True)
+        v = View(cached=True)
         v.add(("a", "b"))
         assert v.index((0,)).get(("a",)) == [("a", "b")]
 
@@ -73,7 +73,7 @@ class TestHashJoin:
     def test_matches_pandas_merge(self, cached):
         left = [("a", "x"), ("b", "y"), ("a", "z")]
         right_rows = [("x", "1"), ("x", "2"), ("y", "3"), ("w", "4")]
-        v = View(arity=2, cached=cached)
+        v = View(cached=cached)
         for r in right_rows:
             v.add(r)
         got = hash_join(left, (1,), v, (0,), lambda a, b: a + b)
@@ -81,15 +81,15 @@ class TestHashJoin:
         assert sorted(got) == expected
 
     def test_empty_probe(self):
-        v = View(arity=2)
+        v = View()
         v.add(("a", "b"))
         assert hash_join([], (0,), v, (0,), lambda a, b: a + b) == []
 
     def test_empty_build(self):
-        assert hash_join([("a",)], (0,), View(arity=2), (0,), lambda a, b: a + b) == []
+        assert hash_join([("a",)], (0,), View(), (0,), lambda a, b: a + b) == []
 
     def test_uncached_pays_build_cost_every_call(self):
-        v = View(arity=2)
+        v = View()
         for i in range(10):
             v.add((f"k{i}", str(i)))
         hash_join([("k1",)], (0,), v, (0,), lambda a, b: a + b)
@@ -97,7 +97,7 @@ class TestHashJoin:
         assert COUNTERS["build_rows"] == 20  # rebuilt both times
 
     def test_cached_skips_build_cost(self):
-        v = View(arity=2, cached=True)
+        v = View(cached=True)
         for i in range(10):
             v.add((f"k{i}", str(i)))
         hash_join([("k1",)], (0,), v, (0,), lambda a, b: a + b)
@@ -106,7 +106,7 @@ class TestHashJoin:
 
     def test_probe_join_equals_hash_join(self):
         rows = [("a", "1"), ("b", "2"), ("a", "3")]
-        v = View(arity=2, cached=True)
+        v = View(cached=True)
         for r in rows:
             v.add(r)
         probe = [("a",), ("b",), ("c",)]
@@ -115,7 +115,7 @@ class TestHashJoin:
         assert sorted(got) == sorted(ref)
 
     def test_multi_key_join(self):
-        v = View(arity=3, cached=False)
+        v = View(cached=False)
         v.add(("a", "b", "1"))
         v.add(("a", "c", "2"))
         got = hash_join([("a", "b")], (0, 1), v, (0, 1), lambda a, b: (b[2],))
@@ -124,14 +124,14 @@ class TestHashJoin:
 
 class TestNonDistinctView:
     def test_add_all_appends_and_returns_every_row(self):
-        v = View(arity=2, distinct=False)
+        v = View(distinct=False)
         rows = [("a", "b"), ("c", "d")]
         assert v.add_all(rows) == rows
         assert v.add_all([("e", "f")]) == [("e", "f")]
         assert v.rows == [("a", "b"), ("c", "d"), ("e", "f")]
 
     def test_cached_index_maintained_by_add_all(self):
-        v = View(arity=2, cached=True, distinct=False)
+        v = View(cached=True, distinct=False)
         v.add_all([("a", "b")])
         idx = v.index((0,))  # backfills the row added before it existed
         v.add_all([("a", "c"), ("x", "y")])
@@ -153,7 +153,7 @@ class TestHashIndexKeys:
 
     @pytest.mark.parametrize("probe_key,build_key", [((1,), (0,)), ((0, 1), (1, 0))])
     def test_probe_join_on_built_index_equals_hash_join(self, probe_key, build_key):
-        v = View(arity=2)
+        v = View()
         for r in [("x", "a"), ("y", "b"), ("x", "c"), ("a", "x")]:
             v.add(r)
         probe = [("a", "x"), ("b", "y"), ("q", "q")]
