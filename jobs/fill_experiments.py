@@ -45,7 +45,9 @@ def render(name: str) -> str:
         for i, b in enumerate(data["batches"]):
             cells = [f"{b[a] * 1000:.1f}" for a in algos]
             lines.append(f"| {(i + 1) * 100} | " + " | ".join(cells) + " |")
-        return "\n".join(lines) + "\n\n(ms per batch of 100 queries)"
+        return "\n".join(lines) + (
+            f"\n\n(ms per batch of 100 queries, median of {data['reps']} runs)"
+        )
     algos = list(data["configs"][0]["results"])
     lines = ["| | " + " | ".join(algos) + " |", "|---|" + "---|" * len(algos)]
     for cfg in data["configs"]:

@@ -6,8 +6,8 @@ prefixes across queries share trie nodes and therefore share materialized
 views and join work.
 
 Answering (§4.2): for update ``u``, the affected tries come from ``edgeInd``;
-each is traversed top-down computing *delta* views semi-naively.  With
-``last = parent.depth + 1`` and ``k = child.ref``:
+each is traversed top-down computing *delta* views semi-naively.  On whole
+slot rows, with ``last = parent.depth + 1`` and ``k = child.ref``:
 
     Δ(child) = Δ(parent) ⋈[last = s, k = o] base[child.sig]
              ∪ {pr + (u.o,) : pr ∈ old(parent), pr[last] = u.s, pr[k] = u.o}
@@ -15,14 +15,19 @@ each is traversed top-down computing *delta* views semi-naively.  With
 (the second term only where the child's signature matches ``u``; the
 ``k`` conditions only where the child closes a cycle, ``k`` not ``None``,
 and a root with ``k = 0`` takes ``u`` only if it is a self-loop).  So TRIC
-closes a cycle in the trie step that reaches its repeated vertex, and its
-views never hold an open walk of a cyclic path; INV and INC still leave the
-closure to the assembler.  A node appends its delta to its view only after
-its children have been processed, so while they read it the view *is*
-``old(parent)`` and needs no "minus this update's delta" filter; a leaf's
-delta goes to its registered queries alone.  This order, together with
-every new row using the new triple's edge, is why trie views keep no
-duplicate set: a delta row is absent from the view and derived once.
+closes a cycle in the trie step that reaches its repeated vertex; INV and
+INC still leave the closure to the assembler.  Rows hold only each node's
+live slots (:attr:`~repro.core.trie.TrieNode.keep`, fixed when the first
+update freezes the trie): ``probe`` finds ``last`` and ``k`` in the
+parent's row, and ``emit`` builds the child's row from a parent row and a
+base row, for ``u`` too.  Projections of distinct embeddings can coincide,
+so each child delta is de-duplicated within the update, but never against
+the child's view: a new embedding whose projection is already stored must
+still reach its descendants and queries.  A node appends its delta to its
+view (the rows it does not hold) only after its children have been
+processed, so while they read it the view *is* ``old(parent)`` and needs no
+"minus this update's delta" filter; a leaf's delta goes to its registered
+queries alone.
 A child delta above ``max_rows`` rows raises
 :class:`~repro.engine.base.EngineOverflow`.  Sub-tries with an empty delta
 and no matching signature below are pruned.  Queries registered at nodes
@@ -38,7 +43,7 @@ from repro.engine.base import Engine, EngineOverflow
 from repro.core.trie import TrieForest, TrieNode
 from repro.graph.covering import covering_paths
 from repro.graph.model import EdgeSig, QueryPattern, Triple, update_sigs
-from repro.relational.relation import COUNTERS, Row, View, append_target, hash_join
+from repro.relational.relation import COUNTERS, Row, View, hash_join
 
 
 class TricEngine(Engine):
@@ -64,20 +69,30 @@ class TricEngine(Engine):
                 if sig not in self.base:
                     self.base[sig] = View(cached=self.cached)
         self.assemblers[q.qid] = QueryAssembler(
-            q, paths, self.cached, self.max_rows, fresh_rows=True
+            q, paths, self.cached, self.max_rows, projected=True
         )
 
     # -- answering phase ------------------------------------------------
-    def process_update(self, u: Triple) -> list[int]:
+    def _freeze(self) -> None:
+        """End the indexing phase: fix every trie node's live slots, and
+        tell each assembler which slots its path's rows carry."""
         self.answering = True
+        self.forest.freeze(lambda qid, pidx: self.assemblers[qid].var_slots[pidx])
+        for node in self.forest.all_nodes():
+            for qid, pidx in node.registered:
+                self.assemblers[qid].bind_columns(pidx, node.keep)
+
+    def process_update(self, u: Triple) -> list[int]:
+        if not self.answering:
+            self._freeze()
         sigs = [s for s in update_sigs(u) if s in self.base]
         if not sigs:
             return []
         row: Row = (u.s, u.o)
         # update base views first: trie deltas join against base *including* u.
-        # A repeated triple adds no edge and so no embedding; stopping here is
-        # what lets the trie views skip duplicate checks.  (A list, not a
-        # generator: every base view must take the row.)
+        # A repeated triple adds no edge and so no embedding; stopping here
+        # means every delta row stands for an embedding new with u.  (A
+        # list, not a generator: every base view must take the row.)
         if not any([self.base[sig].add(row) for sig in sigs]):
             return []
         sig_set = set(sigs)
@@ -86,7 +101,8 @@ class TricEngine(Engine):
         affected: set[int] = set()
         for root in self.forest.affected_roots(sigs):
             hit = root.sig in sig_set and (root.ref is None or loop)
-            self._descend(root, [row] if hit else [], sig_set, affected, row)
+            delta = [root.emit(row[:1], row)] if hit else []
+            self._descend(root, delta, sig_set, affected, row)
         return [qid for qid in sorted(affected) if self.assemblers[qid].finish_update()]
 
     def _descend(
@@ -101,30 +117,22 @@ class TricEngine(Engine):
             for qid, pidx in node.registered:
                 self.assemblers[qid].on_path_delta(pidx, delta)
                 affected.add(qid)
-        last = node.depth + 1
         for child in node.children.values():
+            sig = child.sig
             # pruning: nothing in this sub-trie can change
-            if (
-                not delta
-                and child.sig not in sig_set
-                and sig_set.isdisjoint(child.below_sigs)
-            ):
+            if not delta and sig not in sig_set and sig_set.isdisjoint(child.below_sigs):
                 continue
+            probe, k = child.probe, child.ref
             child_rows: list[Row] = []
-            k = child.ref
             if delta:
-                if k is None:
-                    probe_key, build_key = (last,), (0,)
-                else:
-                    probe_key, build_key = (last, k), (0, 1)
-                child_rows = hash_join(
-                    delta, probe_key, self.base[child.sig], build_key, append_target
-                )
-            if child.sig in sig_set:
+                build_key = (0,) if k is None else (0, 1)
+                child_rows = hash_join(delta, probe, self.base[sig], build_key, child.emit)
+            if sig in sig_set:
                 # old(parent) ⋈ {u}: the parent's view, which takes this
                 # update's delta only after this loop, filtered to rows
                 # whose last slot equals u's source, and slot k u's target
                 u_s, u_o = u_row
+                last = probe[0]
                 idx = node.matv.index((last,))
                 if idx is not None:
                     COUNTERS["probe_rows"] += 1
@@ -135,12 +143,21 @@ class TricEngine(Engine):
                     rows = node.matv.rows
                     COUNTERS["build_rows"] += len(rows)
                     old = [pr for pr in rows if pr[last] == u_s]
-                child_rows += [pr + (u_o,) for pr in old if k is None or pr[k] == u_o]
-            if len(child_rows) > self.max_rows:
+                if k is not None:
+                    kc = probe[1]
+                    old = [pr for pr in old if pr[kc] == u_o]
+                emit = child.emit
+                child_rows += [emit(pr, u_row) for pr in old]
+            n = len(child_rows)
+            if n > self.max_rows:
                 raise EngineOverflow(
                     f"{self.name}: trie delta at depth {child.depth} exceeded "
                     f"{self.max_rows} rows"
                 )
+            # the two terms, and rows that differ only in dropped slots, can
+            # yield one projection more than once
+            if n > 1:
+                child_rows = list(dict.fromkeys(child_rows))
             # a matching child whose delta is empty is entered only when a
             # signature below it matches
             if child_rows or not sig_set.isdisjoint(child.below_sigs):

@@ -28,54 +28,117 @@ generalized to the case where one signature occurs at several depths
 (BioGRID-style).  A sub-trie is skipped when neither its root's signature
 nor ``below_sigs`` matches; a node whose delta came back empty is entered
 only when ``below_sigs`` matches.
+
+Once the forest's shape is final, :meth:`TrieForest.freeze` gives every
+node its live slots (:attr:`TrieNode.keep`), the only slots its rows carry,
+and the probe key and emit function of its step from its parent's rows.
 """
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from repro.graph.covering import CoverPath
 from repro.graph.model import EdgeSig, QueryPattern
-from repro.relational.relation import View
+from repro.relational.relation import Row, View, append_target, getter
 
 #: a trie node's key among its siblings: (edge signature, back-reference)
 NodeKey = tuple[EdgeSig, Optional[int]]
 
 
+def _target(pr: Row, br: Row) -> Row:
+    """Join emit of a node that keeps only its new slot: the target of the
+    matching base-view row ``(s, o)``."""
+    return br[1:]
+
+
 class TrieNode:
     """One trie node indexing one edge signature at depth ``depth``.
 
-    An inner node's materialized view holds every embedding of the
-    root→node signature chain into the current graph, as ``depth + 2``
-    vertex-label slots, that closes the cycles the chain's back-references
-    name: with ``ref = k`` the new slot ``depth + 1`` equals slot ``k`` (a
-    root with ``ref = 0`` matches self-loops only).  Only its children's
-    ``old(parent) ⋈ {u}`` term reads the view, so a leaf stores no rows: its
-    deltas go to the registered queries' assemblers and nowhere else.  This
-    needs the trie's shape fixed before the first update, which is why
-    engines refuse late queries.  A node appends an update's delta to its
-    view after its children have read the view, so during that read the
-    view is exactly ``old(parent)`` of the semi-naive rule.  The view keeps
-    no duplicate set (``distinct=False``): that order, together with every
-    row TRIC's descent adds for a new triple using that triple's edge,
-    means a delta row is absent from the view and derived only once.
+    The node's embeddings are those of the root→node signature chain into
+    the current graph, as ``depth + 2`` vertex-label slots, that close the
+    cycles the chain's back-references name: with ``ref = k`` the new slot
+    ``depth + 1`` equals slot ``k`` (a root with ``ref = 0`` matches
+    self-loops only).  Its rows are these embeddings projected onto its
+    *live slots* :attr:`keep`, the slots something reads:
+
+    * slot ``depth + 1``, if the node has children (their extension key);
+    * every child's ``ref``, and every slot ``<= depth + 1`` a child keeps;
+    * per path registered here, the first slot of each variable that
+      :attr:`QueryAssembler.var_slots` names (its join variables).
+
+    Every other slot is existential: an event only asks whether a new
+    embedding exists.  The view is the set of these projections.  Only its
+    children's ``old(parent) ⋈ {u}`` term reads it, so a leaf stores no rows:
+    its deltas go to the registered queries' assemblers and nowhere else.
+    The live slots, and so the view, need the trie's shape fixed before the
+    first update (:meth:`TrieForest.freeze`), which is why engines refuse
+    late queries.  A node appends an update's delta to its view after its
+    children have read the view, so during that read the view is exactly
+    ``old(parent)`` of the semi-naive rule.
+
+    ``freeze`` also fixes the node's step from its parent's rows:
+    :attr:`probe`, the columns of the parent's row holding slot ``depth``
+    (the parent's new slot) and, when the node closes a cycle, slot
+    ``ref``; and :attr:`emit`, which maps a parent row and a base row
+    ``(s, o)`` to the node's row.
     """
 
-    __slots__ = ("sig", "ref", "depth", "children", "matv", "registered", "below_sigs")
+    __slots__ = (
+        "sig", "ref", "depth", "children", "matv", "registered", "below_sigs",
+        "keep", "probe", "emit",
+    )
 
     def __init__(self, sig: EdgeSig, ref: Optional[int], depth: int, cached: bool):
         self.sig = sig
         self.ref = ref
         self.depth = depth
         self.children: dict[NodeKey, TrieNode] = {}
-        self.matv = View(cached=cached, distinct=False)
+        self.matv = View(cached=cached)
         self.registered: list[tuple[int, int]] = []  # (qid, path_idx)
         self.below_sigs: set[EdgeSig] = set()
+        self.keep: tuple[int, ...] = ()
+        self.probe: tuple[int, ...] = ()
+        self.emit: Callable[[Row, Row], Row] = append_target
 
     def walk(self):
         """DFS iterator over this subtree (self first)."""
         yield self
         for c in self.children.values():
             yield from c.walk()
+
+    def _freeze_keep(self, path_slots: Callable[[int, int], Iterable[int]]) -> None:
+        """Set :attr:`keep` for this subtree, children first."""
+        new = self.depth + 1
+        keep = {s for qid, pidx in self.registered for s in path_slots(qid, pidx)}
+        for c in self.children.values():
+            c._freeze_keep(path_slots)
+            keep.update(s for s in c.keep if s <= new)
+            if c.ref is not None:
+                keep.add(c.ref)
+        if self.children:
+            keep.add(new)
+        self.keep = tuple(sorted(keep))
+
+    def _freeze_step(self, parent_keep: tuple[int, ...]) -> None:
+        """Set :attr:`probe` and :attr:`emit` for this subtree, given the
+        parent's live slots (``(0,)`` for a root: its "parent row" is the
+        update's source)."""
+        self.probe = tuple(
+            parent_keep.index(s) for s in (self.depth, self.ref) if s is not None
+        )
+        cols = tuple(parent_keep.index(s) for s in self.keep if s <= self.depth)
+        g = getter(cols)
+        if self.depth + 1 not in self.keep:
+            # the new slot is dropped: the base row only has to exist
+            self.emit = lambda pr, br: g(pr)
+        elif len(cols) == len(parent_keep):
+            self.emit = append_target
+        elif not cols:
+            self.emit = _target
+        else:
+            self.emit = lambda pr, br: g(pr) + br[1:]
+        for c in self.children.values():
+            c._freeze_step(self.keep)
 
 
 class TrieForest:
@@ -109,6 +172,14 @@ class TrieForest:
             a.below_sigs.update(chain[a.depth + 1:])
         node.registered.append((q.qid, pidx))
         return node
+
+    def freeze(self, path_slots: Callable[[int, int], Iterable[int]]) -> None:
+        """Fix every node's live slots and step once the trie's shape is
+        final; ``path_slots(qid, pidx)`` gives the slots whose values a
+        registered path's final join reads."""
+        for root in self.roots.values():
+            root._freeze_keep(path_slots)
+            root._freeze_step((0,))
 
     def affected_roots(self, sigs: list[EdgeSig]) -> list[TrieNode]:
         """Tries containing any of the update's signatures (answering Step 1)."""

@@ -7,13 +7,15 @@ the last step: when a path receives *new* matches, join them with the other
 paths' matches **on the query vertices the paths share** ("intersection"
 information, §4.1) to decide whether new full-query embeddings appeared.
 
-The assembler keeps, per covering path, a *canonical* view: slot tuples
-projected to the path's distinct variable vertices (literal slots carry no
-information — their values are fixed by the edge signatures), after checking
-within-path consistency of repeated vertices.  That check is where INV and
-INC enforce a cycle's closure; TRIC's tries already close each cycle at the
-node whose back-reference names the repeated vertex, so TRIC's rows always
-pass it.
+The assembler keeps, per covering path, a *canonical* view.  For INV and
+INC it holds slot tuples projected to the path's distinct variable vertices
+(literal slots carry no information — their values are fixed by the edge
+signatures), after checking within-path consistency of repeated vertices;
+that check is where they enforce a cycle's closure.  TRIC's tries already
+close each cycle at the node whose back-reference names the repeated
+vertex, and an event only asks whether a new embedding exists, so for TRIC
+the view holds projections onto the variables the path shares with other
+paths (``projected=True``).
 A canonical view is read only as a join partner of the other paths in its
 component, and by INV and INC's full final join.
 
@@ -27,13 +29,12 @@ new rows (delta), INV and INC from a whole canonical view (full).
 """
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Callable, Optional
 
 from repro.engine.base import EngineOverflow
 from repro.graph.covering import CoverPath
 from repro.graph.model import QueryPattern
-from repro.relational.relation import Row, View, hash_join
+from repro.relational.relation import Row, View, getter, hash_join
 
 
 class AssemblyOverflow(EngineOverflow):
@@ -43,26 +44,26 @@ class AssemblyOverflow(EngineOverflow):
 Getter = Callable[[Row], Row]
 
 
-def _getter(cols: tuple[int, ...]) -> Getter:
-    """``row -> tuple(row[c] for c in cols)`` as one ``itemgetter`` call; a
-    slice for one or zero columns, so the result is always a tuple."""
-    if len(cols) > 1:
-        return itemgetter(*cols)
-    i = cols[0] if cols else 0
-    return itemgetter(slice(i, i + len(cols)))
-
-
 class QueryAssembler:
     """Final-join state machine for one indexed query.
 
-    ``fresh_rows=True`` is the caller's promise that the slot rows fed to
-    one path over the whole run are pairwise distinct, as TRIC's trie
-    deltas are.  Projection is injective on the rows that pass the closure
-    check (literal slots hold values the signatures fix, and every repeated
-    variable equals its first slot), so the canonical views then keep no
-    duplicate set; and a path alone in its component, which no join reads,
-    stores no rows at all.  INV re-derives whole paths and INC can derive
-    one row at two chain positions, so they keep the default.
+    By default (INV, INC) a path is fed whole slot rows, open walks
+    included: its canonical rows are the rows that pass the closure check,
+    projected onto every distinct variable of the path, its canonical view
+    is a set, and only the rows new to that view are queued for the join.
+
+    ``projected=True`` (TRIC) is the caller's promise that every row fed to
+    a path already closes the path's cycles and stands for at least one
+    embedding new with this update.  Canonical rows are then projections
+    onto the path's *join variables*, the ones it shares with another path,
+    with no closure check.  Every other variable occurs in that path alone,
+    so the full join is non-empty iff the join of the projections is.  A
+    view stores the projections it does not hold yet, but the whole
+    de-duplicated delta is queued: a new embedding whose projection is
+    already stored still fires.  A path alone in its component has no join
+    variable, so its rows project to ``()`` and its view stores nothing.
+    The caller may feed rows narrower than slot rows after
+    :meth:`bind_columns` names their columns.
     """
 
     def __init__(
@@ -71,18 +72,18 @@ class QueryAssembler:
         paths: list[CoverPath],
         cached: bool,
         max_rows: int = 2_000_000,
-        fresh_rows: bool = False,
+        projected: bool = False,
     ):
         self.q = q
         self.paths = paths
         self.max_rows = max_rows
+        self.projected = projected
 
-        # per path: ordered distinct variable vids, the getter projecting a
-        # slot row onto their first positions, and the (left, right) getter
-        # pair of repeated positions that must agree (None: no repeat)
-        self.path_vars: list[tuple[int, ...]] = []
-        self._project: list[Getter] = []
-        self._closure: list[Optional[tuple[Getter, Getter]]] = []
+        # per path: the first slot of each distinct variable, in path order,
+        # and the (left, right) slot lists of repeated positions that must
+        # agree (the cycle's closure)
+        firsts: list[dict[int, int]] = []
+        repeats: list[tuple[list[int], list[int]]] = []
         for p in paths:
             first: dict[int, int] = {}
             left: list[int] = []
@@ -95,15 +96,8 @@ class QueryAssembler:
                     right.append(i)
                 else:
                     first[vid] = i
-            self.path_vars.append(tuple(first))
-            self._project.append(_getter(tuple(first.values())))
-            self._closure.append(
-                (_getter(tuple(left)), _getter(tuple(right))) if left else None
-            )
-
-        self.canon_views = [
-            View(cached=cached, distinct=not fresh_rows) for _ in self.path_vars
-        ]
+            firsts.append(first)
+            repeats.append((left, right))
 
         # variable-connected components of paths (union-find)
         parent = list(range(len(paths)))
@@ -115,10 +109,12 @@ class QueryAssembler:
             return x
 
         var_owner: dict[int, int] = {}
-        for i, vs in enumerate(self.path_vars):
-            for v in vs:
+        shared: set[int] = set()
+        for i, first in enumerate(firsts):
+            for v in first:
                 if v in var_owner:
                     parent[find(i)] = find(var_owner[v])
+                    shared.add(v)
                 else:
                     var_owner[v] = i
         roots = [find(i) for i in range(len(paths))]
@@ -132,15 +128,38 @@ class QueryAssembler:
             for i, c in enumerate(self.path_comp)
         ]
         self.comp_satisfied = [False] * len(self.components)
-        #: per path: whether its canonical view is kept (read by a join)
-        self._stored = [not fresh_rows or bool(ps) for ps in self._partners]
 
+        #: per path: the variables of its canonical rows, and the slot each
+        #: is read from
+        self.path_vars: list[tuple[int, ...]] = []
+        self.var_slots: list[tuple[int, ...]] = []
+        self._project: list[Getter] = []
+        self._closure: list[Optional[tuple[Getter, Getter]]] = []
+        for first, (left, right) in zip(firsts, repeats):
+            if projected:
+                first = {v: i for v, i in first.items() if v in shared}
+            self.path_vars.append(tuple(first))
+            self.var_slots.append(tuple(first.values()))
+            self._project.append(getter(self.var_slots[-1]))
+            self._closure.append(
+                (getter(tuple(left)), getter(tuple(right)))
+                if left and not projected
+                else None
+            )
+
+        self.canon_views = [View(cached=cached) for _ in self.path_vars]
         self._pending: dict[int, list[Row]] = {}
+
+    def bind_columns(self, pidx: int, cols: tuple[int, ...]) -> None:
+        """Path ``pidx`` is fed rows whose columns are the slots ``cols``,
+        which must include :attr:`var_slots` ``[pidx]``."""
+        self._project[pidx] = getter(tuple(cols.index(s) for s in self.var_slots[pidx]))
 
     # ------------------------------------------------------------------
     def canon(self, pidx: int, slot_rows: list[Row]) -> list[Row]:
-        """Project slot tuples to the path's variable bindings, dropping rows
-        whose repeated-vertex positions disagree (cycle closure)."""
+        """Project fed rows onto the path's canonical variables, dropping
+        rows whose repeated-vertex positions disagree (cycle closure; not
+        checked when ``projected``)."""
         proj = self._project[pidx]
         closure = self._closure[pidx]
         if closure is None:
@@ -153,8 +172,13 @@ class QueryAssembler:
         if not slot_rows:
             return
         new = self.canon(pidx, slot_rows)
-        if self._stored[pidx]:
+        if not self.projected:
             new = self.canon_views[pidx].add_all(new)
+        else:
+            if len(new) > 1:
+                new = list(dict.fromkeys(new))
+            if self._partners[pidx]:
+                self.canon_views[pidx].add_all(new)
         if new:
             self._pending.setdefault(pidx, []).extend(new)
 
@@ -178,8 +202,8 @@ class QueryAssembler:
         Joins run per variable-connected component, each starting from its
         smallest view (cross-component products are not materialized);
         returns the number of result rows computed.  It reads every view, so
-        it is wrong for a ``fresh_rows`` assembler, whose lone paths store
-        nothing.
+        it is wrong for a ``projected`` assembler, whose lone paths store
+        nothing and whose views hold projections.
         """
         views = self.canon_views
         total = 0
@@ -216,7 +240,7 @@ class QueryAssembler:
                 i for i, v in enumerate(self.path_vars[j]) if v not in acc_vars
             )
 
-            def emit(pr: Row, br: Row, tail=_getter(new_cols)) -> Row:
+            def emit(pr: Row, br: Row, tail=getter(new_cols)) -> Row:
                 return pr + tail(br)
 
             acc = hash_join(acc, probe_key, views[j], build_key, emit)

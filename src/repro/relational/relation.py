@@ -1,14 +1,15 @@
 """Tuple relations + hash joins (build & probe phases, per paper §4.2).
 
-All engine materialized views are append-only :class:`View` objects of
-tuples.  Base views are *sets*: they drop rows already present, since a
-repeated triple adds no edge; so are INV's and INC's canonical views, since
-they re-derive path rows.  TRIC's trie and canonical views are created with
-``distinct=False`` and keep no duplicate set: the engines stop at a
-repeated triple, so semi-naive deltas are disjoint from the view they are
-added to, and projecting them to a path's variables is injective.  A join
-is the classic two-phase hash join the paper describes: *build* a hash
-table on one side's key, *probe* with the other side.
+All engine materialized views are append-only *sets* of tuples
+(:class:`View`): a row already present is dropped.  Base views drop
+repeated triples, which add no edge; INV's and INC's canonical views drop
+re-derived path rows; TRIC's trie and canonical views hold projections of
+embeddings onto the slots their readers use, which many embeddings share
+(DESIGN.md §2).  A view allocates its duplicate set with its first row, so
+the many views that never store one (every leaf trie view, for a start)
+cost no set.  A join is the classic two-phase hash join the paper
+describes: *build* a hash table on one side's key, *probe* with the other
+side.
 
 The caching distinction between the plain and ``+`` algorithm variants maps
 directly onto :class:`HashIndex`:
@@ -82,14 +83,11 @@ class HashIndex:
 
 
 class View:
-    """Append-only list of rows with optional maintained hash indexes.
+    """Append-only set of rows with optional maintained hash indexes.
 
-    ``distinct=True`` makes the view a set: :meth:`add` and :meth:`add_all`
-    drop rows already present, checked against a set of every row.
-    ``distinct=False`` keeps no such set; :meth:`add_all` appends every row
-    it is given and returns them all, so the caller must guarantee they are
-    new and pairwise distinct (TRIC's trie and canonical views, see
-    DESIGN.md §2).
+    :meth:`add` and :meth:`add_all` drop rows already present, checked
+    against a set of every row that is allocated when the view stores its
+    first row.
 
     ``cached=True`` (the ``+`` variants) keeps every index requested via
     :meth:`index` up to date on insert; ``cached=False`` answers
@@ -98,9 +96,9 @@ class View:
 
     __slots__ = ("rows", "_seen", "cached", "_indexes")
 
-    def __init__(self, cached: bool = False, *, distinct: bool = True):
+    def __init__(self, cached: bool = False):
         self.rows: list[Row] = []
-        self._seen: Optional[set[Row]] = set() if distinct else None
+        self._seen: Optional[set[Row]] = None
         self.cached = cached
         self._indexes: dict[tuple[int, ...], HashIndex] = {}
 
@@ -108,15 +106,16 @@ class View:
         return len(self.rows)
 
     def __contains__(self, row: Row) -> bool:
-        """Membership test; distinct views only."""
-        return row in self._seen
+        return self._seen is not None and row in self._seen
 
     def add(self, row: Row) -> bool:
-        """Insert; returns True if the row is new (always, if not distinct)."""
+        """Insert; returns True if the row is new."""
         seen = self._seen
-        if seen is not None:
-            if row in seen:
-                return False
+        if seen is None:
+            self._seen = {row}
+        elif row in seen:
+            return False
+        else:
             seen.add(row)
         self.rows.append(row)
         for idx in self._indexes.values():
@@ -124,14 +123,11 @@ class View:
         return True
 
     def add_all(self, rows: list[Row]) -> list[Row]:
-        """Insert many; returns the sub-list of genuinely new rows (the delta).
-        A view without ``distinct`` takes and returns ``rows`` unchanged."""
-        if self._seen is not None:
-            return [r for r in rows if self.add(r)]
-        self.rows.extend(rows)
-        for idx in self._indexes.values():
-            idx.extend(rows)
-        return rows
+        """Insert many; returns the sub-list of genuinely new rows.  Each row
+        goes through :meth:`add`, so instrumentation of ``add`` sees every
+        row offered."""
+        add = self.add
+        return [r for r in rows if add(r)]
 
     def index(self, key_cols: tuple[int, ...]) -> Optional[HashIndex]:
         """Maintained index on ``key_cols`` (cached views only)."""
@@ -141,6 +137,15 @@ class View:
         if idx is None:
             idx = self._indexes[key_cols] = HashIndex(key_cols, self.rows)
         return idx
+
+
+def getter(cols: tuple[int, ...]) -> Callable[[Row], Row]:
+    """``row -> tuple(row[c] for c in cols)`` as one ``itemgetter`` call; a
+    slice for one or zero columns, so the result is always a tuple."""
+    if len(cols) > 1:
+        return itemgetter(*cols)
+    i = cols[0] if cols else 0
+    return itemgetter(slice(i, i + len(cols)))
 
 
 def append_target(pr: Row, br: Row) -> Row:

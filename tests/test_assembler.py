@@ -285,9 +285,11 @@ class TestNonAdjacentPaths:
 
 
 class TestFreshRows:
-    """``fresh_rows=True`` (TRIC's promise that each path's slot rows never
-    repeat) keeps no duplicate set and no rows of a lone path, and fires on
-    exactly the updates a default assembler fires on."""
+    """``projected=True`` (TRIC's contract: every row fed to a path closes
+    its cycles and stands for an embedding new with the update) fires on
+    exactly the updates a default assembler fires on, stores per path the
+    default's canonical rows projected onto the join variables, and
+    stores nothing for a lone path."""
 
     QUERIES = {
         "lone path": QueryPattern(
@@ -307,7 +309,7 @@ class TestFreshRows:
         q = self.QUERIES[kind]
         paths = covering_paths(q)
         plain = QueryAssembler(q, paths, cached)
-        fresh = QueryAssembler(q, paths, cached, fresh_rows=True)
+        projected = QueryAssembler(q, paths, cached, projected=True)
         rng = random.Random(kind)
         fed = [set() for _ in paths]
         fired = []
@@ -315,20 +317,37 @@ class TestFreshRows:
             pidx = rng.randrange(len(paths))
             rows = []
             for _ in range(rng.randint(1, 3)):
-                r = tuple(
-                    "X" if q.vertices[v] is not None else rng.choice("uvwxy")
-                    for v in paths[pidx].slots
-                )
+                bind = [lit or rng.choice("uvwxy") for lit in q.vertices]
+                r = tuple(bind[v] for v in paths[pidx].slots)  # closes cycles
                 if r not in fed[pidx]:  # fresh: never fed to this path before
                     fed[pidx].add(r)
                     rows.append(r)
             plain.on_path_delta(pidx, rows)
-            fresh.on_path_delta(pidx, rows)
+            projected.on_path_delta(pidx, rows)
             fired.append(plain.finish_update())
-            assert fresh.finish_update() is fired[-1], kind
+            assert projected.finish_update() is fired[-1], kind
         assert True in fired and False in fired  # both outcomes exercised
-        for pidx, v in enumerate(fresh.canon_views):
-            if len(fresh.components[fresh.path_comp[pidx]]) > 1:
-                assert v.rows == plain.canon_views[pidx].rows
+        for pidx, v in enumerate(projected.canon_views):
+            if len(projected.components[projected.path_comp[pidx]]) > 1:
+                full_vars = plain.path_vars[pidx]
+                cols = [full_vars.index(x) for x in projected.path_vars[pidx]]
+                want = {tuple(r[c] for c in cols) for r in plain.canon_views[pidx].rows}
+                assert set(v.rows) == want
+                assert len(v) <= len(plain.canon_views[pidx])
             else:
+                assert projected.path_vars[pidx] == ()
                 assert len(v) == 0 < len(plain.canon_views[pidx])
+
+    def test_bound_columns(self):
+        """Rows narrower than slot rows are read through ``bind_columns``."""
+        q = self.QUERIES["two-path component"]
+        paths = covering_paths(q)
+        asm = QueryAssembler(q, paths, False, projected=True)
+        assert asm.var_slots == [(0,), (0,)]
+        asm.bind_columns(0, (0,))
+        asm.bind_columns(1, (0, 1))
+        asm.on_path_delta(0, [("c",)])
+        assert asm.finish_update() is False
+        asm.on_path_delta(1, [("c", "X"), ("d", "X")])
+        assert asm.finish_update() is True
+        assert sorted(asm.canon_views[1].rows) == [("c",), ("d",)]

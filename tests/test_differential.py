@@ -7,13 +7,14 @@ self-loops, one edge signature at several trie depths, literal-only paths
 (whose canonical rows project to ``()``), and query components that meet
 only at a literal.  After every update each engine must report exactly the
 queries whose embedding set grew, and TRIC must hold only the state it
-reads: no row in a leaf trie view or in the canonical view of a path alone
-in its component, no duplicate row in any trie or canonical view (they keep
-no duplicate set; see ``TrieNode`` and ``QueryAssembler``), no open walk at
-a trie node that closes a cycle (its new slot equals the slot its
-back-reference names), every inner trie view equal, as a set, to the
-brute-force embeddings of its root-to-node chain into the stream so far,
-and every other canonical view equal, as a set, to the one INC derives.
+reads: every inner trie view equal, as a set, to the brute-force embeddings
+of its root-to-node chain into the stream so far projected onto the node's
+live slots (``TrieNode.keep``; the chain binds the slot a back-reference
+names and the new slot to one vertex, so it encodes each cycle's closure),
+no row in a leaf
+trie view or in the canonical view of a path alone in its component, and
+every other canonical view equal, as a set, to the one INC derives
+projected onto the path's join variables.
 """
 from hypothesis import given, settings, strategies as st
 
@@ -88,30 +89,29 @@ def chain_embeddings(keys, triples):
 def check_inner_views(node, keys, triples):
     keys = keys + [(node.sig, node.ref)]
     if node.children:
-        assert set(node.matv.rows) == chain_embeddings(keys, triples), (
-            "an inner trie view differs from its chain's embeddings"
+        want = {tuple(r[s] for s in node.keep) for r in chain_embeddings(keys, triples)}
+        assert set(node.matv.rows) == want, (
+            "an inner trie view differs from its chain's embeddings on its live slots"
         )
+    else:
+        assert not node.matv.rows, "a leaf view stored rows"
     for child in node.children.values():
         check_inner_views(child, keys, triples)
 
 
 def check_tric_state(tric, inc, triples):
-    for n in tric.forest.all_nodes():
-        rows = n.matv.rows
-        assert len(set(rows)) == len(rows)
-        assert n.children or not rows, "a leaf view stored rows"
-        if n.ref is not None:
-            k, new = n.ref, n.depth + 1
-            assert all(r[k] == r[new] for r in rows), "an open walk at a closing node"
-    for qid, asm in tric.assemblers.items():
-        for pidx, v in enumerate(asm.canon_views):
-            assert len(set(v.rows)) == len(v.rows)
-            if len(asm.components[asm.path_comp[pidx]]) == 1:
-                assert not v.rows, "a lone path's canonical view stored rows"
-            else:
-                assert set(v.rows) == set(inc.assemblers[qid].canon_views[pidx].rows)
     for root in tric.forest.roots.values():
         check_inner_views(root, [], triples)
+    for qid, asm in tric.assemblers.items():
+        full = inc.assemblers[qid]
+        for pidx, v in enumerate(asm.canon_views):
+            if len(asm.components[asm.path_comp[pidx]]) == 1:
+                assert asm.path_vars[pidx] == ()
+                assert not v.rows, "a lone path's canonical view stored rows"
+            else:
+                cols = [full.path_vars[pidx].index(x) for x in asm.path_vars[pidx]]
+                want = {tuple(r[c] for c in cols) for r in full.canon_views[pidx].rows}
+                assert set(v.rows) == want
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -33,6 +33,7 @@ class TestView:
 
     def test_contains(self):
         v = View()
+        assert ("a", "b") not in v  # no row stored yet, so no duplicate set
         v.add(("a", "b"))
         assert ("a", "b") in v and ("x", "y") not in v
 
@@ -120,24 +121,6 @@ class TestHashJoin:
         v.add(("a", "c", "2"))
         got = hash_join([("a", "b")], (0, 1), v, (0, 1), lambda a, b: (b[2],))
         assert got == [("1",)]
-
-
-class TestNonDistinctView:
-    def test_add_all_appends_and_returns_every_row(self):
-        v = View(distinct=False)
-        rows = [("a", "b"), ("c", "d")]
-        assert v.add_all(rows) == rows
-        assert v.add_all([("e", "f")]) == [("e", "f")]
-        assert v.rows == [("a", "b"), ("c", "d"), ("e", "f")]
-
-    def test_cached_index_maintained_by_add_all(self):
-        v = View(cached=True, distinct=False)
-        v.add_all([("a", "b")])
-        idx = v.index((0,))  # backfills the row added before it existed
-        v.add_all([("a", "c"), ("x", "y")])
-        assert idx.get(("a",)) == [("a", "b"), ("a", "c")]
-        assert idx.get(("x",)) == [("x", "y")]
-        assert len(idx) == 3
 
 
 class TestHashIndexKeys:

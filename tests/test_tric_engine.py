@@ -5,6 +5,7 @@ import pytest
 from repro.core.tric import TricEngine
 from repro.graph.model import QueryPattern, Triple
 from repro.relational.relation import COUNTERS, reset_counters
+from tests.test_trie import fig5_queries
 
 
 def chain_q(qid=0, preds=("a", "b"), last_lit="L"):
@@ -101,7 +102,8 @@ class TestDeltaPropagation:
     @pytest.mark.parametrize("cached", [False, True])
     def test_closing_node_stores_only_closed_walks(self, cached):
         """a→b→a→c: the inner node for the edge back to ``a`` keeps only
-        rows whose third slot equals the first, in both semi-naive terms."""
+        closed walks, in both semi-naive terms, projected onto the one slot
+        its child reads (its new slot, which equals slot 0)."""
         q = QueryPattern(
             qid=0,
             vertices=[None, None, None],
@@ -114,16 +116,14 @@ class TestDeltaPropagation:
         assert closing.ref == 0 and closing.children
         ups = [
             Triple("x", "k", "y"),
-            Triple("y", "k", "z"),  # extends x→y to an open walk: not kept
+            Triple("y", "k", "z"),  # extends x→y to an open walk, ending at z
             Triple("y", "k", "x"),  # closes x→y→x (and y→x→y)
-            Triple("z", "k", "y"),  # closes y→z→y
             Triple("x", "m", "w"),
         ]
         fired = [e.process_update(u) for u in ups]
-        assert fired == [[], [], [], [], [0]]
-        assert sorted(closing.matv.rows) == [
-            ("x", "y", "x"), ("y", "x", "y"), ("y", "z", "y"), ("z", "y", "z")
-        ]
+        assert fired == [[], [], [], [0]]
+        assert (root.keep, closing.keep) == ((0, 1), (2,))
+        assert sorted(closing.matv.rows) == [("x",), ("y",)]
 
     @pytest.mark.parametrize("cached", [False, True])
     def test_self_loop_root_takes_only_loops(self, cached):
@@ -136,7 +136,75 @@ class TestDeltaPropagation:
         assert e.process_update(Triple("x", "a", "y")) == []
         assert e.process_update(Triple("x", "a", "x")) == []
         assert e.process_update(Triple("x", "b", "z")) == [0]
-        assert root.matv.rows == [("x", "x")]
+        assert root.keep == (1,) and root.matv.rows == [("x",)]
+
+
+class TestLiveSlots:
+    """Trie and canonical rows carry only the slots something reads."""
+
+    CASES = {
+        # ?x -a-> ?y, ?x -b-> ?z: path a's canonical row is (h,) again at t=2
+        "two paths joined on ?x": (
+            QueryPattern(
+                qid=0, vertices=[None, None, None], edges=[(0, "a", 1), (0, "b", 2)]
+            ),
+            [Triple("h", "a", "1"), Triple("h", "b", "1"), Triple("h", "a", "2")],
+            [1, 2],
+        ),
+        # a lone path has width 0: every embedding projects to ()
+        "lone path of width 0": (
+            chain_q(last_lit=None),
+            [Triple("u", "a", "v"), Triple("v", "b", "w"),
+             Triple("p", "a", "q"), Triple("q", "b", "r")],
+            [1, 3],
+        ),
+        # the root's row (v,) is stored at t=0 and derived again at t=3
+        "inner projection repeats": (
+            chain_q(preds=("a", "b", "c")),
+            [Triple("u", "a", "v"), Triple("v", "b", "w"),
+             Triple("w", "c", "L"), Triple("p", "a", "v")],
+            [2, 3],
+        ),
+    }
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_new_embedding_with_stored_projection_fires(self, case, cached):
+        q, ups, want = self.CASES[case]
+        e = TricEngine(cached=cached)
+        e.add_query(q)
+        assert [t for t, u in enumerate(ups) if e.process_update(u)] == want
+
+    def test_keep_on_paper_fig8_trie(self):
+        e = TricEngine()
+        for q in fig5_queries():
+            e.add_query(q)
+        e.process_update(Triple("s", "unindexed", "o"))  # freezes the trie
+        keep = {
+            tuple((n.sig[0], n.sig[2]) for n in chain): chain[-1].keep
+            for r in e.forest.roots.values()
+            for chain in _chains(r)
+        }
+        assert keep == {
+            # Q2's lone path ends here; the child reads slots 0 and 1
+            (("hasMod", None),): (0, 1),
+            # Q1.P1 joins Q1.P2 on slots 0 and 1; Q4's child extends slot 2
+            (("hasMod", None), ("posted", "pst1")): (0, 1, 2),
+            (("hasMod", None), ("posted", "pst1"), ("containedIn", None)): (),
+            (("hasMod", None), ("posted", "pst2")): (0, 1),
+            # Q1.P3 meets the other paths only at the literal pst2
+            (("reply", "pst2"),): (),
+            (("hasCreator", None),): (1,),
+            (("hasCreator", None), ("posted", "pst1")): (2,),
+            (("hasCreator", None), ("posted", "pst1"), ("containedIn", None)): (),
+        }
+
+
+def _chains(node, prefix=()):
+    chain = prefix + (node,)
+    yield chain
+    for c in node.children.values():
+        yield from _chains(c, chain)
 
 
 class TestPruning:
@@ -185,15 +253,14 @@ class TestCachingContract:
 
 class TestOverflowGuard:
     def test_overflow_propagates_as_engine_overflow(self):
+        """Ten distinct targets below one new root row: the child's
+        projected delta keeps its new slot (its own child extends it), so
+        it holds ten rows, past the cap of five."""
         from repro.engine.base import EngineOverflow
 
-        q = QueryPattern(
-            qid=0, vertices=[None, None, None], edges=[(0, "a", 1), (0, "b", 2)]
-        )
         e = TricEngine(max_rows=5)
-        e.add_query(q)
+        e.add_query(chain_q(preds=("a", "b", "c")))
         for i in range(10):
-            e.process_update(Triple("hub", "a", f"x{i}"))
+            e.process_update(Triple("hub", "b", f"y{i}"))
         with pytest.raises(EngineOverflow):
-            for i in range(10):
-                e.process_update(Triple("hub", "b", f"y{i}"))
+            e.process_update(Triple("x", "a", "hub"))

@@ -15,8 +15,8 @@ from repro.relational.relation import COUNTERS, reset_counters
 
 #: engine -> (build_rows, probe_rows, out_rows, events)
 EXPECTED = {
-    "tric": (15373, 1384, 1115, 51),
-    "tric+": (0, 2678, 1115, 51),
+    "tric": (12872, 1052, 778, 51),
+    "tric+": (0, 2346, 778, 51),
     "inv": (5108, 21951, 26891, 51),
     "inv+": (0, 21951, 26891, 51),
     "inc": (27187, 4419, 3684, 51),
