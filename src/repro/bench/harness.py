@@ -8,6 +8,7 @@ measured.
 """
 from __future__ import annotations
 
+import gc
 import json
 import os
 import tracemalloc
@@ -98,14 +99,24 @@ def measure_memory(
     The cap is an update count, not a wall-clock limit, so every engine
     measured on the same prefix holds the state of the same stream; an
     engine that overflows before the prefix ends raises ``RuntimeError``
-    rather than report memory at less work.
+    rather than report memory at less work.  An untraced warm-up (indexing
+    and the first update) and a collection before the reading make a cell
+    independent of what ran before it in the process.
     """
     prefix = updates[:max_updates]
+    # one-time allocations (lazy imports, caches) must not count toward the
+    # first call in a process, nor uncollected cycles toward any call
+    warm = make_engine(name)
+    index_queries(warm, queries)
+    run_stream(warm, prefix[:1], collect_events=False)
+    del warm
+    gc.collect()
     tracemalloc.start()
     try:
         engine = make_engine(name)
         index_queries(engine, queries)
         res = run_stream(engine, prefix, collect_events=False)
+        gc.collect()
         current, _ = tracemalloc.get_traced_memory()
     finally:
         del engine

@@ -5,16 +5,23 @@ clustered into the :class:`~repro.core.trie.TrieForest`; shared path
 prefixes across queries share trie nodes and therefore share materialized
 views and join work.
 
-Answering (§4.2): for update ``u``, the affected tries come from ``edgeInd``;
-each is traversed top-down computing *delta* views semi-naively.  On whole
-slot rows, with ``last = parent.depth + 1`` and ``k = child.ref``:
+Answering (§4.2): update ``u`` enters the forest at its *entry nodes*,
+which ``edgeInd`` gives (:meth:`~repro.core.trie.TrieForest.affected_roots`):
+the nodes whose signature ``u`` satisfies and none of whose strict
+ancestors' signatures it does.  A delta starts only where a signature
+matches, so nothing above an entry node changes, and each entry's subtree
+is traversed top-down computing *delta* views semi-naively.  On whole slot
+rows, with ``last = parent.depth + 1`` and ``k = child.ref``:
 
     Δ(child) = Δ(parent) ⋈[last = s, k = o] base[child.sig]
              ∪ {pr + (u.o,) : pr ∈ old(parent), pr[last] = u.s, pr[k] = u.o}
 
 (the second term only where the child's signature matches ``u``; the
 ``k`` conditions only where the child closes a cycle, ``k`` not ``None``,
-and a root with ``k = 0`` takes ``u`` only if it is a self-loop).  So TRIC
+and a root with ``k = 0`` takes ``u`` only if it is a self-loop).  An entry
+node's parent gets no delta, so its delta is the second term alone, or
+``u``'s row at a root; one helper, :meth:`TricEngine._delta`, computes a
+node's delta for the entries and inside the traversal.  So TRIC
 closes a cycle in the trie step that reaches its repeated vertex; INV and
 INC still leave the closure to the assembler.  Rows hold only each node's
 live slots (:attr:`~repro.core.trie.TrieNode.keep`, fixed when the first
@@ -99,11 +106,66 @@ class TricEngine(Engine):
 
         loop = u.s == u.o
         affected: set[int] = set()
-        for root in self.forest.affected_roots(sigs):
-            hit = root.sig in sig_set and (root.ref is None or loop)
-            delta = [root.emit(row[:1], row)] if hit else []
-            self._descend(root, delta, sig_set, affected, row)
+        for node in self.forest.affected_roots(sigs):
+            parent = node.parent
+            if parent is None:
+                delta = [node.emit(row[:1], row)] if node.ref is None or loop else []
+            else:
+                # no ancestor matches u, so Δ(parent) is empty
+                delta = self._delta(parent, node, [], sig_set, row)
+            if delta or not sig_set.isdisjoint(node.below_sigs):
+                self._descend(node, delta, sig_set, affected, row)
         return [qid for qid in sorted(affected) if self.assemblers[qid].finish_update()]
+
+    def _delta(
+        self,
+        node: TrieNode,
+        child: TrieNode,
+        delta: list[Row],
+        sig_set: set[EdgeSig],
+        u_row: Row,
+    ) -> list[Row]:
+        """Δ(child) from ``delta`` = Δ(node), de-duplicated: ``delta ⋈
+        base[child.sig]``, plus ``old(node) ⋈ {u}`` if ``child``'s
+        signature matches ``u``."""
+        sig = child.sig
+        probe, k = child.probe, child.ref
+        child_rows: list[Row] = []
+        if delta:
+            build_key = (0,) if k is None else (0, 1)
+            child_rows = hash_join(delta, probe, self.base[sig], build_key, child.emit)
+        if sig in sig_set:
+            # old(node) ⋈ {u}: node's view, which takes this update's delta
+            # only after its children have read it, filtered to rows whose
+            # last slot equals u's source, and slot k u's target
+            u_s, u_o = u_row
+            last = probe[0]
+            idx = node.matv.index((last,))
+            if idx is not None:
+                COUNTERS["probe_rows"] += 1
+                old = idx.get((u_s,))
+            else:
+                # uncached: the build phase scans the whole parent view
+                # on every call (§4.2 Caching — this is what TRIC+ saves)
+                rows = node.matv.rows
+                COUNTERS["build_rows"] += len(rows)
+                old = [pr for pr in rows if pr[last] == u_s]
+            if k is not None:
+                kc = probe[1]
+                old = [pr for pr in old if pr[kc] == u_o]
+            emit = child.emit
+            child_rows += [emit(pr, u_row) for pr in old]
+        n = len(child_rows)
+        if n > self.max_rows:
+            raise EngineOverflow(
+                f"{self.name}: trie delta at depth {child.depth} exceeded "
+                f"{self.max_rows} rows"
+            )
+        # the two terms, and rows that differ only in dropped slots, can
+        # yield one projection more than once
+        if n > 1:
+            child_rows = list(dict.fromkeys(child_rows))
+        return child_rows
 
     def _descend(
         self,
@@ -118,46 +180,10 @@ class TricEngine(Engine):
                 self.assemblers[qid].on_path_delta(pidx, delta)
                 affected.add(qid)
         for child in node.children.values():
-            sig = child.sig
             # pruning: nothing in this sub-trie can change
-            if not delta and sig not in sig_set and sig_set.isdisjoint(child.below_sigs):
+            if not delta and child.sig not in sig_set and sig_set.isdisjoint(child.below_sigs):
                 continue
-            probe, k = child.probe, child.ref
-            child_rows: list[Row] = []
-            if delta:
-                build_key = (0,) if k is None else (0, 1)
-                child_rows = hash_join(delta, probe, self.base[sig], build_key, child.emit)
-            if sig in sig_set:
-                # old(parent) ⋈ {u}: the parent's view, which takes this
-                # update's delta only after this loop, filtered to rows
-                # whose last slot equals u's source, and slot k u's target
-                u_s, u_o = u_row
-                last = probe[0]
-                idx = node.matv.index((last,))
-                if idx is not None:
-                    COUNTERS["probe_rows"] += 1
-                    old = idx.get((u_s,))
-                else:
-                    # uncached: the build phase scans the whole parent view
-                    # on every call (§4.2 Caching — this is what TRIC+ saves)
-                    rows = node.matv.rows
-                    COUNTERS["build_rows"] += len(rows)
-                    old = [pr for pr in rows if pr[last] == u_s]
-                if k is not None:
-                    kc = probe[1]
-                    old = [pr for pr in old if pr[kc] == u_o]
-                emit = child.emit
-                child_rows += [emit(pr, u_row) for pr in old]
-            n = len(child_rows)
-            if n > self.max_rows:
-                raise EngineOverflow(
-                    f"{self.name}: trie delta at depth {child.depth} exceeded "
-                    f"{self.max_rows} rows"
-                )
-            # the two terms, and rows that differ only in dropped slots, can
-            # yield one projection more than once
-            if n > 1:
-                child_rows = list(dict.fromkeys(child_rows))
+            child_rows = self._delta(node, child, delta, sig_set, u_row)
             # a matching child whose delta is empty is entered only when a
             # signature below it matches
             if child_rows or not sig_set.isdisjoint(child.below_sigs):

@@ -4,8 +4,8 @@ Step 2, Figs. 6 & 8).
 Data structures, named as in the paper:
 
 * ``rootInd``  → :attr:`TrieForest.roots`: key of a first edge → root.
-* ``edgeInd``  → :attr:`TrieForest.edge_ind`: signature → set of tries (root
-  keys) that index it somewhere — the entry point of the answering phase.
+* ``edgeInd``  → :attr:`TrieForest.edge_ind`: signature → the nodes that
+  carry it, in creation order — the entry point of the answering phase.
 
 A node's key is ``(signature, back-reference)``
 (:meth:`~repro.graph.covering.CoverPath.back_refs`).  The paper indexes
@@ -29,9 +29,17 @@ generalized to the case where one signature occurs at several depths
 nor ``below_sigs`` matches; a node whose delta came back empty is entered
 only when ``below_sigs`` matches.
 
+An update enters the forest at its *entry nodes*
+(:meth:`TrieForest.affected_roots`): the nodes whose signature it
+satisfies and none of whose strict ancestors' signatures
+(:attr:`TrieNode.above_sigs`) it does.  A delta starts only at a node
+whose signature matches, so no node above an entry node gets one, and the
+answering phase starts there instead of walking down from each root.
+
 Once the forest's shape is final, :meth:`TrieForest.freeze` gives every
 node its live slots (:attr:`TrieNode.keep`), the only slots its rows carry,
-and the probe key and emit function of its step from its parent's rows.
+the probe key and emit function of its step from its parent's rows, and
+its ancestors' signatures.
 """
 from __future__ import annotations
 
@@ -80,22 +88,28 @@ class TrieNode:
     :attr:`probe`, the columns of the parent's row holding slot ``depth``
     (the parent's new slot) and, when the node closes a cycle, slot
     ``ref``; and :attr:`emit`, which maps a parent row and a base row
-    ``(s, o)`` to the node's row.
+    ``(s, o)`` to the node's row.  It also sets :attr:`above_sigs`, the
+    distinct signatures of the node's strict ancestors (a tuple: most are
+    one or two long, and a tuple is a quarter of a small set's size).
     """
 
     __slots__ = (
-        "sig", "ref", "depth", "children", "matv", "registered", "below_sigs",
-        "keep", "probe", "emit",
+        "sig", "ref", "depth", "parent", "children", "matv", "registered",
+        "below_sigs", "above_sigs", "keep", "probe", "emit",
     )
 
-    def __init__(self, sig: EdgeSig, ref: Optional[int], depth: int, cached: bool):
+    def __init__(
+        self, sig: EdgeSig, ref: Optional[int], parent: Optional[TrieNode], cached: bool
+    ):
         self.sig = sig
         self.ref = ref
-        self.depth = depth
+        self.parent = parent
+        self.depth = 0 if parent is None else parent.depth + 1
         self.children: dict[NodeKey, TrieNode] = {}
         self.matv = View(cached=cached)
         self.registered: list[tuple[int, int]] = []  # (qid, path_idx)
         self.below_sigs: set[EdgeSig] = set()
+        self.above_sigs: tuple[EdgeSig, ...] = ()
         self.keep: tuple[int, ...] = ()
         self.probe: tuple[int, ...] = ()
         self.emit: Callable[[Row, Row], Row] = append_target
@@ -120,9 +134,9 @@ class TrieNode:
         self.keep = tuple(sorted(keep))
 
     def _freeze_step(self, parent_keep: tuple[int, ...]) -> None:
-        """Set :attr:`probe` and :attr:`emit` for this subtree, given the
-        parent's live slots (``(0,)`` for a root: its "parent row" is the
-        update's source)."""
+        """Set :attr:`probe`, :attr:`emit` and :attr:`above_sigs` for this
+        subtree, given the parent's live slots (``(0,)`` for a root: its
+        "parent row" is the update's source)."""
         self.probe = tuple(
             parent_keep.index(s) for s in (self.depth, self.ref) if s is not None
         )
@@ -137,7 +151,13 @@ class TrieNode:
             self.emit = _target
         else:
             self.emit = lambda pr, br: g(pr) + br[1:]
+        # one tuple per parent, shared by its children (and down a chain of
+        # one signature, as on BioGRID)
+        above = self.above_sigs
+        if self.sig not in above:
+            above += (self.sig,)
         for c in self.children.values():
+            c.above_sigs = above
             c._freeze_step(self.keep)
 
 
@@ -147,53 +167,45 @@ class TrieForest:
     def __init__(self, cached: bool):
         self.cached = cached
         self.roots: dict[NodeKey, TrieNode] = {}  # rootInd
-        self.edge_ind: dict[EdgeSig, set[NodeKey]] = {}  # sig -> root keys
+        self.edge_ind: dict[EdgeSig, list[TrieNode]] = {}  # sig -> nodes
 
     def insert_path(self, q: QueryPattern, pidx: int, path: CoverPath) -> TrieNode:
         """Index one covering path (Fig. 6): descend along the existing trie
         path that matches the (signature, back-reference) chain, creating
         the missing suffix, then register the query id at the last node."""
         chain = path.sig_chain(q)
-        keys = list(zip(chain, path.back_refs(q)))
-        root_key = keys[0]
-        node = self.roots.get(root_key)
-        if node is None:
-            node = self.roots[root_key] = TrieNode(*root_key, 0, self.cached)
-        ancestors = [node]
-        for d, key in enumerate(keys[1:], start=1):
-            child = node.children.get(key)
+        ancestors: list[TrieNode] = []
+        level = self.roots
+        node = None
+        for key in zip(chain, path.back_refs(q)):
+            child = level.get(key)
             if child is None:
-                child = node.children[key] = TrieNode(*key, d, self.cached)
+                child = level[key] = TrieNode(*key, node, self.cached)
+                self.edge_ind.setdefault(key[0], []).append(child)
             node = child
+            level = node.children
             ancestors.append(node)
-        for sig in chain:
-            self.edge_ind.setdefault(sig, set()).add(root_key)
         for a in ancestors:
             a.below_sigs.update(chain[a.depth + 1:])
         node.registered.append((q.qid, pidx))
         return node
 
     def freeze(self, path_slots: Callable[[int, int], Iterable[int]]) -> None:
-        """Fix every node's live slots and step once the trie's shape is
-        final; ``path_slots(qid, pidx)`` gives the slots whose values a
-        registered path's final join reads."""
+        """Fix every node's live slots, step and ancestors' signatures once
+        the trie's shape is final; ``path_slots(qid, pidx)`` gives the slots
+        whose values a registered path's final join reads."""
         for root in self.roots.values():
             root._freeze_keep(path_slots)
             root._freeze_step((0,))
 
     def affected_roots(self, sigs: list[EdgeSig]) -> list[TrieNode]:
-        """Tries containing any of the update's signatures (answering Step 1)."""
-        root_keys: set[NodeKey] = set()
-        for s in sigs:
-            root_keys.update(self.edge_ind.get(s, ()))
-        # deterministic order (None-safe: signatures contain None for ?var,
-        # and a root's back-reference is None or 0)
+        """The update's entry nodes (answering Step 1): the nodes whose
+        signature is in ``sigs`` and none of whose strict ancestors' is,
+        per signature in ``sigs`` order, then in creation order.  Valid once
+        the forest is frozen."""
+        sig_set = set(sigs)
         return [
-            self.roots[r]
-            for r in sorted(
-                root_keys,
-                key=lambda x: (x[0][0], x[0][1] or "", x[0][2] or "", x[1] is not None),
-            )
+            n for s in sigs for n in self.edge_ind.get(s, ()) if sig_set.isdisjoint(n.above_sigs)
         ]
 
     # -- introspection used by tests -----------------------------------

@@ -2,6 +2,9 @@
 table formatting."""
 import json
 import math
+import os
+import subprocess
+import sys
 
 from repro.bench.harness import (
     build_workload,
@@ -52,6 +55,23 @@ class TestMemory:
         # the cached/uncached Table-1 ordering only emerges at bench scale;
         # at test scale just require the same order of magnitude
         assert 0.2 < cached / plain < 5
+
+    def test_first_call_in_a_process_agrees_with_second(self):
+        """One-time allocations and uncollected cycles would otherwise count
+        toward the first measurement in a fresh process."""
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        script = (
+            "from repro.bench.harness import build_workload, measure_memory\n"
+            "u, q = build_workload('biogrid', 300, 80)\n"
+            "print(measure_memory('tric', u, q), measure_memory('tric', u, q))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            check=True, timeout=300,
+        ).stdout
+        first, second = map(int, out.split())
+        assert abs(first - second) <= 0.01 * second
 
     def test_update_cap_respected(self):
         updates, queries = build_workload("snb", n_updates=600, n_queries=60, seed=0)

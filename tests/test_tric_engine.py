@@ -3,7 +3,8 @@ pruning, and the TRIC+ caching contract."""
 import pytest
 
 from repro.core.tric import TricEngine
-from repro.graph.model import QueryPattern, Triple
+from repro.graph.bruteforce import embeddings
+from repro.graph.model import QueryPattern, Triple, update_sigs
 from repro.relational.relation import COUNTERS, reset_counters
 from tests.test_trie import fig5_queries
 
@@ -55,6 +56,31 @@ class TestDeltaPropagation:
         assert e.process_update(Triple("y", "i", "z")) == [0]
         # new head w->x completes w->x->y (new embedding)
         assert e.process_update(Triple("w", "i", "x")) == [0]
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_deeper_node_fires_below_empty_entry(self, cached):
+        """The update enters at the topmost ``a`` node, whose ``old(parent)
+        ⋈ {u}`` is empty; the ``a`` node below it still fires."""
+        q = QueryPattern(
+            qid=0,
+            vertices=[None, None, None, None],
+            edges=[(0, "r", 1), (1, "a", 2), (2, "a", 3)],
+        )
+        stream = [Triple("x", "r", "y"), Triple("y", "a", "z"), Triple("z", "a", "w")]
+        e = TricEngine(cached=cached)
+        e.add_query(q)
+        got = [e.process_update(u) for u in stream]
+        want = [
+            [0] if len(embeddings(q, stream[: t + 1])) > len(embeddings(q, stream[:t])) else []
+            for t in range(len(stream))
+        ]
+        assert got == want == [[], [], [0]]
+        root = e.forest.roots[(("r", None, None), None)]
+        mid = root.children[(("a", None, None), None)]
+        sigs = [s for s in update_sigs(stream[2]) if s in e.base]
+        assert e.forest.affected_roots(sigs) == [mid]
+        # root's view holds (x, y) only: the entry's delta for (z a w) is empty
+        assert e._delta(root, mid, [], set(sigs), ("z", "w")) == []
 
     def test_matv_shared_across_queries(self):
         e = TricEngine()

@@ -1,5 +1,6 @@
 """Trie forest (rootInd / edgeInd / registered queries) — clustering
-behaviour, incl. the paper's Fig. 5/8 worked example."""
+behaviour, incl. the paper's Fig. 5/8 worked example, and the entry nodes
+an update's signatures reach."""
 import pytest
 
 from repro.core.trie import TrieForest
@@ -12,6 +13,12 @@ def index_query(forest: TrieForest, q: QueryPattern):
     for pidx, p in enumerate(paths):
         forest.insert_path(q, pidx, p)
     return paths
+
+
+def freeze(forest: TrieForest) -> TrieForest:
+    """Freeze the forest's shape, as the first update does."""
+    forest.freeze(lambda qid, pidx: ())
+    return forest
 
 
 def fig5_queries():
@@ -112,15 +119,30 @@ class TestInsertPath:
         assert mid.below_sigs == {sig}
         assert leaf.below_sigs == set()
 
-    def test_edge_ind_points_to_tries(self):
+    def test_edge_ind_points_to_nodes(self):
         f = TrieForest(cached=False)
         q = QueryPattern(
             qid=0, vertices=[None, None, None], edges=[(0, "a", 1), (1, "b", 2)]
         )
         index_query(f, q)
-        root_key = (("a", None, None), None)
-        assert f.edge_ind[("a", None, None)] == {root_key}
-        assert f.edge_ind[("b", None, None)] == {root_key}
+        root = f.roots[(("a", None, None), None)]
+        (child,) = root.children.values()
+        assert f.edge_ind == {("a", None, None): [root], ("b", None, None): [child]}
+        assert (root.parent, child.parent) == (None, root)
+        # a second path adds only the nodes it creates, in creation order
+        index_query(
+            f,
+            QueryPattern(
+                qid=1,
+                vertices=[None, None, None, None],
+                edges=[(0, "b", 1), (1, "a", 2), (2, "b", 3)],
+            ),
+        )
+        b_root = f.roots[(("b", None, None), None)]
+        b_a = b_root.children[(("a", None, None), None)]
+        b_a_b = b_a.children[(("b", None, None), None)]
+        assert f.edge_ind[("a", None, None)] == [root, b_a]
+        assert f.edge_ind[("b", None, None)] == [child, b_root, b_a_b]
 
     def test_affected_roots_none_safe_and_deduped(self):
         f = TrieForest(cached=False)
@@ -128,8 +150,85 @@ class TestInsertPath:
         qb = QueryPattern(qid=1, vertices=[None, None], edges=[(0, "a", 1)])
         index_query(f, qa)
         index_query(f, qb)
+        freeze(f)
         roots = f.affected_roots([("a", None, "x"), ("a", None, None)])
-        assert len(roots) == 2  # two distinct tries, each returned once
+        # two distinct tries, each returned once, in the order of the sigs
+        assert [r.sig for r in roots] == [("a", None, "x"), ("a", None, None)]
+
+
+class TestEntryNodes:
+    """``affected_roots`` returns the nodes whose signature the update
+    satisfies and none of whose strict ancestors' signatures it does."""
+
+    SIG = ("i", None, None)
+
+    def test_repeated_signature_chain_enters_at_root(self):
+        f = TrieForest(cached=False)
+        index_query(
+            f,
+            QueryPattern(
+                qid=0,
+                vertices=[None, None, None, None],
+                edges=[(0, "i", 1), (1, "i", 2), (2, "i", 3)],
+            ),
+        )
+        freeze(f)
+        root = f.roots[(self.SIG, None)]
+        assert len(f.edge_ind[self.SIG]) == 3
+        assert f.affected_roots([self.SIG]) == [root]
+        mid = root.children[(self.SIG, None)]
+        leaf = mid.children[(self.SIG, None)]
+        assert (root.above_sigs, mid.above_sigs, leaf.above_sigs) == (
+            (), (self.SIG,), (self.SIG,)
+        )
+
+    def test_bare_root_above_literal_variants(self):
+        f = TrieForest(cached=False)
+        for qid, lit in enumerate(("L", "M")):
+            index_query(
+                f,
+                QueryPattern(
+                    qid=qid, vertices=[None, None, lit], edges=[(0, "a", 1), (1, "a", 2)]
+                ),
+            )
+        freeze(f)
+        bare, sig_l, sig_m = ("a", None, None), ("a", None, "L"), ("a", None, "M")
+        root = f.roots[(bare, None)]
+        child_l = root.children[(sig_l, None)]
+        child_m = root.children[(sig_m, None)]
+        # the root's signature matches too: the update enters at the root
+        assert f.affected_roots([sig_l, bare]) == [root]
+        # only the children's signatures match: it enters at each of them
+        assert f.affected_roots([sig_l]) == [child_l]
+        assert f.affected_roots([sig_l, sig_m]) == [child_l, child_m]
+
+    def test_sibling_branches_each_returned_once(self):
+        f = TrieForest(cached=False)
+        r, a = ("r", None, None), ("a", None, None)
+        # r -> a (open) -> a, and r -> a (closing back to slot 1) -> a
+        index_query(
+            f,
+            QueryPattern(
+                qid=0,
+                vertices=[None, None, None, None],
+                edges=[(0, "r", 1), (1, "a", 2), (2, "a", 3)],
+            ),
+        )
+        index_query(
+            f,
+            QueryPattern(
+                qid=1,
+                vertices=[None, None, None],
+                edges=[(0, "r", 1), (1, "a", 1), (1, "a", 2)],
+            ),
+        )
+        freeze(f)
+        root = f.roots[(r, None)]
+        assert set(root.children) == {(a, None), (a, 1)}
+        assert all(len(c.children) == 1 for c in root.children.values())
+        assert f.affected_roots([a]) == list(root.children.values())
+        assert f.affected_roots([r, a]) == [root]
+        assert f.affected_roots([("z", None, None)]) == []
 
 
 class TestBackRefs:
@@ -181,10 +280,13 @@ class TestBackRefs:
         index_query(
             f, QueryPattern(qid=1, vertices=[None, None], edges=[(0, "a", 1), (1, "a", 0)])
         )
-        # one signature, two tries (self-loop root and plain root)
-        assert f.edge_ind == {self.SIG: {(self.SIG, 0), (self.SIG, None)}}
-        roots = f.affected_roots([self.SIG])
-        assert [(r.sig, r.ref) for r in roots] == [(self.SIG, None), (self.SIG, 0)]
+        # one signature, three nodes: the self-loop root, the plain root
+        # and its closing child; the update enters at both roots
+        loop_root, plain_root = f.roots[(self.SIG, 0)], f.roots[(self.SIG, None)]
+        closing = plain_root.children[(self.SIG, 0)]
+        assert f.edge_ind == {self.SIG: [loop_root, plain_root, closing]}
+        roots = freeze(f).affected_roots([self.SIG])
+        assert [(r.sig, r.ref) for r in roots] == [(self.SIG, 0), (self.SIG, None)]
 
 
 class TestPaperFig8:
@@ -204,10 +306,12 @@ class TestPaperFig8:
         t1 = f.roots[(("hasMod", None, None), None)]
         assert {qid for n in t1.walk() for qid, _ in n.registered} == {1, 2, 4}
         # posted=(?var,pst1) appears under both T1 (Q1/Q4) and T3 (Q3)
-        assert f.edge_ind[("posted", None, "pst1")] == {
-            (("hasMod", None, None), None),
-            (("hasCreator", "com1", None), None),
-        }
+        t3 = f.roots[(("hasCreator", "com1", None), None)]
+        posted = (("posted", None, "pst1"), None)
+        assert f.edge_ind[("posted", None, "pst1")] == [
+            t1.children[posted],
+            t3.children[posted],
+        ]
         # Q1 was registered under 3 nodes (its 3 covering paths)
         assert len([n for n in f.all_nodes() for qid, _ in n.registered if qid == 1]) == 3
 

@@ -4,11 +4,13 @@ Timing is noisy; the join counters (``build_rows``, ``probe_rows``,
 ``out_rows``) are exact on any machine.  The numbers below are what each
 engine does on a 300-update SNB stream with 30 queries.  A change that
 alters the join work of an engine fails here deterministically: a rise is
-a work regression, a fall must be explained and the numbers updated.
+a work regression, a fall must be explained and the numbers updated.  The
+same holds for TRIC's trie walk, counted as ``TricEngine._descend`` calls.
 """
 import pytest
 
 from repro.bench.harness import build_workload
+from repro.core.tric import TricEngine
 from repro.engine.base import make_engine
 from repro.engine.runner import index_queries, run_stream
 from repro.relational.relation import COUNTERS, reset_counters
@@ -22,6 +24,9 @@ EXPECTED = {
     "inc": (27187, 4419, 3684, 51),
     "inc+": (0, 4419, 3684, 51),
 }
+
+#: engine -> ``TricEngine._descend`` calls over the stream
+DESCEND_CALLS = {"tric": 1229, "tric+": 1229}
 
 
 @pytest.fixture(scope="module")
@@ -46,3 +51,22 @@ def test_join_work_is_pinned(workload, name):
         len(r.events),
     )
     assert got == EXPECTED[name]
+
+
+@pytest.mark.parametrize("name", list(DESCEND_CALLS))
+def test_trie_walk_is_pinned(workload, name, monkeypatch):
+    updates, queries = workload
+    e = make_engine(name)
+    index_queries(e, queries)
+    descend = TricEngine._descend
+    calls = 0
+
+    def counting(self, *args):
+        nonlocal calls
+        calls += 1
+        return descend(self, *args)
+
+    monkeypatch.setattr(TricEngine, "_descend", counting)
+    r = run_stream(e, updates)
+    assert not r.timed_out and len(r.events) == EXPECTED[name][3]
+    assert calls == DESCEND_CALLS[name]
