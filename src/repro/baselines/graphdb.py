@@ -195,7 +195,12 @@ class GraphDBEngine(Engine):
             binding.pop(s, None)
             binding.pop(o, None)
 
-        rec(0)
+        try:
+            rec(0)
+        finally:
+            # rec refers to itself through its closure cell: clear the cell
+            # so this call's records are freed now, not by the cyclic GC
+            del rec
         # per-invocation latency floor of the embedded runtime (see class doc)
         deadline = t0 + self.exec_latency_s
         while time.perf_counter() < deadline:

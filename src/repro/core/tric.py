@@ -5,45 +5,54 @@ clustered into the :class:`~repro.core.trie.TrieForest`; shared path
 prefixes across queries share trie nodes and therefore share materialized
 views and join work.
 
-Answering (§4.2): update ``u`` enters the forest at its *entry nodes*,
-which ``edgeInd`` gives (:meth:`~repro.core.trie.TrieForest.affected_roots`):
-the nodes whose signature ``u`` satisfies and none of whose strict
-ancestors' signatures it does.  A delta starts only where a signature
-matches, so nothing above an entry node changes, and each entry's subtree
-is traversed top-down computing *delta* views semi-naively.  On whole slot
-rows, with ``last = parent.depth + 1`` and ``k = child.ref``:
+Answering (§4.2): each trie node's delta is computed top-down,
+semi-naively.  On whole slot rows, with ``last = parent.depth + 1`` and
+``k = child.ref``:
 
     Δ(child) = Δ(parent) ⋈[last = s, k = o] base[child.sig]
              ∪ {pr + (u.o,) : pr ∈ old(parent), pr[last] = u.s, pr[k] = u.o}
 
-(the second term only where the child's signature matches ``u``; the
-``k`` conditions only where the child closes a cycle, ``k`` not ``None``,
-and a root with ``k = 0`` takes ``u`` only if it is a self-loop).  An entry
-node's parent gets no delta, so its delta is the second term alone, or
-``u``'s row at a root; one helper, :meth:`TricEngine._delta`, computes a
-node's delta for the entries and inside the traversal.  So TRIC
-closes a cycle in the trie step that reaches its repeated vertex; INV and
-INC still leave the closure to the assembler.  Rows hold only each node's
-live slots (:attr:`~repro.core.trie.TrieNode.keep`, fixed when the first
-update freezes the trie): ``probe`` finds ``last`` and ``k`` in the
-parent's row, and ``emit`` builds the child's row from a parent row and a
-base row, for ``u`` too.  Projections of distinct embeddings can coincide,
-so each child delta is de-duplicated within the update, but never against
-the child's view: a new embedding whose projection is already stored must
-still reach its descendants and queries.  A node appends its delta to its
-view (the rows it does not hold) only after its children have been
-processed, so while they read it the view *is* ``old(parent)`` and needs no
-"minus this update's delta" filter; a leaf's delta goes to its registered
-queries alone.
+(the ``k`` conditions only where the child closes a cycle, ``k`` not
+``None``; a root's delta is ``u``'s row, and a root with ``k = 0`` takes
+``u`` only if it is a self-loop).  The second term, ``u``'s own, can be
+non-empty only at the update's *candidates*
+(:meth:`~repro.core.trie.TrieForest.affected_roots`): the roots whose
+signature ``u`` satisfies, and the nodes whose signature ``u`` satisfies
+and whose parent's view holds ``u.s`` at its new slot, which the forest's
+``src_ind`` names.  They come ancestors first.  A candidate that no
+earlier descent has reached is an *entry*: its parent got no delta in this
+update (a delta there would have come from a shallower candidate, whose
+descent reaches this one), so its delta is ``old(parent) ⋈ {u}`` alone.
+Below an entry, :meth:`TricEngine._descend` enters a child only with a
+non-empty delta, and adds ``u``'s term only at a child that is a
+candidate, which it marks reached.  One helper,
+:meth:`TricEngine._delta`, computes a node's delta for the entries and
+inside the descent.  So TRIC closes a cycle in the trie step that reaches
+its repeated vertex; INV and INC still leave the closure to the
+assembler.  Rows hold only each node's live slots
+(:attr:`~repro.core.trie.TrieNode.keep`, fixed when the first update
+freezes the trie): ``probe`` finds ``last`` and ``k`` in the parent's row,
+and ``emit`` builds the child's row from a parent row and a base row, for
+``u`` too.  Projections of distinct embeddings can coincide, so each child
+delta is de-duplicated within the update, but never against the child's
+view: a new embedding whose projection is already stored must still reach
+its descendants and queries.  A node appends its delta to its view (the
+rows it does not hold) only after its children have been processed, so
+while they read it the view *is* ``old(parent)`` and needs no "minus this
+update's delta" filter; a leaf's delta goes to its registered queries
+alone.  After the append, the node's children are registered in
+``src_ind`` under each new-slot value that is new to the view.
 A child delta above ``max_rows`` rows raises
-:class:`~repro.engine.base.EngineOverflow`.  Sub-tries with an empty delta
-and no matching signature below are pruned.  Queries registered at nodes
+:class:`~repro.engine.base.EngineOverflow`.  Queries registered at nodes
 that received deltas are assembled via the shared
 :class:`~repro.engine.assembler.QueryAssembler` (final join across covering
 paths).  ``cached=True`` gives TRIC+: all views keep their hash-join build
-structures (indexes) incrementally instead of rebuilding them per join.
+structures (indexes) incrementally instead of rebuilding them per join;
+both variants route through the same indexes.
 """
 from __future__ import annotations
+
+from typing import Optional
 
 from repro.engine.assembler import QueryAssembler
 from repro.engine.base import Engine, EngineOverflow
@@ -102,19 +111,21 @@ class TricEngine(Engine):
         # list, not a generator: every base view must take the row.)
         if not any([self.base[sig].add(row) for sig in sigs]):
             return []
-        sig_set = set(sigs)
-
         loop = u.s == u.o
+        cands = self.forest.affected_roots(sigs, u.s)
+        pending = set(cands)  # candidates not reached yet (never iterated)
         affected: set[int] = set()
-        for node in self.forest.affected_roots(sigs):
+        for node in cands:
+            if node not in pending:
+                continue  # reached inside an ancestor's descent
             parent = node.parent
             if parent is None:
                 delta = [node.emit(row[:1], row)] if node.ref is None or loop else []
             else:
-                # no ancestor matches u, so Δ(parent) is empty
-                delta = self._delta(parent, node, [], sig_set, row)
-            if delta or not sig_set.isdisjoint(node.below_sigs):
-                self._descend(node, delta, sig_set, affected, row)
+                # no descent reached the node, so Δ(parent) is empty
+                delta = self._delta(parent, node, [], row)
+            if delta:
+                self._descend(node, delta, pending, affected, row)
         return [qid for qid in sorted(affected) if self.assemblers[qid].finish_update()]
 
     def _delta(
@@ -122,19 +133,17 @@ class TricEngine(Engine):
         node: TrieNode,
         child: TrieNode,
         delta: list[Row],
-        sig_set: set[EdgeSig],
-        u_row: Row,
+        u_row: Optional[Row],
     ) -> list[Row]:
         """Δ(child) from ``delta`` = Δ(node), de-duplicated: ``delta ⋈
-        base[child.sig]``, plus ``old(node) ⋈ {u}`` if ``child``'s
-        signature matches ``u``."""
-        sig = child.sig
+        base[child.sig]``, plus ``old(node) ⋈ {u}`` if ``u_row``, ``u``'s
+        row, is given (``child`` is a candidate)."""
         probe, k = child.probe, child.ref
         child_rows: list[Row] = []
         if delta:
             build_key = (0,) if k is None else (0, 1)
-            child_rows = hash_join(delta, probe, self.base[sig], build_key, child.emit)
-        if sig in sig_set:
+            child_rows = hash_join(delta, probe, self.base[child.sig], build_key, child.emit)
+        if u_row is not None:
             # old(node) ⋈ {u}: node's view, which takes this update's delta
             # only after its children have read it, filtered to rows whose
             # last slot equals u's source, and slot k u's target
@@ -171,22 +180,23 @@ class TricEngine(Engine):
         self,
         node: TrieNode,
         delta: list[Row],
-        sig_set: set[EdgeSig],
+        pending: set[TrieNode],
         affected: set[int],
         u_row: Row,
     ) -> None:
-        if delta and node.registered:
-            for qid, pidx in node.registered:
-                self.assemblers[qid].on_path_delta(pidx, delta)
-                affected.add(qid)
+        for qid, pidx in node.registered:
+            self.assemblers[qid].on_path_delta(pidx, delta)
+            affected.add(qid)
+        if not node.children:  # a leaf's view is never read
+            return
         for child in node.children.values():
-            # pruning: nothing in this sub-trie can change
-            if not delta and child.sig not in sig_set and sig_set.isdisjoint(child.below_sigs):
-                continue
-            child_rows = self._delta(node, child, delta, sig_set, u_row)
-            # a matching child whose delta is empty is entered only when a
-            # signature below it matches
-            if child_rows or not sig_set.isdisjoint(child.below_sigs):
-                self._descend(child, child_rows, sig_set, affected, u_row)
-        if delta and node.children:  # a leaf's view is never read
-            node.matv.add_all(delta)
+            if child in pending:
+                pending.discard(child)
+                child_rows = self._delta(node, child, delta, u_row)
+            else:
+                child_rows = self._delta(node, child, delta, None)
+            if child_rows:
+                self._descend(child, child_rows, pending, affected, u_row)
+        new = node.matv.add_all(delta)
+        if new:
+            self.forest.add_sources(node, new)

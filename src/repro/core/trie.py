@@ -4,8 +4,8 @@ Step 2, Figs. 6 & 8).
 Data structures, named as in the paper:
 
 * ``rootInd``  → :attr:`TrieForest.roots`: key of a first edge → root.
-* ``edgeInd``  → :attr:`TrieForest.edge_ind`: signature → the nodes that
-  carry it, in creation order — the entry point of the answering phase.
+* ``edgeInd``  → :attr:`TrieForest.edge_ind`: signature → the roots that
+  carry it, in creation order.
 
 A node's key is ``(signature, back-reference)``
 (:meth:`~repro.graph.covering.CoverPath.back_refs`).  The paper indexes
@@ -21,28 +21,30 @@ has no reader here: the answering phase reaches a query only through
 :attr:`TrieNode.registered` at the node that got the delta, so the forest
 keeps just that reverse link.
 
-Each node additionally keeps ``below_sigs`` (every signature occurring at a
-strict descendant) so the answering phase can prune sub-tries that cannot
-contain the update's edge — the paper's pruning (Fig. 9 / Example 4)
-generalized to the case where one signature occurs at several depths
-(BioGRID-style).  A sub-trie is skipped when neither its root's signature
-nor ``below_sigs`` matches; a node whose delta came back empty is entered
-only when ``below_sigs`` matches.
-
-An update enters the forest at its *entry nodes*
-(:meth:`TrieForest.affected_roots`): the nodes whose signature it
-satisfies and none of whose strict ancestors' signatures
-(:attr:`TrieNode.above_sigs`) it does.  A delta starts only at a node
-whose signature matches, so no node above an entry node gets one, and the
-answering phase starts there instead of walking down from each root.
+Below the roots an update is routed by its source vertex as well as its
+signature.  An update ``u`` can start a delta at a non-root node only
+through ``old(parent) ⋈ {u}``, which is empty unless the parent's view
+holds a row whose new slot is ``u.s``.  :attr:`TrieForest.src_ind` maps a
+signature and a vertex to exactly the non-root nodes of that signature
+whose parent's view holds that vertex at its new slot; the answering phase
+keeps it up to date as it writes the views
+(:meth:`TrieForest.add_sources`).  :meth:`TrieForest.affected_roots`
+gives an update's *candidates*, the matching roots plus the nodes
+``src_ind`` names for ``(sig, u.s)``, ancestors first; no other node can
+get ``u``'s own term.  This is the delta-query principle of Graphflow
+(Ammar et al., PVLDB 2018): start from the update's endpoint, not from
+every place its label occurs.
 
 Once the forest's shape is final, :meth:`TrieForest.freeze` gives every
 node its live slots (:attr:`TrieNode.keep`), the only slots its rows carry,
 the probe key and emit function of its step from its parent's rows, and
-its ancestors' signatures.
+its rank in depth order (:attr:`TrieNode.order`).
 """
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import defaultdict
+from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 from repro.graph.covering import CoverPath
@@ -51,6 +53,8 @@ from repro.relational.relation import Row, View, append_target, getter
 
 #: a trie node's key among its siblings: (edge signature, back-reference)
 NodeKey = tuple[EdgeSig, Optional[int]]
+
+_order = attrgetter("order")
 
 
 def _target(pr: Row, br: Row) -> Row:
@@ -88,18 +92,23 @@ class TrieNode:
     :attr:`probe`, the columns of the parent's row holding slot ``depth``
     (the parent's new slot) and, when the node closes a cycle, slot
     ``ref``; and :attr:`emit`, which maps a parent row and a base row
-    ``(s, o)`` to the node's row.  It also sets :attr:`above_sigs`, the
-    distinct signatures of the node's strict ancestors (a tuple: most are
-    one or two long, and a tuple is a quarter of a small set's size).
+    ``(s, o)`` to the node's row.  :attr:`order` is the node's creation
+    index until the freeze, and then its rank by depth, then creation, so
+    that sorting nodes by it puts ancestors first.
     """
 
     __slots__ = (
         "sig", "ref", "depth", "parent", "children", "matv", "registered",
-        "below_sigs", "above_sigs", "keep", "probe", "emit",
+        "order", "keep", "probe", "emit",
     )
 
     def __init__(
-        self, sig: EdgeSig, ref: Optional[int], parent: Optional[TrieNode], cached: bool
+        self,
+        sig: EdgeSig,
+        ref: Optional[int],
+        parent: Optional[TrieNode],
+        cached: bool,
+        order: int,
     ):
         self.sig = sig
         self.ref = ref
@@ -108,8 +117,7 @@ class TrieNode:
         self.children: dict[NodeKey, TrieNode] = {}
         self.matv = View(cached=cached)
         self.registered: list[tuple[int, int]] = []  # (qid, path_idx)
-        self.below_sigs: set[EdgeSig] = set()
-        self.above_sigs: tuple[EdgeSig, ...] = ()
+        self.order = order
         self.keep: tuple[int, ...] = ()
         self.probe: tuple[int, ...] = ()
         self.emit: Callable[[Row, Row], Row] = append_target
@@ -134,9 +142,9 @@ class TrieNode:
         self.keep = tuple(sorted(keep))
 
     def _freeze_step(self, parent_keep: tuple[int, ...]) -> None:
-        """Set :attr:`probe`, :attr:`emit` and :attr:`above_sigs` for this
-        subtree, given the parent's live slots (``(0,)`` for a root: its
-        "parent row" is the update's source)."""
+        """Set :attr:`probe` and :attr:`emit` for this subtree, given the
+        parent's live slots (``(0,)`` for a root: its "parent row" is the
+        update's source)."""
         self.probe = tuple(
             parent_keep.index(s) for s in (self.depth, self.ref) if s is not None
         )
@@ -151,62 +159,95 @@ class TrieNode:
             self.emit = _target
         else:
             self.emit = lambda pr, br: g(pr) + br[1:]
-        # one tuple per parent, shared by its children (and down a chain of
-        # one signature, as on BioGRID)
-        above = self.above_sigs
-        if self.sig not in above:
-            above += (self.sig,)
         for c in self.children.values():
-            c.above_sigs = above
             c._freeze_step(self.keep)
 
 
 class TrieForest:
-    """The forest of tries plus the paper's root and edge indexes."""
+    """The forest of tries, the paper's root and edge indexes, and the
+    vertex-keyed entry index ``src_ind``."""
 
     def __init__(self, cached: bool):
         self.cached = cached
         self.roots: dict[NodeKey, TrieNode] = {}  # rootInd
-        self.edge_ind: dict[EdgeSig, list[TrieNode]] = {}  # sig -> nodes
+        self.edge_ind: dict[EdgeSig, list[TrieNode]] = {}  # sig -> roots
+        #: sig -> vertex -> the non-root nodes of that signature whose
+        #: parent's view holds the vertex at its new slot, by ``order``
+        self.src_ind: dict[EdgeSig, dict[object, list[TrieNode]]] = defaultdict(dict)
+        self._created = 0
 
     def insert_path(self, q: QueryPattern, pidx: int, path: CoverPath) -> TrieNode:
         """Index one covering path (Fig. 6): descend along the existing trie
         path that matches the (signature, back-reference) chain, creating
         the missing suffix, then register the query id at the last node."""
-        chain = path.sig_chain(q)
-        ancestors: list[TrieNode] = []
         level = self.roots
         node = None
-        for key in zip(chain, path.back_refs(q)):
+        for key in zip(path.sig_chain(q), path.back_refs(q)):
             child = level.get(key)
             if child is None:
-                child = level[key] = TrieNode(*key, node, self.cached)
-                self.edge_ind.setdefault(key[0], []).append(child)
+                child = level[key] = TrieNode(*key, node, self.cached, self._created)
+                self._created += 1
+                if node is None:
+                    self.edge_ind.setdefault(key[0], []).append(child)
             node = child
             level = node.children
-            ancestors.append(node)
-        for a in ancestors:
-            a.below_sigs.update(chain[a.depth + 1:])
         node.registered.append((q.qid, pidx))
         return node
 
     def freeze(self, path_slots: Callable[[int, int], Iterable[int]]) -> None:
-        """Fix every node's live slots, step and ancestors' signatures once
-        the trie's shape is final; ``path_slots(qid, pidx)`` gives the slots
-        whose values a registered path's final join reads."""
+        """Fix every node's live slots, step and rank once the trie's shape
+        is final; ``path_slots(qid, pidx)`` gives the slots whose values a
+        registered path's final join reads."""
         for root in self.roots.values():
             root._freeze_keep(path_slots)
             root._freeze_step((0,))
+        ranked = sorted(self.all_nodes(), key=attrgetter("depth", "order"))
+        for i, n in enumerate(ranked):
+            n.order = i
 
-    def affected_roots(self, sigs: list[EdgeSig]) -> list[TrieNode]:
-        """The update's entry nodes (answering Step 1): the nodes whose
-        signature is in ``sigs`` and none of whose strict ancestors' is,
-        per signature in ``sigs`` order, then in creation order.  Valid once
-        the forest is frozen."""
-        sig_set = set(sigs)
-        return [
-            n for s in sigs for n in self.edge_ind.get(s, ()) if sig_set.isdisjoint(n.above_sigs)
-        ]
+    def affected_roots(self, sigs: Iterable[EdgeSig], src: object) -> list[TrieNode]:
+        """The candidates of an update with signatures ``sigs`` and source
+        vertex ``src`` (answering Step 1): the roots that carry one of
+        ``sigs``, and the nodes ``src_ind`` names for one of them and
+        ``src``, ancestors first.  A new list, since ``src_ind`` grows while
+        the update is answered.  Valid once the forest is frozen."""
+        out: list[TrieNode] = []
+        for s in sigs:
+            roots = self.edge_ind.get(s)
+            if roots:
+                out += roots
+            by_src = self.src_ind.get(s)
+            if by_src:
+                nodes = by_src.get(src)
+                if nodes:
+                    out += nodes
+        if len(out) > 1:
+            out.sort(key=_order)
+        return out
+
+    def add_sources(self, node: TrieNode, rows: list[Row]) -> None:
+        """Register ``node``'s children in ``src_ind`` under each new-slot
+        value of ``rows``, the rows just added to ``node``'s view, that is
+        new to the view.  All children are registered under the same
+        values, so the first child's list tells which are new."""
+        children = list(node.children.values())
+        first = children[0]
+        col = first.probe[0]  # node's new slot, which every child probes
+        src_ind = self.src_ind
+        firsts = src_ind[first.sig]
+        for v in dict.fromkeys(r[col] for r in rows):
+            nodes = firsts.get(v)
+            if nodes:
+                i = bisect_left(nodes, first.order, key=_order)
+                if i < len(nodes) and nodes[i] is first:
+                    continue
+            for c in children:
+                by_src = src_ind[c.sig]
+                nodes = by_src.get(v)
+                if nodes is None:
+                    by_src[v] = [c]
+                else:
+                    nodes.insert(bisect_left(nodes, c.order, key=_order), c)
 
     # -- introspection used by tests -----------------------------------
     def n_nodes(self) -> int:

@@ -40,7 +40,9 @@ def test_install_then_uninstall_leaves_no_wrapper():
 
 def test_descend_useful_tally_reads_the_delta(monkeypatch):
     """``tracing`` counts a ``_descend`` call as useful from its third
-    positional argument; that argument must be the delta."""
+    positional argument; that argument must be the delta.  The engine
+    enters a node only with a non-empty delta, so the test adds one call
+    with an empty delta."""
     descend = TricEngine.__dict__["_descend"]
     sig = inspect.signature(descend)
     seen = {"calls": 0, "useful": 0}
@@ -48,6 +50,10 @@ def test_descend_useful_tally_reads_the_delta(monkeypatch):
     def counting(*args, **kwargs):
         seen["calls"] += 1
         seen["useful"] += bool(sig.bind(*args, **kwargs).arguments["delta"])
+        if seen["calls"] == 1:
+            # inside an update's span, through the tracing wrapper; an empty
+            # delta changes no state
+            TricEngine._descend(args[0], args[1], [], set(), set(), ("x", "y"))
         return descend(*args, **kwargs)
 
     monkeypatch.setattr(TricEngine, "_descend", counting)

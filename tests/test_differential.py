@@ -14,7 +14,9 @@ names and the new slot to one vertex, so it encodes each cycle's closure),
 no row in a leaf
 trie view or in the canonical view of a path alone in its component, and
 every other canonical view equal, as a set, to the one INC derives
-projected onto the path's join variables.
+projected onto the path's join variables.  Its routing index ``src_ind``
+must register each non-root node under exactly the vertices its parent's
+view holds at its new slot.
 """
 from hypothesis import given, settings, strategies as st
 
@@ -99,9 +101,31 @@ def check_inner_views(node, keys, triples):
         check_inner_views(child, keys, triples)
 
 
+def check_src_ind(forest):
+    """``src_ind`` is exact: every non-root node is registered, once and in
+    ``order`` within each list, under exactly the new-slot values of its
+    parent's view, and no root is registered."""
+    registered = {}
+    for sig, by_src in forest.src_ind.items():
+        for v, nodes in by_src.items():
+            orders = [n.order for n in nodes]
+            assert orders == sorted(set(orders)), "src_ind list out of order or repeated"
+            for n in nodes:
+                assert n.sig == sig and n.parent is not None
+                registered.setdefault(n, set()).add(v)
+    for node in forest.all_nodes():
+        if node.parent is None:
+            continue
+        want = {r[node.probe[0]] for r in node.parent.matv.rows}
+        got = registered.get(node, set())
+        assert not want - got, "src_ind misses a parent vertex: a missed event"
+        assert not got - want, "src_ind names a vertex the parent lacks: a wasted probe"
+
+
 def check_tric_state(tric, inc, triples):
     for root in tric.forest.roots.values():
         check_inner_views(root, [], triples)
+    check_src_ind(tric.forest)
     for qid, asm in tric.assemblers.items():
         full = inc.assemblers[qid]
         for pidx, v in enumerate(asm.canon_views):

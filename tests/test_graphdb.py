@@ -139,3 +139,21 @@ class TestLatencySimulation:
         assert [a.process_update(u) for u in ups] == [
             b.process_update(u) for u in ups
         ]
+
+
+class TestMemory:
+    def test_execute_leaves_no_reference_cycle(self):
+        """Each execution's records are freed when it returns, not when the
+        cyclic collector next runs."""
+        import gc
+
+        e = engine(chain_q(), QueryPattern(qid=1, vertices=[None, None], edges=[(0, "b", 1)]))
+        ups = [Triple("u", "a", "v"), Triple("v", "b", "L"), Triple("w", "a", "v"),
+               Triple("v", "b", "M")]
+        gc.collect()
+        gc.disable()
+        try:
+            assert [e.process_update(u) for u in ups] == [[], [0, 1], [0], [1]]
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -59,8 +59,10 @@ class TestDeltaPropagation:
 
     @pytest.mark.parametrize("cached", [False, True])
     def test_deeper_node_fires_below_empty_entry(self, cached):
-        """The update enters at the topmost ``a`` node, whose ``old(parent)
-        ⋈ {u}`` is empty; the ``a`` node below it still fires."""
+        """Update ``(z a w)`` satisfies both ``a`` nodes' signature, but
+        only the deeper one's parent holds ``z`` at its new slot: the topmost
+        ``a`` node's ``old(parent) ⋈ {u}`` would be empty, so the deeper
+        node is the one candidate, and it fires."""
         q = QueryPattern(
             qid=0,
             vertices=[None, None, None, None],
@@ -69,18 +71,43 @@ class TestDeltaPropagation:
         stream = [Triple("x", "r", "y"), Triple("y", "a", "z"), Triple("z", "a", "w")]
         e = TricEngine(cached=cached)
         e.add_query(q)
-        got = [e.process_update(u) for u in stream]
+        got = [e.process_update(u) for u in stream[:2]]
+        root = e.forest.roots[(("r", None, None), None)]
+        mid = root.children[(("a", None, None), None)]
+        (leaf,) = mid.children.values()
+        sigs = [s for s in update_sigs(stream[2]) if s in e.base]
+        assert e.forest.affected_roots(sigs, "z") == [leaf]
+        # root's view holds (y,) only: the topmost node's u-term is empty
+        assert e._delta(root, mid, [], ("z", "w")) == []
+        got.append(e.process_update(stream[2]))
         want = [
             [0] if len(embeddings(q, stream[: t + 1])) > len(embeddings(q, stream[:t])) else []
             for t in range(len(stream))
         ]
         assert got == want == [[], [], [0]]
-        root = e.forest.roots[(("r", None, None), None)]
-        mid = root.children[(("a", None, None), None)]
-        sigs = [s for s in update_sigs(stream[2]) if s in e.base]
-        assert e.forest.affected_roots(sigs) == [mid]
-        # root's view holds (x, y) only: the entry's delta for (z a w) is empty
-        assert e._delta(root, mid, [], set(sigs), ("z", "w")) == []
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_source_held_by_no_parent_probes_nothing(self, cached):
+        """The update's signature is carried by ten non-root nodes, but no
+        parent's view holds its source vertex: it has no candidate, and no
+        parent view is probed or scanned."""
+        e = TricEngine(cached=cached)
+        for i in range(10):
+            e.add_query(chain_q(qid=i, preds=(f"r{i}", "a"), last_lit=None))
+        for i in range(10):
+            e.process_update(Triple("x", f"r{i}", "y"))
+        u = Triple("q", "a", "w")
+        sigs = [s for s in update_sigs(u) if s in e.base]
+        assert sum(n.sig in sigs for n in e.forest.all_nodes()) == 10
+        assert e.forest.affected_roots(sigs, u.s) == []
+        reset_counters()
+        assert e.process_update(u) == []
+        assert (COUNTERS["build_rows"], COUNTERS["probe_rows"]) == (0, 0)
+        # from the vertex the parents hold, all ten fire
+        assert e.forest.affected_roots(sigs, "y") == [
+            n for n in e.forest.all_nodes() if n.sig in sigs
+        ]
+        assert e.process_update(Triple("y", "a", "w")) == list(range(10))
 
     def test_matv_shared_across_queries(self):
         e = TricEngine()

@@ -1,6 +1,6 @@
 """Trie forest (rootInd / edgeInd / registered queries) — clustering
-behaviour, incl. the paper's Fig. 5/8 worked example, and the entry nodes
-an update's signatures reach."""
+behaviour, incl. the paper's Fig. 5/8 worked example, and the candidates
+an update's signatures and source vertex reach (``src_ind``)."""
 import pytest
 
 from repro.core.trie import TrieForest
@@ -92,34 +92,7 @@ class TestInsertPath:
         assert leaf.registered == [(7, 0)]
         assert [n for n in f.all_nodes() if n.registered] == [leaf]
 
-    def test_below_sigs(self):
-        f = TrieForest(cached=False)
-        q = QueryPattern(
-            qid=0, vertices=[None, None, None], edges=[(0, "a", 1), (1, "b", 2)]
-        )
-        index_query(f, q)
-        root = next(iter(f.roots.values()))
-        assert root.below_sigs == {("b", None, None)}
-        child = list(root.children.values())[0]
-        assert child.below_sigs == set()
-
-        # BioGRID-style: one predicate, so one signature at depths 0, 1, 2
-        q = QueryPattern(
-            qid=1,
-            vertices=[None, None, None, None],
-            edges=[(0, "i", 1), (1, "i", 2), (2, "i", 3)],
-        )
-        index_query(f, q)
-        sig = ("i", None, None)
-        root = f.roots[(sig, None)]
-        mid = root.children[(sig, None)]
-        leaf = mid.children[(sig, None)]
-        assert (root.depth, mid.depth, leaf.depth) == (0, 1, 2)
-        assert root.below_sigs == {sig}
-        assert mid.below_sigs == {sig}
-        assert leaf.below_sigs == set()
-
-    def test_edge_ind_points_to_nodes(self):
+    def test_edge_ind_points_to_roots(self):
         f = TrieForest(cached=False)
         q = QueryPattern(
             qid=0, vertices=[None, None, None], edges=[(0, "a", 1), (1, "b", 2)]
@@ -127,9 +100,9 @@ class TestInsertPath:
         index_query(f, q)
         root = f.roots[(("a", None, None), None)]
         (child,) = root.children.values()
-        assert f.edge_ind == {("a", None, None): [root], ("b", None, None): [child]}
+        assert f.edge_ind == {("a", None, None): [root]}
         assert (root.parent, child.parent) == (None, root)
-        # a second path adds only the nodes it creates, in creation order
+        # a second path adds only the roots it creates, in creation order
         index_query(
             f,
             QueryPattern(
@@ -139,10 +112,7 @@ class TestInsertPath:
             ),
         )
         b_root = f.roots[(("b", None, None), None)]
-        b_a = b_root.children[(("a", None, None), None)]
-        b_a_b = b_a.children[(("b", None, None), None)]
-        assert f.edge_ind[("a", None, None)] == [root, b_a]
-        assert f.edge_ind[("b", None, None)] == [child, b_root, b_a_b]
+        assert f.edge_ind == {("a", None, None): [root], ("b", None, None): [b_root]}
 
     def test_affected_roots_none_safe_and_deduped(self):
         f = TrieForest(cached=False)
@@ -151,18 +121,27 @@ class TestInsertPath:
         index_query(f, qa)
         index_query(f, qb)
         freeze(f)
-        roots = f.affected_roots([("a", None, "x"), ("a", None, None)])
-        # two distinct tries, each returned once, in the order of the sigs
+        roots = f.affected_roots([("a", None, "x"), ("a", None, None)], "v")
+        # two distinct tries, each returned once, in creation order
         assert [r.sig for r in roots] == [("a", None, "x"), ("a", None, None)]
+        assert f.affected_roots([("z", None, None)], "v") == []
+
+
+def src_values(forest: TrieForest, node) -> list:
+    """The vertices ``src_ind`` registers ``node`` under."""
+    return [v for v, nodes in forest.src_ind.get(node.sig, {}).items() if node in nodes]
 
 
 class TestEntryNodes:
-    """``affected_roots`` returns the nodes whose signature the update
-    satisfies and none of whose strict ancestors' signatures it does."""
+    """``affected_roots`` returns the update's candidates: the roots its
+    signature reaches, and the nodes ``src_ind`` registers under its
+    signature and source vertex, i.e. whose parent's view holds that
+    vertex at its new slot.  ``add_sources`` registers a node's children
+    under the new-slot values of rows added to its view."""
 
     SIG = ("i", None, None)
 
-    def test_repeated_signature_chain_enters_at_root(self):
+    def chain3(self):
         f = TrieForest(cached=False)
         index_query(
             f,
@@ -174,13 +153,31 @@ class TestEntryNodes:
         )
         freeze(f)
         root = f.roots[(self.SIG, None)]
-        assert len(f.edge_ind[self.SIG]) == 3
-        assert f.affected_roots([self.SIG]) == [root]
         mid = root.children[(self.SIG, None)]
-        leaf = mid.children[(self.SIG, None)]
-        assert (root.above_sigs, mid.above_sigs, leaf.above_sigs) == (
-            (), (self.SIG,), (self.SIG,)
-        )
+        return f, root, mid, mid.children[(self.SIG, None)]
+
+    def test_repeated_signature_chain_enters_at_root(self):
+        f, root, mid, leaf = self.chain3()
+        # empty views: the signature reaches three nodes, the update the root
+        assert f.affected_roots([self.SIG], "y") == [root]
+        # root's view holds y at its new slot (its one live slot)
+        assert root.keep == (1,)
+        f.add_sources(root, [("y",)])
+        assert f.src_ind[self.SIG] == {"y": [mid]}
+        assert f.affected_roots([self.SIG], "y") == [root, mid]
+        assert f.affected_roots([self.SIG], "x") == [root]
+        # candidates come ancestors first, whatever the registration order
+        f.add_sources(mid, [("x",), ("y",)])
+        assert f.src_ind[self.SIG] == {"y": [mid, leaf], "x": [leaf]}
+        assert f.affected_roots([self.SIG], "y") == [root, mid, leaf]
+
+    def test_add_sources_registers_each_value_once(self):
+        f, root, mid, leaf = self.chain3()
+        f.add_sources(root, [("y",), ("z",), ("y",)])
+        # a later row with a value the view already holds registers nothing
+        f.add_sources(root, [("z",), ("w",)])
+        assert f.src_ind[self.SIG] == {"y": [mid], "z": [mid], "w": [mid]}
+        assert src_values(f, leaf) == []
 
     def test_bare_root_above_literal_variants(self):
         f = TrieForest(cached=False)
@@ -196,11 +193,13 @@ class TestEntryNodes:
         root = f.roots[(bare, None)]
         child_l = root.children[(sig_l, None)]
         child_m = root.children[(sig_m, None)]
-        # the root's signature matches too: the update enters at the root
-        assert f.affected_roots([sig_l, bare]) == [root]
-        # only the children's signatures match: it enters at each of them
-        assert f.affected_roots([sig_l]) == [child_l]
-        assert f.affected_roots([sig_l, sig_m]) == [child_l, child_m]
+        # every child of a node is registered under the values of its view
+        f.add_sources(root, [("v",)])
+        assert (src_values(f, child_l), src_values(f, child_m)) == (["v"], ["v"])
+        assert f.affected_roots([sig_l, bare], "v") == [root, child_l]
+        assert f.affected_roots([sig_l, sig_m], "v") == [child_l, child_m]
+        # the children's signatures match, but root's view does not hold u
+        assert f.affected_roots([sig_l, sig_m], "u") == []
 
     def test_sibling_branches_each_returned_once(self):
         f = TrieForest(cached=False)
@@ -226,9 +225,35 @@ class TestEntryNodes:
         root = f.roots[(r, None)]
         assert set(root.children) == {(a, None), (a, 1)}
         assert all(len(c.children) == 1 for c in root.children.values())
-        assert f.affected_roots([a]) == list(root.children.values())
-        assert f.affected_roots([r, a]) == [root]
-        assert f.affected_roots([("z", None, None)]) == []
+        f.add_sources(root, [("y",)])
+        assert f.affected_roots([a], "y") == list(root.children.values())
+        assert f.affected_roots([r, a], "y") == [root, *root.children.values()]
+        assert f.affected_roots([r], "y") == [root]
+
+    def test_order_is_depth_then_creation(self):
+        f = TrieForest(cached=False)
+        a = ("a", None, None)
+        # the depth-2 `a` node is created before the depth-1 one
+        index_query(
+            f,
+            QueryPattern(
+                qid=0,
+                vertices=[None, None, None, None],
+                edges=[(0, "r", 1), (1, "a", 2), (2, "a", 3)],
+            ),
+        )
+        index_query(
+            f, QueryPattern(qid=1, vertices=[None, None, None], edges=[(0, "s", 1), (1, "a", 2)])
+        )
+        freeze(f)
+        r_root, s_root = f.roots[(("r", None, None), None)], f.roots[(("s", None, None), None)]
+        r_a = r_root.children[(a, None)]
+        deep, shallow = r_a.children[(a, None)], s_root.children[(a, None)]
+        assert [n.order for n in (r_root, s_root, r_a, shallow, deep)] == [0, 1, 2, 3, 4]
+        f.add_sources(r_a, [("v",)])
+        f.add_sources(s_root, [("v",)])
+        assert f.src_ind[a]["v"] == [shallow, deep]
+        assert f.affected_roots([a], "v") == [shallow, deep]
 
 
 class TestBackRefs:
@@ -283,9 +308,9 @@ class TestBackRefs:
         # one signature, three nodes: the self-loop root, the plain root
         # and its closing child; the update enters at both roots
         loop_root, plain_root = f.roots[(self.SIG, 0)], f.roots[(self.SIG, None)]
-        closing = plain_root.children[(self.SIG, 0)]
-        assert f.edge_ind == {self.SIG: [loop_root, plain_root, closing]}
-        roots = freeze(f).affected_roots([self.SIG])
+        assert set(plain_root.children) == {(self.SIG, 0)}
+        assert f.edge_ind == {self.SIG: [loop_root, plain_root]}
+        roots = freeze(f).affected_roots([self.SIG], "v")
         assert [(r.sig, r.ref) for r in roots] == [(self.SIG, 0), (self.SIG, None)]
 
 
@@ -308,10 +333,7 @@ class TestPaperFig8:
         # posted=(?var,pst1) appears under both T1 (Q1/Q4) and T3 (Q3)
         t3 = f.roots[(("hasCreator", "com1", None), None)]
         posted = (("posted", None, "pst1"), None)
-        assert f.edge_ind[("posted", None, "pst1")] == [
-            t1.children[posted],
-            t3.children[posted],
-        ]
+        assert posted in t1.children and posted in t3.children
         # Q1 was registered under 3 nodes (its 3 covering paths)
         assert len([n for n in f.all_nodes() for qid, _ in n.registered if qid == 1]) == 3
 

@@ -17,8 +17,8 @@ from repro.relational.relation import COUNTERS, reset_counters
 
 #: engine -> (build_rows, probe_rows, out_rows, events)
 EXPECTED = {
-    "tric": (12872, 1052, 778, 51),
-    "tric+": (0, 2346, 778, 51),
+    "tric": (10145, 1052, 778, 51),
+    "tric+": (0, 1266, 778, 51),
     "inv": (5108, 21951, 26891, 51),
     "inv+": (0, 21951, 26891, 51),
     "inc": (27187, 4419, 3684, 51),
@@ -26,7 +26,7 @@ EXPECTED = {
 }
 
 #: engine -> ``TricEngine._descend`` calls over the stream
-DESCEND_CALLS = {"tric": 1229, "tric+": 1229}
+DESCEND_CALLS = {"tric": 867, "tric+": 867}
 
 
 @pytest.fixture(scope="module")
