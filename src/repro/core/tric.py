@@ -43,12 +43,16 @@ update's delta" filter; a leaf's delta goes to its registered queries
 alone.  After the append, the node's children are registered in
 ``src_ind`` under each new-slot value that is new to the view.
 A child delta above ``max_rows`` rows raises
-:class:`~repro.engine.base.EngineOverflow`.  Queries registered at nodes
-that received deltas are assembled via the shared
+:class:`~repro.engine.base.EngineOverflow`.  A node's delta goes to the
 :class:`~repro.engine.assembler.QueryAssembler` (final join across covering
-paths).  ``cached=True`` gives TRIC+: all views keep their hash-join build
-structures (indexes) incrementally instead of rebuilding them per join;
-both variants route through the same indexes.
+paths) of each query registered there, and only a query whose assembler
+queued it is finished after the descent: the assembler queues nothing while
+a join partner's view is empty, since that partner's own delta of this
+update, if any, finds the new rows.  Paths with join partners that are
+registered at one node and read the same join slots share one canonical
+view (set when the trie freezes).  ``cached=True`` gives TRIC+: all views
+keep their hash-join build structures (indexes) incrementally instead of
+rebuilding them per join; both variants route through the same indexes.
 """
 from __future__ import annotations
 
@@ -91,12 +95,15 @@ class TricEngine(Engine):
     # -- answering phase ------------------------------------------------
     def _freeze(self) -> None:
         """End the indexing phase: fix every trie node's live slots, and
-        tell each assembler which slots its path's rows carry."""
+        tell each assembler which slots its path's rows carry.  The paths
+        with join partners registered at one node share one canonical view
+        per projection."""
         self.answering = True
         self.forest.freeze(lambda qid, pidx: self.assemblers[qid].var_slots[pidx])
         for node in self.forest.all_nodes():
+            shared: dict[tuple[int, ...], View] = {}
             for qid, pidx in node.registered:
-                self.assemblers[qid].bind_columns(pidx, node.keep)
+                self.assemblers[qid].bind_columns(pidx, node.keep, shared)
 
     def process_update(self, u: Triple) -> list[int]:
         if not self.answering:
@@ -185,8 +192,8 @@ class TricEngine(Engine):
         u_row: Row,
     ) -> None:
         for qid, pidx in node.registered:
-            self.assemblers[qid].on_path_delta(pidx, delta)
-            affected.add(qid)
+            if self.assemblers[qid].on_path_delta(pidx, delta):
+                affected.add(qid)
         if not node.children:  # a leaf's view is never read
             return
         for child in node.children.values():

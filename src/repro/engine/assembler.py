@@ -23,6 +23,11 @@ Paths are grouped into variable-connected components; a component is
 *satisfied* monotonically once a cross-path join over it succeeds.  A new
 full-query embedding exists after an update iff some component had a
 successful delta join this update and all components are satisfied.
+For TRIC a path's delta is queued for that join only if every join
+partner's view is non-empty: a partner still empty gets its first rows in
+this update or none, and its own delta then joins against this path's
+stored rows.  TRIC's paths that read the same trie node's rows through the
+same slots share one canonical view (:meth:`QueryAssembler.bind_columns`).
 
 One greedy join serves both final-join modes: TRIC starts it from a path's
 new rows (delta), INV and INC from a whole canonical view (full).
@@ -59,11 +64,12 @@ class QueryAssembler:
     with no closure check.  Every other variable occurs in that path alone,
     so the full join is non-empty iff the join of the projections is.  A
     view stores the projections it does not hold yet, but the whole
-    de-duplicated delta is queued: a new embedding whose projection is
-    already stored still fires.  A path alone in its component has no join
-    variable, so its rows project to ``()`` and its view stores nothing.
-    The caller may feed rows narrower than slot rows after
-    :meth:`bind_columns` names their columns.
+    de-duplicated delta is queued, unless a join partner's view is empty:
+    a new embedding whose projection is already stored still fires.  A
+    path alone in its component has no join variable, so its rows project
+    to ``()`` and its view stores nothing.  The caller may feed rows
+    narrower than slot rows, and share one view among paths fed the same
+    rows, after :meth:`bind_columns` names their columns.
     """
 
     def __init__(
@@ -150,10 +156,21 @@ class QueryAssembler:
         self.canon_views = [View(cached=cached) for _ in self.path_vars]
         self._pending: dict[int, list[Row]] = {}
 
-    def bind_columns(self, pidx: int, cols: tuple[int, ...]) -> None:
+    def bind_columns(
+        self, pidx: int, cols: tuple[int, ...], shared: dict[tuple[int, ...], View]
+    ) -> None:
         """Path ``pidx`` is fed rows whose columns are the slots ``cols``,
-        which must include :attr:`var_slots` ``[pidx]``."""
-        self._project[pidx] = getter(tuple(cols.index(s) for s in self.var_slots[pidx]))
+        which must include :attr:`var_slots` ``[pidx]``.
+
+        ``shared`` maps :attr:`var_slots` to canonical views, one dict per
+        source of rows (for TRIC, per trie node): a path with join partners
+        adopts the view stored there under its var_slots, or stores its
+        own.  Every path fed the same rows with the same var_slots holds
+        the same projections, so one view serves them all."""
+        slots = self.var_slots[pidx]
+        self._project[pidx] = getter(tuple(cols.index(s) for s in slots))
+        if self._partners[pidx]:
+            self.canon_views[pidx] = shared.setdefault(slots, self.canon_views[pidx])
 
     # ------------------------------------------------------------------
     def canon(self, pidx: int, slot_rows: list[Row]) -> list[Row]:
@@ -167,20 +184,35 @@ class QueryAssembler:
         left, right = closure
         return [proj(r) for r in slot_rows if left(r) == right(r)]
 
-    def on_path_delta(self, pidx: int, slot_rows: list[Row]) -> None:
-        """Feed newly materialized slot tuples for one covering path."""
+    def on_path_delta(self, pidx: int, slot_rows: list[Row]) -> bool:
+        """Feed newly materialized slot tuples for one covering path;
+        returns True iff rows were queued for :meth:`finish_update`.
+
+        When ``projected``, the path's new projections are stored, but
+        nothing is queued while a join partner's view is empty.  The
+        partner then held nothing before this update, so every new
+        embedding uses one of its rows of this update: its own queued
+        delta joins against this path's view, which by then holds these
+        rows."""
         if not slot_rows:
-            return
+            return False
         new = self.canon(pidx, slot_rows)
         if not self.projected:
             new = self.canon_views[pidx].add_all(new)
         else:
             if len(new) > 1:
                 new = list(dict.fromkeys(new))
-            if self._partners[pidx]:
-                self.canon_views[pidx].add_all(new)
-        if new:
-            self._pending.setdefault(pidx, []).extend(new)
+            partners = self._partners[pidx]
+            if partners:
+                views = self.canon_views
+                views[pidx].add_all(new)
+                for j in partners:
+                    if not views[j]:
+                        return False
+        if not new:
+            return False
+        self._pending.setdefault(pidx, []).extend(new)
+        return True
 
     def finish_update(self) -> bool:
         """Close the update: returns True iff new full-query embeddings exist."""

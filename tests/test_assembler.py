@@ -344,10 +344,62 @@ class TestFreshRows:
         paths = covering_paths(q)
         asm = QueryAssembler(q, paths, False, projected=True)
         assert asm.var_slots == [(0,), (0,)]
-        asm.bind_columns(0, (0,))
-        asm.bind_columns(1, (0, 1))
+        asm.bind_columns(0, (0,), {})
+        asm.bind_columns(1, (0, 1), {})
         asm.on_path_delta(0, [("c",)])
         assert asm.finish_update() is False
         asm.on_path_delta(1, [("c", "X"), ("d", "X")])
         assert asm.finish_update() is True
         assert sorted(asm.canon_views[1].rows) == [("c",), ("d",)]
+
+
+class TestEmptyPartner:
+    """``projected=True`` queues no delta while a join partner's view is
+    empty: the partner's own later delta of the same update joins against
+    this path's view, which already holds the new rows."""
+
+    STAR2 = QueryPattern(
+        qid=0, vertices=[None, "X", "Y"], edges=[(0, "a", 1), (0, "b", 2)]
+    )
+    STAR3 = QueryPattern(
+        qid=0,
+        vertices=[None, "X", "Y", "Z"],
+        edges=[(0, "a", 1), (0, "b", 2), (0, "c", 3)],
+    )
+
+    @staticmethod
+    def rows(q, pidx, center):
+        paths = covering_paths(q)
+        bind = [v or center for v in q.vertices]
+        return [tuple(bind[v] for v in paths[pidx].slots)]
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_first_rows_of_both_paths_in_one_update(self, first):
+        q = self.STAR2
+        asm = QueryAssembler(q, covering_paths(q), False, projected=True)
+        later = 1 - first
+        assert asm.on_path_delta(first, self.rows(q, first, "c")) is False
+        assert asm.on_path_delta(later, self.rows(q, later, "c")) is True
+        assert asm.finish_update() is True
+        assert asm.finish_update() is False  # nothing left queued
+        assert all(len(v) == 1 for v in asm.canon_views)
+
+    def test_partner_already_non_empty_queues(self):
+        q = self.STAR2
+        asm = QueryAssembler(q, covering_paths(q), False, projected=True)
+        assert asm.on_path_delta(1, self.rows(q, 1, "c")) is False
+        assert asm.finish_update() is False
+        assert asm.on_path_delta(0, self.rows(q, 0, "c")) is True
+        assert asm.finish_update() is True
+
+    def test_three_paths_empty_partner_arrives_later(self):
+        q = self.STAR3
+        paths = covering_paths(q)
+        assert len(paths) == 3
+        asm = QueryAssembler(q, paths, False, projected=True)
+        assert asm.on_path_delta(2, self.rows(q, 2, "c")) is False  # C
+        assert asm.finish_update() is False
+        # one update: A while B is empty and C is not, then B
+        assert asm.on_path_delta(0, self.rows(q, 0, "c")) is False
+        assert asm.on_path_delta(1, self.rows(q, 1, "c")) is True
+        assert asm.finish_update() is True

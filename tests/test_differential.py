@@ -14,7 +14,9 @@ names and the new slot to one vertex, so it encodes each cycle's closure),
 no row in a leaf
 trie view or in the canonical view of a path alone in its component, and
 every other canonical view equal, as a set, to the one INC derives
-projected onto the path's join variables.  Its routing index ``src_ind``
+projected onto the path's join variables, and one such view object shared
+by exactly the paths registered at one trie node with the same join
+slots.  Its routing index ``src_ind``
 must register each non-root node under exactly the vertices its parent's
 view holds at its new slot.
 """
@@ -136,6 +138,22 @@ def check_tric_state(tric, inc, triples):
                 cols = [full.path_vars[pidx].index(x) for x in asm.path_vars[pidx]]
                 want = {tuple(r[c] for c in cols) for r in full.canon_views[pidx].rows}
                 assert set(v.rows) == want
+    check_shared_canon_views(tric)
+
+
+def check_shared_canon_views(tric):
+    """Paths with join partners share a canonical view exactly when they
+    are registered at one trie node with the same ``var_slots``."""
+    groups: dict[int, tuple] = {}  # id(view) -> (node, var_slots)
+    for node in tric.forest.all_nodes():
+        linked = {}
+        for qid, pidx in node.registered:
+            asm = tric.assemblers[qid]
+            if len(asm.components[asm.path_comp[pidx]]) == 1:
+                continue
+            slots, v = asm.var_slots[pidx], asm.canon_views[pidx]
+            assert linked.setdefault(slots, v) is v
+            assert groups.setdefault(id(v), (id(node), slots)) == (id(node), slots)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

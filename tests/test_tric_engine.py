@@ -117,6 +117,53 @@ class TestDeltaPropagation:
         assert e.forest.n_nodes() == 2  # fully clustered
         assert sorted(e.process_update(Triple("v", "b", "L1"))) == [0, 1]
 
+    def test_canonical_view_shared_across_queries(self):
+        """Two queries register the path ?c -a-> X at one node: both read
+        one canonical view, and each fires when its other path arrives."""
+        qs = [
+            QueryPattern(
+                qid=i, vertices=[None, "X", lit], edges=[(0, "a", 1), (0, p, 2)]
+            )
+            for i, (p, lit) in enumerate([("b", "Y"), ("d", "Z")])
+        ]
+        e = TricEngine()
+        for q in qs:
+            e.add_query(q)
+        assert e.process_update(Triple("c", "a", "X")) == []
+        (node,) = [n for n in e.forest.all_nodes() if n.sig[0] == "a"]
+        assert sorted(qid for qid, _ in node.registered) == [0, 1]
+        views = [e.assemblers[qid].canon_views[pidx] for qid, pidx in node.registered]
+        assert views[0] is views[1] and views[0].rows == [("c",)]
+        assert e.process_update(Triple("c", "b", "Y")) == [0]
+        assert e.process_update(Triple("c", "d", "Z")) == [1]
+
+    def test_finish_only_queries_that_queued(self, monkeypatch):
+        """While the b path of query 0 has no row, its a rows queue no join
+        and its final join is not run; the lone path of query 1 queues on
+        every update."""
+        from repro.engine.assembler import QueryAssembler
+
+        e = TricEngine()
+        e.add_query(
+            QueryPattern(
+                qid=0, vertices=[None, "X", "Y"], edges=[(0, "a", 1), (0, "b", 2)]
+            )
+        )
+        e.add_query(QueryPattern(qid=1, vertices=[None, "X"], edges=[(0, "a", 1)]))
+        finish = QueryAssembler.finish_update
+        finished = []
+
+        def counting(self):
+            finished.append(self.q.qid)
+            return finish(self)
+
+        monkeypatch.setattr(QueryAssembler, "finish_update", counting)
+        for i in range(5):
+            assert e.process_update(Triple(f"c{i}", "a", "X")) == [1]
+        assert finished == [1] * 5
+        assert e.process_update(Triple("c3", "b", "Y")) == [0]
+        assert finished == [1] * 5 + [0]
+
     def test_duplicate_update_no_reemit(self):
         e = TricEngine()
         e.add_query(chain_q())
