@@ -1,5 +1,2 @@
 """Advanced baselines from §5: inverted-index algorithms INV/INV+/INC/INC+
 and the Neo4j-style graph database stand-in."""
-
-from repro.baselines.graphdb import GraphDBEngine  # noqa: F401
-from repro.baselines.inv import IncEngine, InvEngine  # noqa: F401

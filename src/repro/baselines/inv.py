@@ -1,9 +1,10 @@
 """Algorithms INV / INV+ / INC / INC+ (paper §5.1–5.2).
 
 Both index queries with inverted indexes at edge granularity (``edgeInd``:
-signature → query ids, plus ``queryInd``: query id → covering paths) and keep
-one base materialized view per distinct edge signature.  Neither clusters
-queries — shared paths across queries are processed once *per query*.
+signature → query ids, plus ``queryInd``: query id → the signature chains of
+its covering paths) and keep one base materialized view per distinct edge
+signature.  Neither clusters queries — shared paths across queries are
+processed once *per query*.
 
 * **INV**: per update, every affected query's covering paths are
   re-materialized **in full** by joining the base views left-to-right
@@ -13,6 +14,10 @@ queries — shared paths across queries are processed once *per query*.
   each affected path through the base views, yielding the path's *delta*
   ("makes use of only the update u_i"); per-(query, path) results persist in
   the shared assembler's canonical views.  Still no sharing across queries.
+* Both end each affected query with the final join among all its paths,
+  computed in full (§5.1 Step 3), and report the query when that join's
+  row count grows (:meth:`~repro.engine.assembler.QueryAssembler.full_join`):
+  one join per component, no delta join beside it.
 * The ``+`` variants cache the hash-join build structures: base views and
   assembler views keep incrementally maintained hash indexes (§4.2 Caching).
 """
@@ -22,7 +27,7 @@ from abc import abstractmethod
 
 from repro.engine.assembler import QueryAssembler
 from repro.engine.base import Engine, EngineOverflow
-from repro.graph.covering import CoverPath, covering_paths
+from repro.graph.covering import covering_paths
 from repro.graph.model import EdgeSig, QueryPattern, Triple, update_sigs
 from repro.relational.relation import Row, View, append_target, hash_join
 
@@ -38,8 +43,8 @@ class _InvertedBase(Engine):
         self.base: dict[EdgeSig, View] = {}
         #: edgeInd: signature -> query ids
         self.edge_ind: dict[EdgeSig, set[int]] = {}
-        #: queryInd: qid -> (pattern, covering paths, per-path sig chains)
-        self.query_ind: dict[int, tuple[QueryPattern, list[CoverPath], list[tuple[EdgeSig, ...]]]] = {}
+        #: queryInd: qid -> per covering path, its signature chain
+        self.query_ind: dict[int, list[tuple[EdgeSig, ...]]] = {}
         self.assemblers: dict[int, QueryAssembler] = {}
 
     def add_query(self, q: QueryPattern) -> None:
@@ -47,7 +52,7 @@ class _InvertedBase(Engine):
         q.validate()
         paths = covering_paths(q)
         chains = [p.sig_chain(q) for p in paths]
-        self.query_ind[q.qid] = (q, paths, chains)
+        self.query_ind[q.qid] = chains
         for chain in chains:
             for sig in chain:
                 self.edge_ind.setdefault(sig, set()).add(q.qid)
@@ -71,13 +76,10 @@ class _InvertedBase(Engine):
         out: list[int] = []
         for qid in sorted(qids):
             asm = self.assemblers[qid]
-            if not self._feed(qid, asm, sig_set, row):
-                continue
-            if asm.finish_update():
+            # Step 3: the final join among all paths, computed in full
+            # (§5.1); it fires when its row count grows
+            if self._feed(qid, asm, sig_set, row) and asm.full_join():
                 out.append(qid)
-            # the final join across paths is always computed in full over
-            # all paths (§5.1 Step 3) — no delta shortcut, unlike TRIC
-            asm.full_join_rows()
         return out
 
     @abstractmethod
@@ -116,7 +118,7 @@ class InvEngine(_InvertedBase):
         self.name = "inv+" if cached else "inv"
 
     def _feed(self, qid, asm, sig_set, u_row) -> bool:
-        _, _, chains = self.query_ind[qid]
+        chains = self.query_ind[qid]
         # Step 1: a query with an empty base view has no embedding
         if not all(len(self.base[s]) for chain in chains for s in chain):
             return False
@@ -124,7 +126,7 @@ class InvEngine(_InvertedBase):
             # full left-to-right materialization of the path from the
             # base views, recomputed on every update (INV's cost)
             rows = self._extend_right(self.base[chain[0]].rows, chain, 1, qid)
-            asm.on_path_delta(pidx, rows)
+            asm.add_rows(pidx, rows)
         return True
 
 
@@ -138,11 +140,11 @@ class IncEngine(_InvertedBase):
     def _feed(self, qid, asm, sig_set, u_row) -> bool:
         # INC differs from INV only inside the *path* joins (§5.2): each
         # position of the update's signature in a path seeds one delta
-        _, _, chains = self.query_ind[qid]
+        chains = self.query_ind[qid]
         for pidx, chain in enumerate(chains):
             for k, sig in enumerate(chain):
                 if sig in sig_set:
-                    asm.on_path_delta(pidx, self._extend(chain, k, u_row, qid))
+                    asm.add_rows(pidx, self._extend(chain, k, u_row, qid))
         return True
 
     def _extend(self, chain: tuple[EdgeSig, ...], k: int, u_row: Row, qid: int) -> list[Row]:

@@ -1,10 +1,2 @@
 """Benchmark harness: workload builders, per-algorithm sweep runner, memory
 measurement (Table 1), and the paper-style table printer."""
-
-from repro.bench.harness import (  # noqa: F401
-    build_workload,
-    fmt_table,
-    measure_memory,
-    run_algorithms,
-    save_results,
-)

@@ -1,4 +1,1 @@
 """The paper's contribution: TRIC / TRIC+ (trie-based clustering)."""
-
-from repro.core.tric import TricEngine  # noqa: F401
-from repro.core.trie import TrieForest, TrieNode  # noqa: F401

@@ -1,5 +1,2 @@
 """Engine protocol, the shared final-join assembler, and the stream runner
 (timing + execution-time threshold, mirroring the paper's 24 h cap)."""
-
-from repro.engine.base import Engine, EngineOverflow, make_engine, ALGORITHMS  # noqa: F401
-from repro.engine.runner import RunResult, index_queries, run_stream  # noqa: F401

@@ -16,21 +16,27 @@ close each cycle at the node whose back-reference names the repeated
 vertex, and an event only asks whether a new embedding exists, so for TRIC
 the view holds projections onto the variables the path shares with other
 paths (``projected=True``).
-A canonical view is read only as a join partner of the other paths in its
-component, and by INV and INC's full final join.
+A canonical view is read only by the final join over its component.
 
-Paths are grouped into variable-connected components; a component is
-*satisfied* monotonically once a cross-path join over it succeeds.  A new
-full-query embedding exists after an update iff some component had a
-successful delta join this update and all components are satisfied.
-For TRIC a path's delta is queued for that join only if every join
-partner's view is non-empty: a partner still empty gets its first rows in
-this update or none, and its own delta then joins against this path's
-stored rows.  TRIC's paths that read the same trie node's rows through the
-same slots share one canonical view (:meth:`QueryAssembler.bind_columns`).
+Paths are grouped into variable-connected components, and a new
+full-query embedding exists after an update iff some component gained a
+join row and every component has one.  The two modes decide this from one
+greedy join, run once per affected query:
 
-One greedy join serves both final-join modes: TRIC starts it from a path's
-new rows (delta), INV and INC from a whole canonical view (full).
+* INV and INC (default) store a path's canonical rows (:meth:`add_rows`)
+  and join each component in full from its smallest view
+  (:meth:`full_join`, paper §5.1 Step 3).  Canonical views only grow and
+  a join of sets is a set, so a component's row count never falls, and it
+  grows exactly when a join from this update's new rows would find one:
+  the count is the whole state the decision needs.
+* TRIC (``projected``) queues each path delta (:meth:`on_path_delta`) and
+  joins the queued deltas with their partners' views
+  (:meth:`finish_update`); a component is marked once such a join finds a
+  row.  A delta is queued only if every join partner's view is non-empty:
+  a partner still empty gets its first rows in this update or none, and
+  its own delta then joins against this path's stored rows.  TRIC's paths
+  that read the same trie node's rows through the same slots share one
+  canonical view (:meth:`QueryAssembler.bind_columns`).
 """
 from __future__ import annotations
 
@@ -54,8 +60,8 @@ class QueryAssembler:
 
     By default (INV, INC) a path is fed whole slot rows, open walks
     included: its canonical rows are the rows that pass the closure check,
-    projected onto every distinct variable of the path, its canonical view
-    is a set, and only the rows new to that view are queued for the join.
+    projected onto every distinct variable of the path, and its canonical
+    view is a set, which :meth:`full_join` reads whole.
 
     ``projected=True`` (TRIC) is the caller's promise that every row fed to
     a path already closes the path's cycles and stands for at least one
@@ -81,9 +87,7 @@ class QueryAssembler:
         projected: bool = False,
     ):
         self.q = q
-        self.paths = paths
         self.max_rows = max_rows
-        self.projected = projected
 
         # per path: the first slot of each distinct variable, in path order,
         # and the (left, right) slot lists of repeated positions that must
@@ -133,7 +137,10 @@ class QueryAssembler:
             [j for j in self.components[c] if j != i]
             for i, c in enumerate(self.path_comp)
         ]
-        self.comp_satisfied = [False] * len(self.components)
+        #: per component: the row count of its last full join (INV, INC),
+        #: or 1 once a delta join found a row (TRIC); non-zero iff the
+        #: component has an embedding
+        self.comp_rows = [0] * len(self.components)
 
         #: per path: the variables of its canonical rows, and the slot each
         #: is read from
@@ -184,65 +191,63 @@ class QueryAssembler:
         left, right = closure
         return [proj(r) for r in slot_rows if left(r) == right(r)]
 
-    def on_path_delta(self, pidx: int, slot_rows: list[Row]) -> bool:
-        """Feed newly materialized slot tuples for one covering path;
-        returns True iff rows were queued for :meth:`finish_update`.
+    def add_rows(self, pidx: int, slot_rows: list[Row]) -> None:
+        """Store the canonical rows of fed slot rows for path ``pidx`` (INV,
+        INC); :meth:`full_join` then decides the update."""
+        self.canon_views[pidx].add_all(self.canon(pidx, slot_rows))
 
-        When ``projected``, the path's new projections are stored, but
-        nothing is queued while a join partner's view is empty.  The
-        partner then held nothing before this update, so every new
-        embedding uses one of its rows of this update: its own queued
-        delta joins against this path's view, which by then holds these
-        rows."""
-        if not slot_rows:
-            return False
+    def full_join(self) -> bool:
+        """The final join among all paths, computed in full per component
+        from its smallest view (INV and INC, paper §5.1 Step 3); returns
+        True iff new full-query embeddings exist: some component's row
+        count grew (it never falls) and every component has rows.
+
+        Cross-component products are not materialized.  Wrong for a
+        ``projected`` assembler, whose lone paths store nothing."""
+        views = self.canon_views
+        counts = self.comp_rows
+        grew = False
+        for c, members in enumerate(self.components):
+            first = min(members, key=lambda j: len(views[j]))
+            n = len(self._join(views[first].rows, first, self._partners[first]))
+            if n > counts[c]:
+                counts[c] = n
+                grew = True
+        return grew and all(counts)
+
+    def on_path_delta(self, pidx: int, slot_rows: list[Row]) -> bool:
+        """Feed a ``projected`` assembler (TRIC) a path's non-empty delta;
+        returns True iff it was queued for :meth:`finish_update`.
+
+        The path's new projections are stored, but nothing is queued while
+        a join partner's view is empty.  The partner then held nothing
+        before this update, so every new embedding uses one of its rows of
+        this update: its own queued delta joins against this path's view,
+        which by then holds these rows."""
         new = self.canon(pidx, slot_rows)
-        if not self.projected:
-            new = self.canon_views[pidx].add_all(new)
-        else:
-            if len(new) > 1:
-                new = list(dict.fromkeys(new))
-            partners = self._partners[pidx]
-            if partners:
-                views = self.canon_views
-                views[pidx].add_all(new)
-                for j in partners:
-                    if not views[j]:
-                        return False
-        if not new:
-            return False
+        if len(new) > 1:
+            new = list(dict.fromkeys(new))
+        partners = self._partners[pidx]
+        if partners:
+            views = self.canon_views
+            views[pidx].add_all(new)
+            for j in partners:
+                if not views[j]:
+                    return False
         self._pending.setdefault(pidx, []).extend(new)
         return True
 
     def finish_update(self) -> bool:
-        """Close the update: returns True iff new full-query embeddings exist."""
-        if not self._pending:
-            return False
+        """Close a ``projected`` assembler's update: join each queued delta
+        with its partners' views; returns True iff new full-query
+        embeddings exist."""
         delta_success = False
         for pidx, delta in self._pending.items():
             if self._join(delta, pidx, self._partners[pidx]):
-                self.comp_satisfied[self.path_comp[pidx]] = True
+                self.comp_rows[self.path_comp[pidx]] = 1
                 delta_success = True
         self._pending.clear()
-        return delta_success and all(self.comp_satisfied)
-
-    def full_join_rows(self) -> int:
-        """Full (non-delta) cross-path join over all canonical views — the
-        final-join work INV and INC perform per affected query (paper §5.1
-        Step 3: "performs the final join operation among all the paths").
-
-        Joins run per variable-connected component, each starting from its
-        smallest view (cross-component products are not materialized);
-        returns the number of result rows computed.  It reads every view, so
-        it is wrong for a ``projected`` assembler, whose lone paths store
-        nothing and whose views hold projections.
-        """
-        views = self.canon_views
-        total = 0
-        for members in self.components:
-            first = min(members, key=lambda j: len(views[j]))
-            total += len(self._join(views[first].rows, first, self._partners[first]))
-        return total
+        return delta_success and all(self.comp_rows)
 
     def _join(self, acc: list[Row], start: int, others: list[int]) -> list[Row]:
         """Join ``acc`` (rows over path ``start``'s variables) with the
@@ -250,14 +255,11 @@ class QueryAssembler:
 
         Each step takes, among the paths sharing a variable with the rows so
         far (one exists by construction of components), the one with the
-        smallest view.  Returns ``[]`` as soon as a partner is empty or an
-        intermediate result is; raises :class:`AssemblyOverflow` past
-        ``max_rows`` — the row-cap analogue of the paper's execution-time
-        threshold.
+        smallest view.  Returns ``[]`` as soon as an intermediate result is
+        empty; raises :class:`AssemblyOverflow` past ``max_rows`` — the
+        row-cap analogue of the paper's execution-time threshold.
         """
         views = self.canon_views
-        if any(len(views[j]) == 0 for j in others):
-            return []
         acc_vars = list(self.path_vars[start])
         remaining = set(others)
         while remaining and acc:

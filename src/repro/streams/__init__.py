@@ -1,7 +1,3 @@
 """Synthetic update-stream generators standing in for the paper's datasets
 (LDBC SNB, NYC TAXI / DEBS'15, BioGRID), and the query-set generator with the
 paper's knobs (ℓ, σ selectivity, o overlap, chain/star/cycle shapes)."""
-
-from repro.streams.datasets import DATASETS, biogrid_stream, nyc_stream, snb_stream  # noqa: F401
-from repro.streams.datasets import stream_to_pandas, stream_to_spark  # noqa: F401
-from repro.streams.querygen import generate_queries  # noqa: F401

@@ -1,5 +1,5 @@
-"""QueryAssembler: canonicalization, cycle closure, components, delta and
-full final joins."""
+"""QueryAssembler: canonicalization, cycle closure, components, and the two
+final joins: in full (INV, INC) and over queued deltas (TRIC)."""
 import random
 
 import pytest
@@ -9,9 +9,9 @@ from repro.graph.covering import covering_paths
 from repro.graph.model import QueryPattern
 
 
-def make(q, cached=False, max_rows=2_000_000):
+def make(q, cached=False, max_rows=2_000_000, projected=False):
     paths = covering_paths(q)
-    return QueryAssembler(q, paths, cached, max_rows), paths
+    return QueryAssembler(q, paths, cached, max_rows, projected), paths
 
 
 class TestCanon:
@@ -115,6 +115,24 @@ class TestComponents:
         assert len(asm.components) == 1
 
 
+class Pair:
+    """A full-join assembler (INV, INC) and a ``projected`` one (TRIC) fed
+    the same fresh rows: :meth:`step` feeds one update to both and returns
+    the verdict they must share."""
+
+    def __init__(self, q, cached=False):
+        self.full, self.paths = make(q, cached)
+        self.delta, _ = make(q, cached, projected=True)
+
+    def step(self, *feeds):
+        for pidx, rows in feeds:
+            self.full.add_rows(pidx, rows)
+            self.delta.on_path_delta(pidx, rows)
+        fired = self.full.full_join()
+        assert self.delta.finish_update() is fired
+        return fired
+
+
 class TestDeltaSemantics:
     def star(self):
         return QueryPattern(
@@ -122,47 +140,39 @@ class TestDeltaSemantics:
         )
 
     def test_no_delta_no_emit(self):
-        asm, _ = make(self.star())
-        assert asm.finish_update() is False
+        assert Pair(self.star()).step() is False
 
     def test_partial_paths_do_not_emit(self):
-        asm, _ = make(self.star())
-        asm.on_path_delta(0, [("c1", "X")])
-        assert asm.finish_update() is False
+        assert Pair(self.star()).step((0, [("c1", "X")])) is False
 
     def test_emits_when_all_paths_join(self):
-        asm, _ = make(self.star())
-        asm.on_path_delta(0, [("c1", "X")])
-        asm.finish_update()
-        asm.on_path_delta(1, [("c1", "Y")])
-        assert asm.finish_update() is True
+        pair = Pair(self.star())
+        pair.step((0, [("c1", "X")]))
+        assert pair.step((1, [("c1", "Y")])) is True
 
     def test_join_on_shared_var_enforced(self):
-        asm, _ = make(self.star())
-        asm.on_path_delta(0, [("c1", "X")])
-        asm.finish_update()
-        asm.on_path_delta(1, [("c2", "Y")])  # different center
-        assert asm.finish_update() is False
+        pair = Pair(self.star())
+        pair.step((0, [("c1", "X")]))
+        assert pair.step((1, [("c2", "Y")])) is False  # different center
 
     def test_duplicate_slot_rows_do_not_reemit(self):
+        # a repeated row is outside the projected contract: full join only
         q = QueryPattern(qid=0, vertices=[None, None], edges=[(0, "a", 1)])
         asm, _ = make(q)
-        asm.on_path_delta(0, [("x", "y")])
-        assert asm.finish_update() is True
-        asm.on_path_delta(0, [("x", "y")])
-        assert asm.finish_update() is False
+        asm.add_rows(0, [("x", "y")])
+        assert asm.full_join() is True
+        asm.add_rows(0, [("x", "y")])
+        assert asm.full_join() is False
 
     def test_disjoint_components_emit_when_both_satisfied(self):
         q = QueryPattern(
             qid=0, vertices=[None, "M", None], edges=[(0, "a", 1), (1, "b", 2)]
         )
-        asm, paths = make(q)
-        if len(paths) == 1:
+        pair = Pair(q)
+        if len(pair.paths) == 1:
             pytest.skip("single chain path")
-        asm.on_path_delta(0, [("x", "M")])
-        assert asm.finish_update() is False  # other component unsatisfied
-        asm.on_path_delta(1, [("M", "y")])
-        assert asm.finish_update() is True
+        assert pair.step((0, [("x", "M")])) is False  # other component unsatisfied
+        assert pair.step((1, [("M", "y")])) is True
 
     @pytest.mark.parametrize("cached", [False, True])
     def test_cached_equals_uncached(self, cached):
@@ -171,7 +181,8 @@ class TestDeltaSemantics:
             vertices=[None, None, None],
             edges=[(0, "a", 1), (1, "b", 2), (0, "c", 2)],
         )
-        asm, paths = make(q, cached=cached)
+        pair = Pair(q, cached=cached)
+        paths = pair.paths
         emits = []
         seq = [
             (0, [("u", "v", "w")]),
@@ -184,8 +195,7 @@ class TestDeltaSemantics:
         for pidx, rows in seq:
             # rows sized for: path0 = 2 edges (3 slots), path1 = 1 edge (2 slots)
             target = by_len[0] if len(rows[0]) == 3 else by_len[-1]
-            asm.on_path_delta(target, rows)
-            emits.append(asm.finish_update())
+            emits.append(pair.step((target, rows)))
         assert emits == [False, True, False, True]
 
 
@@ -195,42 +205,42 @@ class TestFullJoin:
             qid=0, vertices=[None, "X", "Y"], edges=[(0, "a", 1), (0, "b", 2)]
         )
         asm, _ = make(q)
-        asm.on_path_delta(0, [("c1", "X"), ("c2", "X")])
-        asm.on_path_delta(1, [("c1", "Y")])
-        asm.finish_update()
-        assert asm.full_join_rows() == 1
+        asm.add_rows(0, [("c1", "X"), ("c2", "X")])
+        asm.add_rows(1, [("c1", "Y")])
+        assert asm.full_join() is True
+        assert asm.comp_rows == [1]
 
     def test_empty_path_prunes(self):
         q = QueryPattern(
             qid=0, vertices=[None, "X", "Y"], edges=[(0, "a", 1), (0, "b", 2)]
         )
         asm, _ = make(q)
-        asm.on_path_delta(0, [("c1", "X")])
-        asm.finish_update()
-        assert asm.full_join_rows() == 0
-
-    def blowup_query(self):
-        # star on shared center variable: 20 x 20 join rows >> cap
-        return QueryPattern(
-            qid=0, vertices=[None, None, None], edges=[(0, "a", 1), (0, "b", 2)]
-        )
+        asm.add_rows(0, [("c1", "X")])
+        assert asm.full_join() is False
+        assert asm.comp_rows == [0]
 
     def test_delta_join_overflow_raises(self):
-        asm, _ = make(self.blowup_query(), max_rows=10)
-        asm.on_path_delta(0, [("m", f"x{i}") for i in range(20)])
-        asm.finish_update()
+        # projected rows of the three paths: (v1,), (v1, v2), (v2,); a
+        # delta on the first path fans out through the middle one
+        q = TestNonAdjacentPaths().query()
+        asm, _ = make(q, max_rows=10, projected=True)
+        asm.on_path_delta(2, [("z", "y0")])
         asm.on_path_delta(1, [("m", f"y{i}") for i in range(20)])
+        asm.finish_update()
+        asm.on_path_delta(0, [("m", "w")])
         with pytest.raises(AssemblyOverflow):
             asm.finish_update()
 
     def test_full_join_overflow_raises(self):
-        asm, _ = make(self.blowup_query(), max_rows=10)
-        asm.on_path_delta(0, [("m", f"x{i}") for i in range(20)])
-        asm.on_path_delta(1, [("m", f"y{i}") for i in range(20)])
+        # star on shared center variable: 20 x 20 join rows >> cap
+        q = QueryPattern(
+            qid=0, vertices=[None, None, None], edges=[(0, "a", 1), (0, "b", 2)]
+        )
+        asm, _ = make(q, max_rows=10)
+        asm.add_rows(0, [("m", f"x{i}") for i in range(20)])
+        asm.add_rows(1, [("m", f"y{i}") for i in range(20)])
         with pytest.raises(AssemblyOverflow):
-            asm.finish_update()
-        with pytest.raises(AssemblyOverflow):
-            asm.full_join_rows()
+            asm.full_join()
 
 
 class TestNonAdjacentPaths:
@@ -260,7 +270,8 @@ class TestNonAdjacentPaths:
     def test_delta_and_full_join_equal_hand_join(self, cached):
         # row cap 3: joining the first and last paths directly (a cross
         # product of 1 x 5 rows in step 3) would overflow
-        asm, paths = make(self.query(), cached=cached, max_rows=3)
+        full, paths = make(self.query(), cached=cached, max_rows=3)
+        delta, _ = make(self.query(), cached=cached, max_rows=3, projected=True)
         assert [p.slots for p in paths] == [(1, 0), (1, 2), (3, 2)]
         views = ([], [], [])
         steps = [
@@ -275,9 +286,11 @@ class TestNonAdjacentPaths:
             before = self.hand_join(*views)
             views[pidx].extend(rows)
             after = self.hand_join(*views)
-            asm.on_path_delta(pidx, rows)
-            assert asm.finish_update() is bool(after - before)
-            assert asm.full_join_rows() == len(after)
+            full.add_rows(pidx, rows)
+            delta.on_path_delta(pidx, rows)
+            assert full.full_join() is bool(after - before)
+            assert full.comp_rows == [len(after)]
+            assert delta.finish_update() is bool(after - before)
             fired.append(bool(after - before))
             sizes.append(len(after))
         assert fired == [False, False, True, False, True]
@@ -286,10 +299,10 @@ class TestNonAdjacentPaths:
 
 class TestFreshRows:
     """``projected=True`` (TRIC's contract: every row fed to a path closes
-    its cycles and stands for an embedding new with the update) fires on
-    exactly the updates a default assembler fires on, stores per path the
-    default's canonical rows projected onto the join variables, and
-    stores nothing for a lone path."""
+    its cycles and stands for an embedding new with the update) fires its
+    delta join on exactly the updates where a default assembler's full
+    join grows, stores per path the default's canonical rows projected
+    onto the join variables, and stores nothing for a lone path."""
 
     QUERIES = {
         "lone path": QueryPattern(
@@ -322,9 +335,10 @@ class TestFreshRows:
                 if r not in fed[pidx]:  # fresh: never fed to this path before
                     fed[pidx].add(r)
                     rows.append(r)
-            plain.on_path_delta(pidx, rows)
-            projected.on_path_delta(pidx, rows)
-            fired.append(plain.finish_update())
+            plain.add_rows(pidx, rows)
+            if rows:  # TRIC feeds only non-empty deltas
+                projected.on_path_delta(pidx, rows)
+            fired.append(plain.full_join())
             assert projected.finish_update() is fired[-1], kind
         assert True in fired and False in fired  # both outcomes exercised
         for pidx, v in enumerate(projected.canon_views):

@@ -32,8 +32,8 @@ class TestIndexingPhase:
     def test_query_ind_has_paths(self, cls):
         e = cls()
         e.add_query(chain_q(qid=0))
-        _, paths, chains = e.query_ind[0]
-        assert len(paths) == 1 and chains[0][0] == ("a", None, None)
+        chains = e.query_ind[0]
+        assert len(chains) == 1 and chains[0][0] == ("a", None, None)
 
 
 @pytest.mark.parametrize("cls", [InvEngine, IncEngine])

@@ -36,7 +36,7 @@ def test_catalyst_matches_bruteforce(snb, qi):
     updates, queries, triples_df = snb
     q = queries[qi]
     rows = spark_bgp_match(triples_df, q).collect()
-    var_vids = sorted(q.var_vids())
+    var_vids = [v for v, term in enumerate(q.vertices) if term is None]
     got = sorted(tuple(r[f"v{v}"] for v in var_vids) for r in rows)
     exp = sorted({tuple(e[v] for v in var_vids) for e in embeddings(q, updates)})
     assert got == exp

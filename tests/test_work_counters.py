@@ -5,12 +5,14 @@ Timing is noisy; the join counters (``build_rows``, ``probe_rows``,
 engine does on a 300-update SNB stream with 30 queries.  A change that
 alters the join work of an engine fails here deterministically: a rise is
 a work regression, a fall must be explained and the numbers updated.  The
-same holds for TRIC's trie walk, counted as ``TricEngine._descend`` calls.
+same holds for TRIC's trie walk, counted as ``TricEngine._descend`` calls,
+and for INV and INC's final join, counted as ``QueryAssembler._join`` calls.
 """
 import pytest
 
 from repro.bench.harness import build_workload
 from repro.core.tric import TricEngine
+from repro.engine.assembler import QueryAssembler
 from repro.engine.base import make_engine
 from repro.engine.runner import index_queries, run_stream
 from repro.relational.relation import COUNTERS, reset_counters
@@ -19,10 +21,10 @@ from repro.relational.relation import COUNTERS, reset_counters
 EXPECTED = {
     "tric": (10145, 1052, 778, 51),
     "tric+": (0, 1266, 778, 51),
-    "inv": (5108, 21951, 26891, 51),
-    "inv+": (0, 21951, 26891, 51),
-    "inc": (27187, 4419, 3684, 51),
-    "inc+": (0, 4419, 3684, 51),
+    "inv": (4622, 21681, 26503, 51),
+    "inv+": (0, 21681, 26503, 51),
+    "inc": (26855, 4329, 3552, 51),
+    "inc+": (0, 4329, 3552, 51),
 }
 
 #: engine -> ``TricEngine._descend`` calls over the stream
@@ -70,3 +72,33 @@ def test_trie_walk_is_pinned(workload, name, monkeypatch):
     r = run_stream(e, updates)
     assert not r.timed_out and len(r.events) == EXPECTED[name][3]
     assert calls == DESCEND_CALLS[name]
+
+
+@pytest.mark.parametrize("name", ["inv", "inv+", "inc", "inc+"])
+def test_one_final_join_per_component(workload, name, monkeypatch):
+    """INV and INC join each variable-connected component once per query
+    that ``_feed`` accepts: the full final join decides the event, with no
+    delta join beside it."""
+    updates, queries = workload
+    e = make_engine(name)
+    index_queries(e, queries)
+    feed, join = type(e)._feed, QueryAssembler._join
+    expected = calls = 0
+
+    def counting_feed(self, qid, asm, *args):
+        nonlocal expected
+        accepted = feed(self, qid, asm, *args)
+        if accepted:
+            expected += len(asm.components)
+        return accepted
+
+    def counting_join(self, *args):
+        nonlocal calls
+        calls += 1
+        return join(self, *args)
+
+    monkeypatch.setattr(type(e), "_feed", counting_feed)
+    monkeypatch.setattr(QueryAssembler, "_join", counting_join)
+    r = run_stream(e, updates)
+    assert not r.timed_out and len(r.events) == EXPECTED[name][3]
+    assert expected > 0 and calls == expected
