@@ -1,9 +1,10 @@
 """Shared CLI scaffolding for the per-table jobs.
 
-Each job reproduces one evaluation artifact of the paper (see DESIGN.md §6):
-it sweeps the paper's x-axis at the scaled-down workload, prints the same
-rows the paper reports (algorithm × x-value → answering time per update in
-ms, with "timeout at |G_E|=X" markers), and dumps JSON under ``results/`` so
+Each job reproduces one evaluation artifact of the paper (see DESIGN.md §6).
+The eight answering-time figures are one experiment, :func:`sweep_job`: it
+sweeps the paper's x-axis at the scaled-down workload, prints the same rows
+the paper reports (algorithm × x-value → answering time per update in ms,
+with "timeout at |G_E|=X" markers), and dumps JSON under ``results/`` so
 EXPERIMENTS.md can diff paper vs measured.
 
 Run directly (``python jobs/table_snb_answering.py``) or via ``spark-submit``.
@@ -26,6 +27,7 @@ from repro.bench.harness import (  # noqa: E402
     run_algorithms,
     save_results,
 )
+from repro.engine.base import ALGORITHMS  # noqa: E402
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
 
@@ -66,30 +68,38 @@ def verify_sample(updates, queries, n_sample: int = 10) -> None:
     print(f"[verify] tric+ first-match equals Catalyst ground truth on {len(sample)} queries")
 
 
-def sweep(
+def sweep_job(
+    doc: str,
     title: str,
     out_name: str,
-    configs: list[tuple[str, dict, list[str]]],
-    time_limit_s: float,
-    verify: bool = False,
+    dataset: str,
+    vary: str,
+    values: tuple,
+    label: str,
 ) -> dict:
-    """Run (label, workload-kwargs, algorithms) configs and print the table."""
+    """One answering-time figure: for each of ``values``, build the workload
+    (2000 updates, 300 queries, both scaled by ``--scale``) with its
+    ``build_workload`` argument ``vary`` set to the value (scaled too when
+    ``vary`` is a count), run every algorithm, and print and save the table.
+    ``label.format(value)`` names each config."""
+    args = parser(doc).parse_args()
+    s = args.scale
     rows = []
     payload = {"title": title, "configs": []}
-    for label, kw, algos in configs:
+    for value in values:
+        kw = dict(dataset=dataset, n_updates=int(2000 * s), n_queries=int(300 * s))
+        kw[vary] = int(value * s) if vary in ("n_updates", "n_queries") else value
+        kw["seed"] = args.seed
+        name = label.format(value)
         updates, queries = build_workload(**kw)
-        if verify:
+        if args.verify:
             verify_sample(updates, queries)
-        res = run_algorithms(updates, queries, algos, time_limit_s=time_limit_s)
-        row = {"x": label}
-        for name, m in res.items():
-            row[name] = cell(m)
-        rows.append(row)
-        payload["configs"].append({"label": label, "workload": kw, "results": res})
-        print(f"[done] {label}")
-    cols = ["x"] + [a for a in configs[0][2]]
+        res = run_algorithms(updates, queries, ALGORITHMS, time_limit_s=args.time_limit)
+        rows.append({"x": name} | {algo: cell(m) for algo, m in res.items()})
+        payload["configs"].append({"label": name, "workload": kw, "results": res})
+        print(f"[done] {name}")
     print()
-    print(fmt_table(title, rows, cols))
+    print(fmt_table(title, rows, ["x"] + ALGORITHMS))
     save_results(payload, os.path.join(RESULTS_DIR, out_name))
     print(f"\nresults written to results/{out_name}")
     return payload

@@ -1,28 +1,14 @@
 """Fig. 16(a): NYC TAXI answering time with the execution-time threshold
 (paper: INV/INC time out by |G_E|≈210–360K, Neo4j survives, TRIC wins)."""
-from _common import parser, sweep
-from repro.engine.base import ALGORITHMS
-
-
-def main() -> None:
-    args = parser(__doc__).parse_args()
-    s = args.scale
-    configs = [
-        (
-            f"|G_E|={n}",
-            dict(dataset="nyc", n_updates=int(n * s), n_queries=int(300 * s), seed=args.seed),
-            ALGORITHMS,
-        )
-        for n in (1000, 3000, 8000)
-    ]
-    sweep(
-        "Fig 16(a) — NYC answering time (ms/update), with timeout markers",
-        "table_nyc.json",
-        configs,
-        args.time_limit,
-        args.verify,
-    )
-
+from _common import sweep_job
 
 if __name__ == "__main__":
-    main()
+    sweep_job(
+        __doc__,
+        "Fig 16(a) — NYC answering time (ms/update), with timeout markers",
+        "table_nyc.json",
+        dataset="nyc",
+        vary="n_updates",
+        values=(1000, 3000, 8000),
+        label="|G_E|={}",
+    )

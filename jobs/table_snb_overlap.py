@@ -1,33 +1,13 @@
 """Fig. 13(e): SNB answering time when varying query overlap o (25–65 %)."""
-from _common import parser, sweep
-from repro.engine.base import ALGORITHMS
-
-
-def main() -> None:
-    args = parser(__doc__).parse_args()
-    s = args.scale
-    configs = [
-        (
-            f"o={int(o * 100)}%",
-            dict(
-                dataset="snb",
-                n_updates=int(2000 * s),
-                n_queries=int(300 * s),
-                overlap=o,
-                seed=args.seed,
-            ),
-            ALGORITHMS,
-        )
-        for o in (0.25, 0.35, 0.45, 0.55, 0.65)
-    ]
-    sweep(
-        "Fig 13(e) — SNB answering time (ms/update) vs overlap o",
-        "table_snb_overlap.json",
-        configs,
-        args.time_limit,
-        args.verify,
-    )
-
+from _common import sweep_job
 
 if __name__ == "__main__":
-    main()
+    sweep_job(
+        __doc__,
+        "Fig 13(e) — SNB answering time (ms/update) vs overlap o",
+        "table_snb_overlap.json",
+        dataset="snb",
+        vary="overlap",
+        values=(0.25, 0.35, 0.45, 0.55, 0.65),
+        label="o={:.0%}",
+    )

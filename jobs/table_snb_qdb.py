@@ -1,28 +1,14 @@
 """Fig. 13(c): SNB answering time when varying the query-DB size |Q_DB|
 (paper: 1K–5K; ours: 100–500)."""
-from _common import parser, sweep
-from repro.engine.base import ALGORITHMS
-
-
-def main() -> None:
-    args = parser(__doc__).parse_args()
-    s = args.scale
-    configs = [
-        (
-            f"|Q_DB|={nq}",
-            dict(dataset="snb", n_updates=int(2000 * s), n_queries=int(nq * s), seed=args.seed),
-            ALGORITHMS,
-        )
-        for nq in (100, 300, 500)
-    ]
-    sweep(
-        "Fig 13(c) — SNB answering time (ms/update) vs |Q_DB|",
-        "table_snb_qdb.json",
-        configs,
-        args.time_limit,
-        args.verify,
-    )
-
+from _common import sweep_job
 
 if __name__ == "__main__":
-    main()
+    sweep_job(
+        __doc__,
+        "Fig 13(c) — SNB answering time (ms/update) vs |Q_DB|",
+        "table_snb_qdb.json",
+        dataset="snb",
+        vary="n_queries",
+        values=(100, 300, 500),
+        label="|Q_DB|={}",
+    )

@@ -1,33 +1,13 @@
 """Fig. 13(d): SNB answering time when varying the average query size ℓ."""
-from _common import parser, sweep
-from repro.engine.base import ALGORITHMS
-
-
-def main() -> None:
-    args = parser(__doc__).parse_args()
-    s = args.scale
-    configs = [
-        (
-            f"l={ell}",
-            dict(
-                dataset="snb",
-                n_updates=int(2000 * s),
-                n_queries=int(300 * s),
-                avg_len=ell,
-                seed=args.seed,
-            ),
-            ALGORITHMS,
-        )
-        for ell in (3, 5, 7, 9)
-    ]
-    sweep(
-        "Fig 13(d) — SNB answering time (ms/update) vs query size l",
-        "table_snb_qlen.json",
-        configs,
-        args.time_limit,
-        args.verify,
-    )
-
+from _common import sweep_job
 
 if __name__ == "__main__":
-    main()
+    sweep_job(
+        __doc__,
+        "Fig 13(d) — SNB answering time (ms/update) vs query size l",
+        "table_snb_qlen.json",
+        dataset="snb",
+        vary="avg_len",
+        values=(3, 5, 7, 9),
+        label="l={}",
+    )

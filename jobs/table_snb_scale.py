@@ -5,29 +5,15 @@ then INC/INC+, then Neo4j and TRIC, with TRIC+ surviving longest.  We grow
 the scaled stream under a per-run wall-clock cap and report the same
 "timed out at |G_E|=X" markers.
 """
-from _common import parser, sweep
-from repro.engine.base import ALGORITHMS
-
-
-def main() -> None:
-    args = parser(__doc__).parse_args()
-    s = args.scale
-    configs = [
-        (
-            f"|G_E|={n}",
-            dict(dataset="snb", n_updates=int(n * s), n_queries=int(300 * s), seed=args.seed),
-            ALGORITHMS,
-        )
-        for n in (2000, 6000, 12000, 24000)
-    ]
-    sweep(
-        "Fig 13(f)+14 — SNB scale-up (ms/update), with timeout markers",
-        "table_snb_scale.json",
-        configs,
-        args.time_limit,
-        args.verify,
-    )
-
+from _common import sweep_job
 
 if __name__ == "__main__":
-    main()
+    sweep_job(
+        __doc__,
+        "Fig 13(f)+14 — SNB scale-up (ms/update), with timeout markers",
+        "table_snb_scale.json",
+        dataset="snb",
+        vary="n_updates",
+        values=(2000, 6000, 12000, 24000),
+        label="|G_E|={}",
+    )

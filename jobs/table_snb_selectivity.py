@@ -1,33 +1,13 @@
 """Fig. 13(b): SNB answering time when varying selectivity σ (10–30 %)."""
-from _common import parser, sweep
-from repro.engine.base import ALGORITHMS
-
-
-def main() -> None:
-    args = parser(__doc__).parse_args()
-    s = args.scale
-    configs = [
-        (
-            f"sigma={int(sig * 100)}%",
-            dict(
-                dataset="snb",
-                n_updates=int(2000 * s),
-                n_queries=int(300 * s),
-                selectivity=sig,
-                seed=args.seed,
-            ),
-            ALGORITHMS,
-        )
-        for sig in (0.10, 0.15, 0.20, 0.25, 0.30)
-    ]
-    sweep(
-        "Fig 13(b) — SNB answering time (ms/update) vs selectivity sigma",
-        "table_snb_selectivity.json",
-        configs,
-        args.time_limit,
-        args.verify,
-    )
-
+from _common import sweep_job
 
 if __name__ == "__main__":
-    main()
+    sweep_job(
+        __doc__,
+        "Fig 13(b) — SNB answering time (ms/update) vs selectivity sigma",
+        "table_snb_selectivity.json",
+        dataset="snb",
+        vary="selectivity",
+        values=(0.10, 0.15, 0.20, 0.25, 0.30),
+        label="sigma={:.0%}",
+    )

@@ -47,8 +47,8 @@ class GraphDBEngine(Engine):
 
     name = "graphdb"
 
-    def __init__(self, max_results: int = 500_000, exec_latency_us: float = 50.0):
-        self.max_results = max_results
+    def __init__(self, max_rows: int = 500_000, exec_latency_us: float = 50.0):
+        self.max_rows = max_rows
         self.exec_latency_s = exec_latency_us * 1e-6
         # --- the stored graph + label indexes ---
         self.triples: set[tuple[str, str, str]] = set()
@@ -162,9 +162,9 @@ class GraphDBEngine(Engine):
             nonlocal n_results
             if step == len(plan):
                 n_results += 1
-                if n_results > self.max_results:
+                if n_results > self.max_rows:
                     raise EngineOverflow(
-                        f"graphdb: Q{q.qid} returned > {self.max_results} rows"
+                        f"graphdb: Q{q.qid} returned > {self.max_rows} rows"
                     )
                 # materialize the record as a driver would return it
                 rows.append({f"v{i}": v for i, v in binding.items()})

@@ -20,15 +20,10 @@ from repro.graph.model import QueryPattern, Triple
 from repro.streams.datasets import DATASETS
 from repro.streams.querygen import generate_queries
 
-#: scaled-down defaults standing in for the paper's baseline workload
-#: (|Q_DB|=5K, ℓ=5, σ=25 %, o=35 %, |G_E|=100K — see DESIGN.md §5)
-DEFAULTS = dict(n_updates=3000, n_queries=300, avg_len=5, selectivity=0.25, overlap=0.35)
-
-
-#: default variable-lifting probability per dataset.  NYC/BioGRID queries
+#: variable-lifting probability per dataset.  NYC/BioGRID queries
 #: are more literal-anchored (concrete zones / proteins, as in the paper's
 #: workloads); 0.5 on the hub-heavy graphs explodes every engine's views.
-VAR_PROB_DEFAULT = {"snb": 0.5, "nyc": 0.35, "biogrid": 0.35}
+VAR_PROB = {"snb": 0.5, "nyc": 0.35, "biogrid": 0.35}
 
 
 def build_workload(
@@ -38,12 +33,9 @@ def build_workload(
     avg_len: int = 5,
     selectivity: float = 0.25,
     overlap: float = 0.35,
-    var_prob: Optional[float] = None,
     seed: int = 0,
 ) -> tuple[list[Triple], list[QueryPattern]]:
     """Deterministic (stream, query set) pair for one experiment config."""
-    if var_prob is None:
-        var_prob = VAR_PROB_DEFAULT.get(dataset, 0.5)
     updates = DATASETS[dataset](n_updates, seed=seed)
     queries = generate_queries(
         updates,
@@ -51,7 +43,7 @@ def build_workload(
         avg_len=avg_len,
         selectivity=selectivity,
         overlap=overlap,
-        var_prob=var_prob,
+        var_prob=VAR_PROB[dataset],
         seed=seed + 1,
     )
     return updates, queries

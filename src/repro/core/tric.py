@@ -52,7 +52,10 @@ update, if any, finds the new rows.  Paths with join partners that are
 registered at one node and read the same join slots share one canonical
 view (set when the trie freezes).  ``cached=True`` gives TRIC+: all views
 keep their hash-join build structures (indexes) incrementally instead of
-rebuilding them per join; both variants route through the same indexes.
+rebuilding them per join, so ``u``'s term, which reads the rows of the
+parent's view whose new slot is ``u.s``
+(:meth:`~repro.relational.relation.View.where`), probes an index where
+TRIC scans the view.  Both variants route through the same indexes.
 """
 from __future__ import annotations
 
@@ -63,7 +66,7 @@ from repro.engine.base import Engine, EngineOverflow
 from repro.core.trie import TrieForest, TrieNode
 from repro.graph.covering import covering_paths
 from repro.graph.model import EdgeSig, QueryPattern, Triple, update_sigs
-from repro.relational.relation import COUNTERS, Row, View, hash_join
+from repro.relational.relation import Row, View, hash_join
 
 
 class TricEngine(Engine):
@@ -155,17 +158,7 @@ class TricEngine(Engine):
             # only after its children have read it, filtered to rows whose
             # last slot equals u's source, and slot k u's target
             u_s, u_o = u_row
-            last = probe[0]
-            idx = node.matv.index((last,))
-            if idx is not None:
-                COUNTERS["probe_rows"] += 1
-                old = idx.get((u_s,))
-            else:
-                # uncached: the build phase scans the whole parent view
-                # on every call (§4.2 Caching — this is what TRIC+ saves)
-                rows = node.matv.rows
-                COUNTERS["build_rows"] += len(rows)
-                old = [pr for pr in rows if pr[last] == u_s]
+            old = node.matv.where(probe[0], u_s)
             if k is not None:
                 kc = probe[1]
                 old = [pr for pr in old if pr[kc] == u_o]

@@ -37,12 +37,10 @@ every place its label occurs.
 
 Once the forest's shape is final, :meth:`TrieForest.freeze` gives every
 node its live slots (:attr:`TrieNode.keep`), the only slots its rows carry,
-the probe key and emit function of its step from its parent's rows, and
-its rank in depth order (:attr:`TrieNode.order`).
+and the probe key and emit function of its step from its parent's rows.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import defaultdict
 from operator import attrgetter
 from typing import Callable, Iterable, Optional
@@ -54,7 +52,9 @@ from repro.relational.relation import Row, View, append_target, getter
 #: a trie node's key among its siblings: (edge signature, back-reference)
 NodeKey = tuple[EdgeSig, Optional[int]]
 
-_order = attrgetter("order")
+#: candidates' order: by depth, so ancestors come first, then by creation,
+#: which fixes the order in which one depth's deltas reach the assemblers
+_rank = attrgetter("depth", "order")
 
 
 def _target(pr: Row, br: Row) -> Row:
@@ -93,8 +93,7 @@ class TrieNode:
     (the parent's new slot) and, when the node closes a cycle, slot
     ``ref``; and :attr:`emit`, which maps a parent row and a base row
     ``(s, o)`` to the node's row.  :attr:`order` is the node's creation
-    index until the freeze, and then its rank by depth, then creation, so
-    that sorting nodes by it puts ancestors first.
+    index in its forest.
     """
 
     __slots__ = (
@@ -172,7 +171,7 @@ class TrieForest:
         self.roots: dict[NodeKey, TrieNode] = {}  # rootInd
         self.edge_ind: dict[EdgeSig, list[TrieNode]] = {}  # sig -> roots
         #: sig -> vertex -> the non-root nodes of that signature whose
-        #: parent's view holds the vertex at its new slot, by ``order``
+        #: parent's view holds the vertex at its new slot
         self.src_ind: dict[EdgeSig, dict[object, list[TrieNode]]] = defaultdict(dict)
         self._created = 0
 
@@ -195,15 +194,12 @@ class TrieForest:
         return node
 
     def freeze(self, path_slots: Callable[[int, int], Iterable[int]]) -> None:
-        """Fix every node's live slots, step and rank once the trie's shape
-        is final; ``path_slots(qid, pidx)`` gives the slots whose values a
+        """Fix every node's live slots and step once the trie's shape is
+        final; ``path_slots(qid, pidx)`` gives the slots whose values a
         registered path's final join reads."""
         for root in self.roots.values():
             root._freeze_keep(path_slots)
             root._freeze_step((0,))
-        ranked = sorted(self.all_nodes(), key=attrgetter("depth", "order"))
-        for i, n in enumerate(ranked):
-            n.order = i
 
     def affected_roots(self, sigs: Iterable[EdgeSig], src: object) -> list[TrieNode]:
         """The candidates of an update with signatures ``sigs`` and source
@@ -222,7 +218,7 @@ class TrieForest:
                 if nodes:
                     out += nodes
         if len(out) > 1:
-            out.sort(key=_order)
+            out.sort(key=_rank)
         return out
 
     def add_sources(self, node: TrieNode, rows: list[Row]) -> None:
@@ -236,18 +232,15 @@ class TrieForest:
         src_ind = self.src_ind
         firsts = src_ind[first.sig]
         for v in dict.fromkeys(r[col] for r in rows):
-            nodes = firsts.get(v)
-            if nodes:
-                i = bisect_left(nodes, first.order, key=_order)
-                if i < len(nodes) and nodes[i] is first:
-                    continue
+            if first in firsts.get(v, ()):
+                continue
             for c in children:
                 by_src = src_ind[c.sig]
                 nodes = by_src.get(v)
                 if nodes is None:
                     by_src[v] = [c]
                 else:
-                    nodes.insert(bisect_left(nodes, c.order, key=_order), c)
+                    nodes.append(c)
 
     # -- introspection used by tests -----------------------------------
     def n_nodes(self) -> int:

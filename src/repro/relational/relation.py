@@ -138,6 +138,18 @@ class View:
             idx = self._indexes[key_cols] = HashIndex(key_cols, self.rows)
         return idx
 
+    def where(self, col: int, value: object) -> list[Row]:
+        """The rows whose column ``col`` holds ``value``: one probe of the
+        maintained index if cached; otherwise a scan of every row, counted
+        as build work (the build phase TRIC+ saves, §4.2 Caching)."""
+        idx = self.index((col,))
+        if idx is not None:
+            COUNTERS["probe_rows"] += 1
+            return idx.get((value,))
+        rows = self.rows
+        COUNTERS["build_rows"] += len(rows)
+        return [r for r in rows if r[col] == value]
+
 
 def getter(cols: tuple[int, ...]) -> Callable[[Row], Row]:
     """``row -> tuple(row[c] for c in cols)`` as one ``itemgetter`` call; a

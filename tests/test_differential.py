@@ -104,14 +104,13 @@ def check_inner_views(node, keys, triples):
 
 
 def check_src_ind(forest):
-    """``src_ind`` is exact: every non-root node is registered, once and in
-    ``order`` within each list, under exactly the new-slot values of its
-    parent's view, and no root is registered."""
+    """``src_ind`` is exact: every non-root node is registered, once within
+    each list, under exactly the new-slot values of its parent's view, and
+    no root is registered."""
     registered = {}
     for sig, by_src in forest.src_ind.items():
         for v, nodes in by_src.items():
-            orders = [n.order for n in nodes]
-            assert orders == sorted(set(orders)), "src_ind list out of order or repeated"
+            assert len(set(nodes)) == len(nodes), "src_ind list repeats a node"
             for n in nodes:
                 assert n.sig == sig and n.parent is not None
                 registered.setdefault(n, set()).add(v)

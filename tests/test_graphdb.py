@@ -106,7 +106,7 @@ class TestOverflow:
         q = QueryPattern(
             qid=0, vertices=[None, None, None], edges=[(0, "p", 1), (0, "p", 2)]
         )
-        e = GraphDBEngine(max_results=10, exec_latency_us=0.0)
+        e = GraphDBEngine(max_rows=10, exec_latency_us=0.0)
         e.add_query(q)
         for i in range(20):
             e.process_update(Triple("hub", "p", f"x{i}"))

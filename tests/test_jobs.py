@@ -1,0 +1,133 @@
+"""The eight answering-time jobs in ``jobs/``: each sweeps its figure's
+x-axis over the right workloads and prints and saves one table.
+
+The engines, the workload builder and the results file are stubbed, so the
+test pins what a job asks for, not what the engines measure.  Each job runs
+as ``make_all.py`` runs it: a script with ``jobs/`` on ``sys.path``, run as
+``__main__``.
+"""
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.engine.base import ALGORITHMS
+
+JOBS = Path(__file__).resolve().parent.parent / "jobs"
+
+#: job -> (title, [(label, x-value argument and value)]), at --scale 1
+SWEEPS = {
+    "table_snb_answering": (
+        "Fig 13(a) — SNB answering time (ms/update), Q=300, l=5, sigma=25%, o=35%",
+        [(f"|G_E|={n}", {"n_updates": n}) for n in (2000, 3000)],
+    ),
+    "table_snb_selectivity": (
+        "Fig 13(b) — SNB answering time (ms/update) vs selectivity sigma",
+        [(f"sigma={p}%", {"selectivity": p / 100}) for p in (10, 15, 20, 25, 30)],
+    ),
+    "table_snb_qdb": (
+        "Fig 13(c) — SNB answering time (ms/update) vs |Q_DB|",
+        [(f"|Q_DB|={n}", {"n_queries": n}) for n in (100, 300, 500)],
+    ),
+    "table_snb_qlen": (
+        "Fig 13(d) — SNB answering time (ms/update) vs query size l",
+        [(f"l={n}", {"avg_len": n}) for n in (3, 5, 7, 9)],
+    ),
+    "table_snb_overlap": (
+        "Fig 13(e) — SNB answering time (ms/update) vs overlap o",
+        [(f"o={p}%", {"overlap": p / 100}) for p in (25, 35, 45, 55, 65)],
+    ),
+    "table_snb_scale": (
+        "Fig 13(f)+14 — SNB scale-up (ms/update), with timeout markers",
+        [(f"|G_E|={n}", {"n_updates": n}) for n in (2000, 6000, 12000, 24000)],
+    ),
+    "table_nyc": (
+        "Fig 16(a) — NYC answering time (ms/update), with timeout markers",
+        [(f"|G_E|={n}", {"n_updates": n}) for n in (1000, 3000, 8000)],
+    ),
+    "table_biogrid": (
+        "Fig 16(b,c) — BioGRID answering time (ms/update), with timeout markers",
+        [(f"|G_E|={n}", {"n_updates": n}) for n in (1000, 3000, 8000)],
+    ),
+}
+
+DATASET = {"table_nyc": "nyc", "table_biogrid": "biogrid"}
+
+
+def expected_workload(job, x, scale, seed):
+    """The ``build_workload`` kwargs of one config: 2000 updates and 300
+    queries, with the counts scaled, and the x-value in place."""
+    kw = {
+        "dataset": DATASET.get(job, "snb"),
+        "n_updates": int(2000 * scale),
+        "n_queries": int(300 * scale),
+    }
+    for k, v in x.items():
+        kw[k] = int(v * scale) if k.startswith("n_") else v
+    kw["seed"] = seed
+    return kw
+
+
+def run_job(monkeypatch, job, *argv):
+    """Run one job script with stubbed engines; returns what it asked the
+    harness for, what it saved and what it printed to stdout."""
+    monkeypatch.syspath_prepend(str(JOBS))
+    import _common
+
+    built, ran, saved = [], [], []
+
+    def build_workload(**kw):
+        built.append(kw)
+        return [("u", len(built))], [("q", len(built))]
+
+    def run_algorithms(updates, queries, algos, time_limit_s=None):
+        ran.append((updates, queries, list(algos), time_limit_s))
+        return {
+            a: {"avg_ms_per_update": i + 0.25, "timed_out": a == "inv", "processed": 42}
+            for i, a in enumerate(algos)
+        }
+
+    monkeypatch.setattr(_common, "build_workload", build_workload)
+    monkeypatch.setattr(_common, "run_algorithms", run_algorithms)
+    monkeypatch.setattr(_common, "save_results", lambda p, path: saved.append((p, path)))
+    monkeypatch.setattr(sys, "argv", [f"{job}.py", *argv])
+    runpy.run_path(str(JOBS / f"{job}.py"), run_name="__main__")
+    return built, ran, saved
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+@pytest.mark.parametrize("job", list(SWEEPS))
+def test_job_sweeps_its_figure(monkeypatch, capsys, job, scale):
+    title, points = SWEEPS[job]
+    built, ran, saved = run_job(
+        monkeypatch, job, "--scale", str(scale), "--seed", "7", "--time-limit", "3"
+    )
+    want = [expected_workload(job, x, scale, 7) for _, x in points]
+    assert built == want
+    # every config runs all algorithms on its own workload, under the cap
+    assert ran == [
+        ([("u", i)], [("q", i)], ALGORITHMS, 3.0) for i in range(1, len(points) + 1)
+    ]
+    ((payload, path),) = saved
+    assert Path(path).name == f"{job}.json"
+    assert payload["title"] == title
+    assert [c["label"] for c in payload["configs"]] == [label for label, _ in points]
+    assert [c["workload"] for c in payload["configs"]] == want
+    assert all(list(c["results"]) == ALGORITHMS for c in payload["configs"])
+    out = capsys.readouterr().out
+    table = out[out.index(title):].split("\n\n")[0].splitlines()
+    assert table[2].split() == ["x", *ALGORITHMS]
+    inv = f"{ALGORITHMS.index('inv') + 0.25:.3f}* (timeout at |G_E|=42)"
+    for (label, _), line in zip(points, table[3:], strict=True):
+        assert line.split()[0] == label and inv in line
+    assert out.rstrip().endswith(f"results written to results/{job}.json")
+
+
+def test_make_all_runs_every_sweep_job():
+    sys.path.insert(0, str(JOBS))
+    try:
+        import make_all
+    finally:
+        sys.path.remove(str(JOBS))
+    assert {f"{job}.py" for job in SWEEPS} <= set(make_all.JOBS)

@@ -24,7 +24,7 @@ def run(name, workload, **kw):
 
 @pytest.mark.parametrize("name", ALGORITHMS)
 def test_overflow_is_a_timeout_with_the_events_before_it(workload, name):
-    capped = run(name, workload, **{"max_results" if name == "graphdb" else "max_rows": CAP})
+    capped = run(name, workload, max_rows=CAP)
     n = len(workload[0])
     assert capped.timed_out and capped.processed < n
     assert capped.timeout_reason.startswith("overflow")

@@ -52,6 +52,18 @@ class TestView:
         v.add(("a", "b"))
         assert v.index((0,)).get(("a",)) == [("a", "b")]
 
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_where_probes_if_cached_and_scans_otherwise(self, cached):
+        v = View(cached=cached)
+        v.add_all([("a", "b"), ("c", "b"), ("a", "d")])
+        assert v.where(0, "a") == [("a", "b"), ("a", "d")]
+        assert v.where(1, "b") == [("a", "b"), ("c", "b")]
+        assert v.where(1, "z") == []
+        if cached:
+            assert COUNTERS == {"build_rows": 0, "probe_rows": 3, "out_rows": 0}
+        else:
+            assert COUNTERS == {"build_rows": 9, "probe_rows": 0, "out_rows": 0}
+
 
 class TestHashIndex:
     def test_multi_column_key(self):

@@ -249,11 +249,13 @@ class TestEntryNodes:
         r_root, s_root = f.roots[(("r", None, None), None)], f.roots[(("s", None, None), None)]
         r_a = r_root.children[(a, None)]
         deep, shallow = r_a.children[(a, None)], s_root.children[(a, None)]
-        assert [n.order for n in (r_root, s_root, r_a, shallow, deep)] == [0, 1, 2, 3, 4]
+        # candidates are registered deepest and latest-created first
         f.add_sources(r_a, [("v",)])
         f.add_sources(s_root, [("v",)])
-        assert f.src_ind[a]["v"] == [shallow, deep]
-        assert f.affected_roots([a], "v") == [shallow, deep]
+        f.add_sources(r_root, [("v",)])
+        assert f.src_ind[a]["v"] == [deep, shallow, r_a]
+        # ... and come shallowest first, one depth in creation order
+        assert f.affected_roots([a], "v") == [r_a, shallow, deep]
 
 
 class TestBackRefs:
