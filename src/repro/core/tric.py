@@ -42,15 +42,22 @@ while they read it the view *is* ``old(parent)`` and needs no "minus this
 update's delta" filter; a leaf's delta goes to its registered queries
 alone.  After the append, the node's children are registered in
 ``src_ind`` under each new-slot value that is new to the view.
+Base views take ``u`` before any descent, so a child whose base view
+(:attr:`~repro.core.trie.TrieNode.base`) is empty has a signature ``u``
+lacks: it is no candidate, its ``Δ(parent) ⋈ base`` is empty, and the
+descent skips it without a join.
 A child delta above ``max_rows`` rows raises
 :class:`~repro.engine.base.EngineOverflow`.  A node's delta goes to the
 :class:`~repro.engine.assembler.QueryAssembler` (final join across covering
 paths) of each query registered there, and only a query whose assembler
 queued it is finished after the descent: the assembler queues nothing while
 a join partner's view is empty, since that partner's own delta of this
-update, if any, finds the new rows.  Paths with join partners that are
-registered at one node and read the same join slots share one canonical
-view (set when the trie freezes).  ``cached=True`` gives TRIC+: all views
+update, if any, finds the new rows.  The paths registered at one node that
+read the same join slots form one :class:`~repro.engine.assembler.Feed`
+(set when the trie freezes), which shares one canonical view among those
+with join partners: the descent projects, de-duplicates and stores the
+node's delta once per feed, then hands the projections to each member's
+assembler.  ``cached=True`` gives TRIC+: all views
 keep their hash-join build structures (indexes) incrementally instead of
 rebuilding them per join, so ``u``'s term, which reads the rows of the
 parent's view whose new slot is ``u.s``
@@ -61,7 +68,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.engine.assembler import QueryAssembler
+from repro.engine.assembler import Feed, QueryAssembler
 from repro.engine.base import Engine, EngineOverflow
 from repro.core.trie import TrieForest, TrieNode
 from repro.graph.covering import covering_paths
@@ -97,16 +104,19 @@ class TricEngine(Engine):
 
     # -- answering phase ------------------------------------------------
     def _freeze(self) -> None:
-        """End the indexing phase: fix every trie node's live slots, and
-        tell each assembler which slots its path's rows carry.  The paths
-        with join partners registered at one node share one canonical view
-        per projection."""
+        """End the indexing phase: fix every trie node's live slots, give
+        it its signature's base view, and group the paths registered there
+        into feeds, which tell each assembler which slots its path's rows
+        carry.  The paths of one feed with join partners share one
+        canonical view."""
         self.answering = True
         self.forest.freeze(lambda qid, pidx: self.assemblers[qid].var_slots[pidx])
         for node in self.forest.all_nodes():
-            shared: dict[tuple[int, ...], View] = {}
+            node.base = self.base[node.sig]
+            feeds: dict[tuple[int, ...], Feed] = {}
             for qid, pidx in node.registered:
-                self.assemblers[qid].bind_columns(pidx, node.keep, shared)
+                self.assemblers[qid].bind_columns(pidx, node.keep, feeds)
+            node.feeds = tuple(feeds.values())
 
     def process_update(self, u: Triple) -> list[int]:
         if not self.answering:
@@ -152,7 +162,7 @@ class TricEngine(Engine):
         child_rows: list[Row] = []
         if delta:
             build_key = (0,) if k is None else (0, 1)
-            child_rows = hash_join(delta, probe, self.base[child.sig], build_key, child.emit)
+            child_rows = hash_join(delta, probe, child.base, build_key, child.emit)
         if u_row is not None:
             # old(node) ⋈ {u}: node's view, which takes this update's delta
             # only after its children have read it, filtered to rows whose
@@ -184,12 +194,22 @@ class TricEngine(Engine):
         affected: set[int],
         u_row: Row,
     ) -> None:
-        for qid, pidx in node.registered:
-            if self.assemblers[qid].on_path_delta(pidx, delta):
-                affected.add(qid)
+        assemblers = self.assemblers
+        for feed in node.feeds:
+            project = feed.project
+            new = [project(r) for r in delta]
+            if len(new) > 1:
+                new = list(dict.fromkeys(new))
+            if feed.view is not None:
+                feed.view.add_all(new)
+            for qid, pidx in feed.members:
+                if assemblers[qid].on_path_delta(pidx, new):
+                    affected.add(qid)
         if not node.children:  # a leaf's view is never read
             return
         for child in node.children.values():
+            if not child.base.rows:
+                continue  # u lacks child's signature: an empty join, no u-term
             if child in pending:
                 pending.discard(child)
                 child_rows = self._delta(node, child, delta, u_row)

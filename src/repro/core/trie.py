@@ -38,16 +38,21 @@ every place its label occurs.
 Once the forest's shape is final, :meth:`TrieForest.freeze` gives every
 node its live slots (:attr:`TrieNode.keep`), the only slots its rows carry,
 and the probe key and emit function of its step from its parent's rows.
+The engine then gives each node its signature's base view
+(:attr:`TrieNode.base`) and its :attr:`TrieNode.feeds`.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from operator import attrgetter
-from typing import Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.graph.covering import CoverPath
 from repro.graph.model import EdgeSig, QueryPattern
 from repro.relational.relation import Row, View, append_target, getter
+
+if TYPE_CHECKING:
+    from repro.engine.assembler import Feed
 
 #: a trie node's key among its siblings: (edge signature, back-reference)
 NodeKey = tuple[EdgeSig, Optional[int]]
@@ -94,11 +99,17 @@ class TrieNode:
     ``ref``; and :attr:`emit`, which maps a parent row and a base row
     ``(s, o)`` to the node's row.  :attr:`order` is the node's creation
     index in its forest.
+
+    Once frozen, the answering engine also sets :attr:`base`, the base view
+    of the node's signature, which its step joins against, and
+    :attr:`feeds`, the :class:`~repro.engine.assembler.Feed` objects that
+    group the registered paths by the slots their final join reads, in the
+    order of their first registered path.
     """
 
     __slots__ = (
         "sig", "ref", "depth", "parent", "children", "matv", "registered",
-        "order", "keep", "probe", "emit",
+        "order", "keep", "probe", "emit", "base", "feeds",
     )
 
     def __init__(
@@ -120,6 +131,8 @@ class TrieNode:
         self.keep: tuple[int, ...] = ()
         self.probe: tuple[int, ...] = ()
         self.emit: Callable[[Row, Row], Row] = append_target
+        self.base: Optional[View] = None
+        self.feeds: tuple[Feed, ...] = ()
 
     def walk(self):
         """DFS iterator over this subtree (self first)."""

@@ -35,8 +35,11 @@ greedy join, run once per affected query:
   row.  A delta is queued only if every join partner's view is non-empty:
   a partner still empty gets its first rows in this update or none, and
   its own delta then joins against this path's stored rows.  TRIC's paths
-  that read the same trie node's rows through the same slots share one
-  canonical view (:meth:`QueryAssembler.bind_columns`).
+  that read the same trie node's rows through the same slots form one
+  :class:`Feed` (:meth:`QueryAssembler.bind_columns`): they share one
+  canonical view, and the descent projects, de-duplicates and stores a
+  node's delta once per feed before it hands the projections to each
+  member's :meth:`on_path_delta`.
 """
 from __future__ import annotations
 
@@ -55,6 +58,21 @@ class AssemblyOverflow(EngineOverflow):
 Getter = Callable[[Row], Row]
 
 
+class Feed:
+    """The paths registered at one trie node that read its rows through
+    the same :attr:`QueryAssembler.var_slots`: ``project`` maps the node's
+    row to their canonical row, ``view`` is the canonical view they share
+    (``None`` for lone paths, whose rows project to ``()`` and are never
+    stored), and ``members`` lists them as ``(qid, pidx)``."""
+
+    __slots__ = ("project", "view", "members")
+
+    def __init__(self, project: Getter, view: Optional[View]):
+        self.project = project
+        self.view = view
+        self.members: list[tuple[int, int]] = []
+
+
 class QueryAssembler:
     """Final-join state machine for one indexed query.
 
@@ -68,14 +86,16 @@ class QueryAssembler:
     embedding new with this update.  Canonical rows are then projections
     onto the path's *join variables*, the ones it shares with another path,
     with no closure check.  Every other variable occurs in that path alone,
-    so the full join is non-empty iff the join of the projections is.  A
-    view stores the projections it does not hold yet, but the whole
-    de-duplicated delta is queued, unless a join partner's view is empty:
-    a new embedding whose projection is already stored still fires.  A
-    path alone in its component has no join variable, so its rows project
-    to ``()`` and its view stores nothing.  The caller may feed rows
-    narrower than slot rows, and share one view among paths fed the same
-    rows, after :meth:`bind_columns` names their columns.
+    so the full join is non-empty iff the join of the projections is.  The
+    caller projects a path's delta (:meth:`canon`), de-duplicates it and
+    stores it in the path's view, which keeps the projections it does not
+    hold yet; :meth:`on_path_delta` then queues the whole de-duplicated
+    projection, unless a join partner's view is empty: a new embedding
+    whose projection is already stored still fires.  A path alone in its
+    component has no join variable, so its rows project to ``()`` and its
+    view stores nothing.  The caller may feed rows narrower than slot
+    rows, and share one view among paths fed the same rows, after
+    :meth:`bind_columns` names their columns.
     """
 
     def __init__(
@@ -164,20 +184,28 @@ class QueryAssembler:
         self._pending: dict[int, list[Row]] = {}
 
     def bind_columns(
-        self, pidx: int, cols: tuple[int, ...], shared: dict[tuple[int, ...], View]
+        self, pidx: int, cols: tuple[int, ...], feeds: dict[tuple[int, ...], Feed]
     ) -> None:
         """Path ``pidx`` is fed rows whose columns are the slots ``cols``,
         which must include :attr:`var_slots` ``[pidx]``.
 
-        ``shared`` maps :attr:`var_slots` to canonical views, one dict per
-        source of rows (for TRIC, per trie node): a path with join partners
-        adopts the view stored there under its var_slots, or stores its
-        own.  Every path fed the same rows with the same var_slots holds
-        the same projections, so one view serves them all."""
+        ``feeds`` maps :attr:`var_slots` to :class:`Feed` objects, one dict
+        per source of rows (for TRIC, per trie node): the path joins the
+        feed stored there under its var_slots, or starts one with its own
+        projection and, if it has join partners, its own canonical view.
+        Every path fed the same rows with the same var_slots holds the same
+        projections, so one view serves them all.  (Only a lone path has
+        no join variable, so a feed's paths are all lone or none is.)"""
         slots = self.var_slots[pidx]
-        self._project[pidx] = getter(tuple(cols.index(s) for s in slots))
-        if self._partners[pidx]:
-            self.canon_views[pidx] = shared.setdefault(slots, self.canon_views[pidx])
+        feed = feeds.get(slots)
+        if feed is None:
+            project = getter(tuple(cols.index(s) for s in slots))
+            view = self.canon_views[pidx] if self._partners[pidx] else None
+            feed = feeds[slots] = Feed(project, view)
+        feed.members.append((self.q.qid, pidx))
+        self._project[pidx] = feed.project
+        if feed.view is not None:
+            self.canon_views[pidx] = feed.view
 
     # ------------------------------------------------------------------
     def canon(self, pidx: int, slot_rows: list[Row]) -> list[Row]:
@@ -208,33 +236,27 @@ class QueryAssembler:
         counts = self.comp_rows
         grew = False
         for c, members in enumerate(self.components):
-            first = min(members, key=lambda j: len(views[j]))
+            first = min(members, key=lambda j: len(views[j].rows))
             n = len(self._join(views[first].rows, first, self._partners[first]))
             if n > counts[c]:
                 counts[c] = n
                 grew = True
         return grew and all(counts)
 
-    def on_path_delta(self, pidx: int, slot_rows: list[Row]) -> bool:
-        """Feed a ``projected`` assembler (TRIC) a path's non-empty delta;
-        returns True iff it was queued for :meth:`finish_update`.
+    def on_path_delta(self, pidx: int, rows: list[Row]) -> bool:
+        """Hand a ``projected`` assembler (TRIC) a path's non-empty delta as
+        canonical rows, de-duplicated and already stored in the path's
+        view; returns True iff they were queued for :meth:`finish_update`.
 
-        The path's new projections are stored, but nothing is queued while
-        a join partner's view is empty.  The partner then held nothing
-        before this update, so every new embedding uses one of its rows of
-        this update: its own queued delta joins against this path's view,
-        which by then holds these rows."""
-        new = self.canon(pidx, slot_rows)
-        if len(new) > 1:
-            new = list(dict.fromkeys(new))
-        partners = self._partners[pidx]
-        if partners:
-            views = self.canon_views
-            views[pidx].add_all(new)
-            for j in partners:
-                if not views[j]:
-                    return False
-        self._pending.setdefault(pidx, []).extend(new)
+        Nothing is queued while a join partner's view is empty.  The
+        partner then held nothing before this update, so every new
+        embedding uses one of its rows of this update: its own queued delta
+        joins against this path's view, which by then holds these rows."""
+        views = self.canon_views
+        for j in self._partners[pidx]:
+            if not views[j].rows:
+                return False
+        self._pending.setdefault(pidx, []).extend(rows)
         return True
 
     def finish_update(self) -> bool:
@@ -266,7 +288,7 @@ class QueryAssembler:
             cands = [
                 j for j in remaining if any(v in acc_vars for v in self.path_vars[j])
             ]
-            j = min(cands, key=lambda x: len(views[x]))
+            j = min(cands, key=lambda x: len(views[x].rows))
             shared = [v for v in self.path_vars[j] if v in acc_vars]
             probe_key = tuple(acc_vars.index(v) for v in shared)
             build_key = tuple(self.path_vars[j].index(v) for v in shared)

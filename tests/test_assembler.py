@@ -14,6 +14,31 @@ def make(q, cached=False, max_rows=2_000_000, projected=False):
     return QueryAssembler(q, paths, cached, max_rows, projected), paths
 
 
+def hand(asm, pidx, rows):
+    """Hand path ``pidx`` of a ``projected`` assembler a delta of fed rows
+    the way TRIC's descent does: project it, de-duplicate it and store it
+    in the path's view, then pass the projections to ``on_path_delta``."""
+    new = list(dict.fromkeys(asm.canon(pidx, rows)))
+    if asm._partners[pidx]:
+        asm.canon_views[pidx].add_all(new)
+    return asm.on_path_delta(pidx, new)
+
+
+def hand_node(asm, feeds, rows):
+    """Hand one trie node's delta to every path of ``asm`` in ``feeds`` (as
+    filled by ``bind_columns``) the way TRIC's descent does: one
+    projection and one store per feed, then ``on_path_delta`` per member;
+    returns ``{pidx: queued}``."""
+    queued = {}
+    for feed in feeds.values():
+        new = list(dict.fromkeys(feed.project(r) for r in rows))
+        if feed.view is not None:
+            feed.view.add_all(new)
+        for _, pidx in feed.members:
+            queued[pidx] = asm.on_path_delta(pidx, new)
+    return queued
+
+
 class TestCanon:
     def test_projects_out_literal_slots(self):
         q = QueryPattern(
@@ -127,7 +152,7 @@ class Pair:
     def step(self, *feeds):
         for pidx, rows in feeds:
             self.full.add_rows(pidx, rows)
-            self.delta.on_path_delta(pidx, rows)
+            hand(self.delta, pidx, rows)
         fired = self.full.full_join()
         assert self.delta.finish_update() is fired
         return fired
@@ -224,10 +249,10 @@ class TestFullJoin:
         # delta on the first path fans out through the middle one
         q = TestNonAdjacentPaths().query()
         asm, _ = make(q, max_rows=10, projected=True)
-        asm.on_path_delta(2, [("z", "y0")])
-        asm.on_path_delta(1, [("m", f"y{i}") for i in range(20)])
+        hand(asm, 2, [("z", "y0")])
+        hand(asm, 1, [("m", f"y{i}") for i in range(20)])
         asm.finish_update()
-        asm.on_path_delta(0, [("m", "w")])
+        hand(asm, 0, [("m", "w")])
         with pytest.raises(AssemblyOverflow):
             asm.finish_update()
 
@@ -287,7 +312,7 @@ class TestNonAdjacentPaths:
             views[pidx].extend(rows)
             after = self.hand_join(*views)
             full.add_rows(pidx, rows)
-            delta.on_path_delta(pidx, rows)
+            hand(delta, pidx, rows)
             assert full.full_join() is bool(after - before)
             assert full.comp_rows == [len(after)]
             assert delta.finish_update() is bool(after - before)
@@ -337,7 +362,7 @@ class TestFreshRows:
                     rows.append(r)
             plain.add_rows(pidx, rows)
             if rows:  # TRIC feeds only non-empty deltas
-                projected.on_path_delta(pidx, rows)
+                hand(projected, pidx, rows)
             fired.append(plain.full_join())
             assert projected.finish_update() is fired[-1], kind
         assert True in fired and False in fired  # both outcomes exercised
@@ -360,9 +385,9 @@ class TestFreshRows:
         assert asm.var_slots == [(0,), (0,)]
         asm.bind_columns(0, (0,), {})
         asm.bind_columns(1, (0, 1), {})
-        asm.on_path_delta(0, [("c",)])
+        hand(asm, 0, [("c",)])
         assert asm.finish_update() is False
-        asm.on_path_delta(1, [("c", "X"), ("d", "X")])
+        hand(asm, 1, [("c", "X"), ("d", "X")])
         assert asm.finish_update() is True
         assert sorted(asm.canon_views[1].rows) == [("c",), ("d",)]
 
@@ -370,7 +395,9 @@ class TestFreshRows:
 class TestEmptyPartner:
     """``projected=True`` queues no delta while a join partner's view is
     empty: the partner's own later delta of the same update joins against
-    this path's view, which already holds the new rows."""
+    this path's view, which already holds the new rows.  That holds for
+    partners registered at one trie node too, whose rows are stored once
+    per feed before any of them is handed on."""
 
     STAR2 = QueryPattern(
         qid=0, vertices=[None, "X", "Y"], edges=[(0, "a", 1), (0, "b", 2)]
@@ -392,8 +419,8 @@ class TestEmptyPartner:
         q = self.STAR2
         asm = QueryAssembler(q, covering_paths(q), False, projected=True)
         later = 1 - first
-        assert asm.on_path_delta(first, self.rows(q, first, "c")) is False
-        assert asm.on_path_delta(later, self.rows(q, later, "c")) is True
+        assert hand(asm, first, self.rows(q, first, "c")) is False
+        assert hand(asm, later, self.rows(q, later, "c")) is True
         assert asm.finish_update() is True
         assert asm.finish_update() is False  # nothing left queued
         assert all(len(v) == 1 for v in asm.canon_views)
@@ -401,9 +428,9 @@ class TestEmptyPartner:
     def test_partner_already_non_empty_queues(self):
         q = self.STAR2
         asm = QueryAssembler(q, covering_paths(q), False, projected=True)
-        assert asm.on_path_delta(1, self.rows(q, 1, "c")) is False
+        assert hand(asm, 1, self.rows(q, 1, "c")) is False
         assert asm.finish_update() is False
-        assert asm.on_path_delta(0, self.rows(q, 0, "c")) is True
+        assert hand(asm, 0, self.rows(q, 0, "c")) is True
         assert asm.finish_update() is True
 
     def test_three_paths_empty_partner_arrives_later(self):
@@ -411,9 +438,59 @@ class TestEmptyPartner:
         paths = covering_paths(q)
         assert len(paths) == 3
         asm = QueryAssembler(q, paths, False, projected=True)
-        assert asm.on_path_delta(2, self.rows(q, 2, "c")) is False  # C
+        assert hand(asm, 2, self.rows(q, 2, "c")) is False  # C
         assert asm.finish_update() is False
         # one update: A while B is empty and C is not, then B
-        assert asm.on_path_delta(0, self.rows(q, 0, "c")) is False
-        assert asm.on_path_delta(1, self.rows(q, 1, "c")) is True
+        assert hand(asm, 0, self.rows(q, 0, "c")) is False
+        assert hand(asm, 1, self.rows(q, 1, "c")) is True
         assert asm.finish_update() is True
+
+    #: ?c -a-> ?x and ?c -a-> ?y: both paths end at one trie node and read
+    #: its rows through the same join slot, so they form one feed
+    ONE_FEED = QueryPattern(
+        qid=0, vertices=[None, None, None], edges=[(0, "a", 1), (0, "a", 2)]
+    )
+    #: the same two paths, but ?y also meets ?d -b-> ?y: they read the node
+    #: through different join slots, so they form two feeds
+    TWO_FEEDS = QueryPattern(
+        qid=0,
+        vertices=[None, None, None, None],
+        edges=[(0, "a", 1), (0, "a", 2), (3, "b", 2)],
+    )
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_partners_at_one_node_share_a_feed_and_fire_once(self, cached):
+        q = self.ONE_FEED
+        paths = covering_paths(q)
+        assert [p.sig_chain(q) for p in paths] == [(("a", None, None),)] * 2
+        asm = QueryAssembler(q, paths, cached, projected=True)
+        feeds = {}
+        for pidx in (0, 1):
+            asm.bind_columns(pidx, (0, 1), feeds)
+        (feed,) = feeds.values()
+        assert feed.members == [(0, 0), (0, 1)]
+        assert asm.canon_views[0] is asm.canon_views[1] is feed.view
+        # one update gives both paths their first rows
+        assert hand_node(asm, feeds, [("c", "x")]) == {0: True, 1: True}
+        assert asm.finish_update() is True
+        assert asm.finish_update() is False  # fired once, nothing left queued
+        assert feed.view.rows == [("c",)]
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_partners_at_one_node_in_two_feeds_fire_once(self, cached):
+        q = self.TWO_FEEDS
+        paths = covering_paths(q)
+        assert [p.slots for p in paths] == [(0, 1), (0, 2), (3, 2)]
+        asm = QueryAssembler(q, paths, cached, projected=True)
+        feeds = {}
+        for pidx in (0, 1):
+            asm.bind_columns(pidx, (0, 1), feeds)
+        assert [f.members for f in feeds.values()] == [[(0, 0)], [(0, 1)]]
+        assert asm.canon_views[0] is not asm.canon_views[1]
+        assert hand(asm, 2, [("d", "x")]) is False
+        assert asm.finish_update() is False
+        # one update gives both paths at the node their first rows: the
+        # first feed's path waits for the second's, which queues
+        assert hand_node(asm, feeds, [("c", "x")]) == {0: False, 1: True}
+        assert asm.finish_update() is True
+        assert asm.finish_update() is False

@@ -142,9 +142,29 @@ def check_tric_state(tric, inc, triples):
 
 def check_shared_canon_views(tric):
     """Paths with join partners share a canonical view exactly when they
-    are registered at one trie node with the same ``var_slots``."""
+    are registered at one trie node with the same ``var_slots``; a node's
+    feeds partition its registered paths, one feed per ``var_slots``, and
+    a feed's view is the canonical view of each member (``None`` for lone
+    paths)."""
     groups: dict[int, tuple] = {}  # id(view) -> (node, var_slots)
     for node in tric.forest.all_nodes():
+        members = [m for feed in node.feeds for m in feed.members]
+        assert sorted(members) == sorted(node.registered), "feeds do not partition"
+        assert len(set(members)) == len(members)
+        feed_slots = []
+        for feed in node.feeds:
+            slots = {tric.assemblers[qid].var_slots[pidx] for qid, pidx in feed.members}
+            assert len(slots) == 1, "a feed mixes var_slots"
+            feed_slots += slots
+            for qid, pidx in feed.members:
+                asm = tric.assemblers[qid]
+                lone = len(asm.components[asm.path_comp[pidx]]) == 1
+                assert lone == (feed.view is None), "a feed view where none belongs"
+                if not lone:
+                    assert asm.canon_views[pidx] is feed.view
+        assert len(set(feed_slots)) == len(feed_slots), "two feeds share var_slots"
+        firsts = [node.registered.index(f.members[0]) for f in node.feeds]
+        assert firsts == sorted(firsts), "feeds out of registration order"
         linked = {}
         for qid, pidx in node.registered:
             asm = tric.assemblers[qid]

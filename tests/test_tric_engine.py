@@ -137,6 +137,104 @@ class TestDeltaPropagation:
         assert e.process_update(Triple("c", "b", "Y")) == [0]
         assert e.process_update(Triple("c", "d", "Z")) == [1]
 
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_shared_view_stored_once_per_update(self, cached, monkeypatch):
+        """Two queries share the canonical view of ?c -a-> X at one node:
+        each update with a delta there stores it with one ``add_all``, and
+        both queries still fire as brute force says."""
+        from repro.relational.relation import View
+
+        qs = [
+            QueryPattern(
+                qid=i, vertices=[None, "X", lit], edges=[(0, "a", 1), (0, p, 2)]
+            )
+            for i, (p, lit) in enumerate([("b", "Y"), ("d", "Z")])
+        ]
+        e = TricEngine(cached=cached)
+        for q in qs:
+            e.add_query(q)
+        stream = [
+            Triple("c", "b", "Y"), Triple("c", "a", "X"), Triple("e", "a", "X"),
+            Triple("c", "d", "Z"), Triple("e", "d", "Z"), Triple("f", "a", "X"),
+        ]
+        e.process_update(Triple("s", "unindexed", "o"))  # freezes the trie
+        (node,) = [n for n in e.forest.all_nodes() if n.sig[0] == "a"]
+        (feed,) = node.feeds
+        assert sorted(feed.members) == [(0, 0), (1, 0)] == sorted(node.registered)
+        add_all = View.add_all
+        stores = []
+
+        def counting(self, rows):
+            if self is feed.view:
+                stores.append(list(rows))
+            return add_all(self, rows)
+
+        monkeypatch.setattr(View, "add_all", counting)
+        got, per_update = [], []
+        for u in stream:
+            before = len(stores)
+            got.append(sorted(e.process_update(u)))
+            per_update.append(len(stores) - before)
+        assert per_update == [0, 1, 1, 0, 0, 1]
+        assert stores == [[("c",)], [("e",)], [("f",)]]
+        want = [
+            [
+                q.qid
+                for q in qs
+                if len(embeddings(q, stream[: t + 1])) > len(embeddings(q, stream[:t]))
+            ]
+            for t in range(len(stream))
+        ]
+        assert got == want == [[], [0], [], [1], [1], []]
+
+    def test_feed_stores_each_projection_once(self, monkeypatch):
+        """The ``a`` node keeps slot 2 for query 1's child, but query 0's
+        path there joins on slots 0 and 1 only: its two delta rows of the
+        last update project to one canonical row, stored once."""
+        from repro.relational.relation import View
+
+        qs = [
+            QueryPattern(
+                qid=0, vertices=[None, None, None, "Y"],
+                edges=[(0, "r", 1), (1, "a", 2), (1, "b", 3)],
+            ),
+            QueryPattern(
+                qid=1, vertices=[None, None, None, "Z"],
+                edges=[(0, "r", 1), (1, "a", 2), (2, "d", 3)],
+            ),
+        ]
+        e = TricEngine()
+        for q in qs:
+            e.add_query(q)
+        stream = [
+            Triple("c", "a", "x1"), Triple("c", "a", "x2"),
+            Triple("c", "b", "Y"), Triple("p", "r", "c"),
+        ]
+        e.process_update(Triple("s", "unindexed", "o"))  # freezes the trie
+        (node,) = [n for n in e.forest.all_nodes() if n.sig[0] == "a"]
+        (feed,) = node.feeds
+        assert node.keep == (0, 1, 2) and feed.members == [(0, 0)]
+        add_all = View.add_all
+        stores = []
+
+        def counting(self, rows):
+            if self is feed.view:
+                stores.append(list(rows))
+            return add_all(self, rows)
+
+        monkeypatch.setattr(View, "add_all", counting)
+        got = [sorted(e.process_update(u)) for u in stream]
+        assert stores == [[("p", "c")]]
+        want = [
+            [
+                q.qid
+                for q in qs
+                if len(embeddings(q, stream[: t + 1])) > len(embeddings(q, stream[:t]))
+            ]
+            for t in range(len(stream))
+        ]
+        assert got == want == [[], [], [], [0]]
+
     def test_finish_only_queries_that_queued(self, monkeypatch):
         """While the b path of query 0 has no row, its a rows queue no join
         and its final join is not run; the lone path of query 1 queues on
@@ -324,6 +422,59 @@ class TestPruning:
         e.process_update(Triple("v", "b", "w"))
         nodes = e.forest.all_nodes()
         assert all(len(n.matv) == 0 for n in nodes if n.depth > 0)
+
+
+class TestEmptyBaseView:
+    """A child whose signature has no edge yet is skipped without a join:
+    ``Δ(parent) ⋈ base`` is empty, and the update, which base views take
+    first, lacks the signature, so the child gets no u-term either."""
+
+    STREAM = [Triple("u", "a", "v"), Triple("v", "b", "w"), Triple("w", "c", "L")]
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize(
+        "order, joins",
+        [
+            # each child is reached while its base view is still empty
+            ((0, 1, 2), [0, 0, 0]),
+            # the root's edge comes last: both children join non-empty views
+            ((2, 1, 0), [0, 0, 2]),
+        ],
+    )
+    def test_empty_base_view_costs_no_join(self, order, joins, cached, monkeypatch):
+        import repro.core.tric as tric
+
+        q = chain_q(preds=("a", "b", "c"))
+        stream = [self.STREAM[i] for i in order]
+        e = TricEngine(cached=cached)
+        e.add_query(q)
+        hash_join = tric.hash_join
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return hash_join(*args)
+
+        monkeypatch.setattr(tric, "hash_join", counting)
+        got, per_update = [], []
+        for u in stream:
+            before = calls
+            got.append(e.process_update(u))
+            per_update.append(calls - before)
+        assert per_update == joins
+        want = [
+            [0] if len(embeddings(q, stream[: t + 1])) > len(embeddings(q, stream[:t])) else []
+            for t in range(len(stream))
+        ]
+        assert got == want == [[], [], [0]]
+
+    def test_nodes_read_their_signatures_base_view(self):
+        e = TricEngine()
+        for q in fig5_queries():
+            e.add_query(q)
+        e.process_update(Triple("s", "unindexed", "o"))  # freezes the trie
+        assert all(n.base is e.base[n.sig] for n in e.forest.all_nodes())
 
 
 class TestCachingContract:
