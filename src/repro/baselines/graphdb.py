@@ -80,7 +80,8 @@ class GraphDBEngine(Engine):
         return True
 
     def process_update(self, u: Triple) -> list[int]:
-        self.answering = True
+        if not self.answering:
+            self.end_indexing()
         if not self._insert(u):
             return []
         qids: set[int] = set()

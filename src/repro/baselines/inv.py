@@ -61,7 +61,8 @@ class _InvertedBase(Engine):
         self.assemblers[q.qid] = QueryAssembler(q, paths, self.cached, self.max_rows)
 
     def process_update(self, u: Triple) -> list[int]:
-        self.answering = True
+        if not self.answering:
+            self.end_indexing()
         sigs = [s for s in update_sigs(u) if s in self.base]
         if not sigs:
             return []

@@ -30,8 +30,9 @@ candidate, which it marks reached.  One helper,
 inside the descent.  So TRIC closes a cycle in the trie step that reaches
 its repeated vertex; INV and INC still leave the closure to the
 assembler.  Rows hold only each node's live slots
-(:attr:`~repro.core.trie.TrieNode.keep`, fixed when the first update
-freezes the trie): ``probe`` finds ``last`` and ``k`` in the parent's row,
+(:attr:`~repro.core.trie.TrieNode.keep`, fixed when
+:meth:`TricEngine.end_indexing` freezes the trie, at the latest in the
+first update): ``probe`` finds ``last`` and ``k`` in the parent's row,
 and ``emit`` builds the child's row from a parent row and a base row, for
 ``u`` too.  Projections of distinct embeddings can coincide, so each child
 delta is de-duplicated within the update, but never against the child's
@@ -103,12 +104,14 @@ class TricEngine(Engine):
         )
 
     # -- answering phase ------------------------------------------------
-    def _freeze(self) -> None:
+    def end_indexing(self) -> None:
         """End the indexing phase: fix every trie node's live slots, give
         it its signature's base view, and group the paths registered there
         into feeds, which tell each assembler which slots its path's rows
         carry.  The paths of one feed with join partners share one
-        canonical view."""
+        canonical view.  Later calls do nothing."""
+        if self.answering:
+            return
         self.answering = True
         self.forest.freeze(lambda qid, pidx: self.assemblers[qid].var_slots[pidx])
         for node in self.forest.all_nodes():
@@ -120,7 +123,7 @@ class TricEngine(Engine):
 
     def process_update(self, u: Triple) -> list[int]:
         if not self.answering:
-            self._freeze()
+            self.end_indexing()
         sigs = [s for s in update_sigs(u) if s in self.base]
         if not sigs:
             return []

@@ -28,8 +28,12 @@ holds a row whose new slot is ``u.s``.  :attr:`TrieForest.src_ind` maps a
 signature and a vertex to exactly the non-root nodes of that signature
 whose parent's view holds that vertex at its new slot; the answering phase
 keeps it up to date as it writes the views
-(:meth:`TrieForest.add_sources`).  :meth:`TrieForest.affected_roots`
-gives an update's *candidates*, the matching roots plus the nodes
+(:meth:`TrieForest.add_sources`).  An entry is a tuple of node creation
+indices, resolved through the forest's node list, so the cyclic collector
+stops tracking it (a list of nodes would stay tracked for the whole stream
+and bring full collections closer, as :mod:`~repro.relational.relation`
+explains).  :meth:`TrieForest.affected_roots` gives an update's
+*candidates*, the matching roots plus the nodes
 ``src_ind`` names for ``(sig, u.s)``, ancestors first; no other node can
 get ``u``'s own term.  This is the delta-query principle of Graphflow
 (Ammar et al., PVLDB 2018): start from the update's endpoint, not from
@@ -37,13 +41,15 @@ every place its label occurs.
 
 Once the forest's shape is final, :meth:`TrieForest.freeze` gives every
 node its live slots (:attr:`TrieNode.keep`), the only slots its rows carry,
-and the probe key and emit function of its step from its parent's rows.
-The engine then gives each node its signature's base view
-(:attr:`TrieNode.base`) and its :attr:`TrieNode.feeds`.
+and the probe key and emit function of its step from its parent's rows;
+nodes with the same step share one emit function.  The engine then gives
+each node its signature's base view (:attr:`TrieNode.base`) and its
+:attr:`TrieNode.feeds`.
 """
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import cache
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
@@ -66,6 +72,21 @@ def _target(pr: Row, br: Row) -> Row:
     """Join emit of a node that keeps only its new slot: the target of the
     matching base-view row ``(s, o)``."""
     return br[1:]
+
+
+@cache
+def _step_emit(cols: tuple[int, ...], new: bool) -> Callable[[Row, Row], Row]:
+    """The emit of a step that carries the parent row's columns ``cols``,
+    then the base row's target if ``new``.  One function per step, shared
+    by every node that takes it (snb's 1,811 nodes take 10 steps), as
+    :func:`~repro.relational.relation.getter` shares its getters."""
+    if new and not cols:
+        return _target
+    g = getter(cols)
+    if not new:
+        # the new slot is dropped: the base row only has to exist
+        return lambda pr, br: g(pr)
+    return lambda pr, br: g(pr) + br[1:]
 
 
 class TrieNode:
@@ -161,16 +182,11 @@ class TrieNode:
             parent_keep.index(s) for s in (self.depth, self.ref) if s is not None
         )
         cols = tuple(parent_keep.index(s) for s in self.keep if s <= self.depth)
-        g = getter(cols)
-        if self.depth + 1 not in self.keep:
-            # the new slot is dropped: the base row only has to exist
-            self.emit = lambda pr, br: g(pr)
-        elif len(cols) == len(parent_keep):
+        new = self.depth + 1 in self.keep
+        if new and len(cols) == len(parent_keep):
             self.emit = append_target
-        elif not cols:
-            self.emit = _target
         else:
-            self.emit = lambda pr, br: g(pr) + br[1:]
+            self.emit = _step_emit(cols, new)
         for c in self.children.values():
             c._freeze_step(self.keep)
 
@@ -183,10 +199,12 @@ class TrieForest:
         self.cached = cached
         self.roots: dict[NodeKey, TrieNode] = {}  # rootInd
         self.edge_ind: dict[EdgeSig, list[TrieNode]] = {}  # sig -> roots
-        #: sig -> vertex -> the non-root nodes of that signature whose
-        #: parent's view holds the vertex at its new slot
-        self.src_ind: dict[EdgeSig, dict[object, list[TrieNode]]] = defaultdict(dict)
-        self._created = 0
+        #: sig -> vertex -> the creation indices (:attr:`TrieNode.order`)
+        #: of the non-root nodes of that signature whose parent's view
+        #: holds the vertex at its new slot
+        self.src_ind: dict[EdgeSig, dict[object, tuple[int, ...]]] = defaultdict(dict)
+        #: every node, in creation order: ``src_ind`` entries index it
+        self._nodes: list[TrieNode] = []
 
     def insert_path(self, q: QueryPattern, pidx: int, path: CoverPath) -> TrieNode:
         """Index one covering path (Fig. 6): descend along the existing trie
@@ -197,8 +215,9 @@ class TrieForest:
         for key in zip(path.sig_chain(q), path.back_refs(q)):
             child = level.get(key)
             if child is None:
-                child = level[key] = TrieNode(*key, node, self.cached, self._created)
-                self._created += 1
+                child = TrieNode(*key, node, self.cached, len(self._nodes))
+                level[key] = child
+                self._nodes.append(child)
                 if node is None:
                     self.edge_ind.setdefault(key[0], []).append(child)
             node = child
@@ -227,9 +246,10 @@ class TrieForest:
                 out += roots
             by_src = self.src_ind.get(s)
             if by_src:
-                nodes = by_src.get(src)
-                if nodes:
-                    out += nodes
+                orders = by_src.get(src)
+                if orders:
+                    nodes = self._nodes
+                    out += [nodes[i] for i in orders]
         if len(out) > 1:
             out.sort(key=_rank)
         return out
@@ -238,26 +258,35 @@ class TrieForest:
         """Register ``node``'s children in ``src_ind`` under each new-slot
         value of ``rows``, the rows just added to ``node``'s view, that is
         new to the view.  All children are registered under the same
-        values, so the first child's list tells which are new."""
+        values, so the first child's entries tell which are new.
+
+        An entry grows by tuple concatenation, which stays cheap: it holds
+        at most the nodes of one signature (16 at most on the snb benchmark
+        input)."""
         children = list(node.children.values())
         first = children[0]
         col = first.probe[0]  # node's new slot, which every child probes
         src_ind = self.src_ind
-        firsts = src_ind[first.sig]
+        firsts, first_order = src_ind[first.sig], first.order
         for v in dict.fromkeys(r[col] for r in rows):
-            if first in firsts.get(v, ()):
+            if first_order in firsts.get(v, ()):
                 continue
             for c in children:
                 by_src = src_ind[c.sig]
-                nodes = by_src.get(v)
-                if nodes is None:
-                    by_src[v] = [c]
-                else:
-                    nodes.append(c)
+                by_src[v] = by_src.get(v, ()) + (c.order,)
+
+    def sources(self, sig: EdgeSig) -> dict[object, list[TrieNode]]:
+        """``src_ind``'s entries for ``sig`` with their nodes resolved: each
+        vertex to the nodes registered under it, in registration order."""
+        nodes = self._nodes
+        return {
+            v: [nodes[i] for i in orders]
+            for v, orders in self.src_ind.get(sig, {}).items()
+        }
 
     # -- introspection used by tests -----------------------------------
     def n_nodes(self) -> int:
-        return sum(1 for r in self.roots.values() for _ in r.walk())
+        return len(self._nodes)
 
     def all_nodes(self) -> list[TrieNode]:
         return [n for r in self.roots.values() for n in r.walk()]

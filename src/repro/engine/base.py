@@ -15,13 +15,16 @@ class Engine(ABC):
     """A continuous multi-query processing engine.
 
     Life cycle: ``add_query`` for every pattern (indexing phase), then
-    ``process_update`` once per stream update (answering phase); the return
-    value lists the query ids with *new* full embeddings caused by the update.
-    The phases do not interleave: TRIC, INV and INC keep state only for the
-    signatures (TRIC: the inner trie nodes) indexed so far, so a query added
-    later would silently miss the earlier updates.  So that all engines
-    agree, ``add_query`` raises ``RuntimeError`` in every engine once
-    ``process_update`` has been called.
+    :meth:`end_indexing`, then ``process_update`` once per stream update
+    (answering phase); the return value lists the query ids with *new* full
+    embeddings caused by the update.  ``process_update`` ends the indexing
+    phase itself if it is still open, so calling :meth:`end_indexing` only
+    moves its one-time cost (TRIC freezes its tries) out of the first
+    update.  The phases do not interleave: TRIC, INV and INC keep state only
+    for the signatures (TRIC: the inner trie nodes) indexed so far, so a
+    query added later would silently miss the earlier updates.  So that all
+    engines agree, ``add_query`` raises ``RuntimeError`` in every engine
+    once the indexing phase has ended.
 
     Every engine bounds the rows one update may derive, with a cap named
     ``max_rows``: TRIC a trie delta and INV/INC a path's rows, the shared
@@ -33,15 +36,19 @@ class Engine(ABC):
     """
 
     name: str = "?"
-    #: set by the first ``process_update``: the indexing phase is over
+    #: set by :meth:`end_indexing`: the indexing phase is over
     answering: bool = False
 
     def _check_indexing(self) -> None:
         if self.answering:
             raise RuntimeError(
-                f"{self.name}: add_query after process_update; index every "
-                "query before the first update"
+                f"{self.name}: add_query after process_update or end_indexing; "
+                "index every query before the indexing phase ends"
             )
+
+    def end_indexing(self) -> None:
+        """End the indexing phase; later calls do nothing."""
+        self.answering = True
 
     @abstractmethod
     def add_query(self, q: QueryPattern) -> None: ...

@@ -44,10 +44,13 @@ class RunResult:
 
 
 def index_queries(engine: Engine, queries: Iterable[QueryPattern]) -> float:
-    """Indexing phase; returns elapsed wall-clock seconds (Fig. 15 metric)."""
+    """The whole indexing phase: ``add_query`` for each of ``queries``, then
+    :meth:`~repro.engine.base.Engine.end_indexing`, after which the engine
+    takes no more queries; returns elapsed wall-clock seconds."""
     t0 = time.perf_counter()
     for q in queries:
         engine.add_query(q)
+    engine.end_indexing()
     return time.perf_counter() - t0
 
 

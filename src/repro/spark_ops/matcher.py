@@ -34,6 +34,7 @@ def match_updates(
         engine = make_engine(engine_name)
         for q in queries:
             engine.add_query(q)
+        engine.end_indexing()
         for pdf in batches:
             ts, qids = [], []
             for t, s, p, o in zip(pdf["t"], pdf["s"], pdf["p"], pdf["o"]):

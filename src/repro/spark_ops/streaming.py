@@ -28,7 +28,9 @@ def run_structured_stream(
     n_files: int = 4,
 ) -> list[tuple[int, int]]:
     """Replay ``updates_pdf`` (t,s,p,o) through a file-source stream into an
-    already-indexed ``engine``; returns the collected (t, qid) match events."""
+    already-indexed ``engine``, whose indexing phase this ends; returns the
+    collected (t, qid) match events."""
+    engine.end_indexing()
     data_dir = os.path.join(workdir, f"stream-{uuid.uuid4().hex[:8]}")
     ckpt_dir = data_dir + "-ckpt"
     os.makedirs(data_dir, exist_ok=True)

@@ -108,8 +108,8 @@ def check_src_ind(forest):
     each list, under exactly the new-slot values of its parent's view, and
     no root is registered."""
     registered = {}
-    for sig, by_src in forest.src_ind.items():
-        for v, nodes in by_src.items():
+    for sig in forest.src_ind:
+        for v, nodes in forest.sources(sig).items():
             assert len(set(nodes)) == len(nodes), "src_ind list repeats a node"
             for n in nodes:
                 assert n.sig == sig and n.parent is not None

@@ -138,6 +138,26 @@ class TestEdgeCases:
             e.add_query(late)
         assert e.process_update(Triple("y", "c", "z")) == [2]
 
+    @pytest.mark.parametrize("name", ALGORITHMS)
+    def test_index_queries_ends_the_indexing_phase(self, workloads, name):
+        """``index_queries`` calls ``end_indexing``: later queries are
+        refused, and the events equal those of an engine whose first
+        update ends the phase.  A second ``end_indexing`` does nothing."""
+        updates, queries, _ = workloads[("snb", 0)]
+        e = make_engine(name)
+        index_queries(e, queries[1:])
+        with pytest.raises(RuntimeError, match="add_query after"):
+            e.add_query(queries[0])
+        e.end_indexing()
+        if name.startswith("tric"):
+            for n in e.forest.all_nodes():
+                assert sum(len(f.members) for f in n.feeds) == len(n.registered)
+        lazy = make_engine(name)
+        for q in queries[1:]:
+            lazy.add_query(q)
+        events = run_stream(e, updates).events
+        assert events and events == run_stream(lazy, updates).events
+
     def test_engine_factory_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown engine"):
             make_engine("nope")

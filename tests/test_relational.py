@@ -1,4 +1,6 @@
 """Relational kernel: views, hash joins, cached indexes, work counters."""
+import gc
+
 import pandas as pd
 import pytest
 
@@ -50,15 +52,15 @@ class TestView:
     def test_cached_index_backfills_existing_rows(self):
         v = View(cached=True)
         v.add(("a", "b"))
-        assert v.index((0,)).get(("a",)) == [("a", "b")]
+        assert list(v.index((0,)).get(("a",))) == [("a", "b")]
 
     @pytest.mark.parametrize("cached", [False, True])
     def test_where_probes_if_cached_and_scans_otherwise(self, cached):
         v = View(cached=cached)
         v.add_all([("a", "b"), ("c", "b"), ("a", "d")])
-        assert v.where(0, "a") == [("a", "b"), ("a", "d")]
-        assert v.where(1, "b") == [("a", "b"), ("c", "b")]
-        assert v.where(1, "z") == []
+        assert list(v.where(0, "a")) == [("a", "b"), ("a", "d")]
+        assert list(v.where(1, "b")) == [("a", "b"), ("c", "b")]
+        assert list(v.where(1, "z")) == []
         if cached:
             assert COUNTERS == {"build_rows": 0, "probe_rows": 3, "out_rows": 0}
         else:
@@ -141,10 +143,10 @@ class TestHashIndexKeys:
     def test_get_one_and_multi_column_tuple_keys(self):
         one = HashIndex((0,), self.ROWS)
         multi = HashIndex((0, 2), self.ROWS)
-        assert one.get(("a",)) == self.ROWS[:2]
-        assert multi.get(("a", "1")) == self.ROWS[:2]
-        assert multi.get(("b", "2")) == [self.ROWS[2]]
-        assert one.get(("z",)) == [] and multi.get(("a", "2")) == []
+        assert list(one.get(("a",))) == self.ROWS[:2]
+        assert list(multi.get(("a", "1"))) == self.ROWS[:2]
+        assert list(multi.get(("b", "2"))) == [self.ROWS[2]]
+        assert list(one.get(("z",))) == [] and list(multi.get(("a", "2"))) == []
 
     @pytest.mark.parametrize("probe_key,build_key", [((1,), (0,)), ((0, 1), (1, 0))])
     def test_probe_join_on_built_index_equals_hash_join(self, probe_key, build_key):
@@ -156,3 +158,67 @@ class TestHashIndexKeys:
         got = probe_join(probe, probe_key, HashIndex(build_key, v.rows), emit)
         assert got == hash_join(probe, probe_key, v, build_key, emit)
         assert got
+
+
+class TestBuckets:
+    """A bucket with one row is a 1-tuple, which the cyclic collector stops
+    tracking; its second row turns it into a list, which later rows extend
+    in place.  Readers see the same rows, in insertion order, either way."""
+
+    #: key "a": 3 rows, key "b": 1 row, key "z": none
+    ROWS = [("a", "1"), ("b", "2"), ("a", "3"), ("a", "4")]
+
+    def index(self, incremental: bool) -> HashIndex:
+        if not incremental:
+            return HashIndex((0,), self.ROWS)
+        idx = HashIndex((0,))
+        for r in self.ROWS:
+            idx.add(r)
+        return idx
+
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_get_zero_one_and_many_rows(self, incremental):
+        idx = self.index(incremental)
+        assert list(idx.get(("z",))) == []
+        assert list(idx.get(("b",))) == [("b", "2")]
+        assert list(idx.get(("a",))) == [("a", "1"), ("a", "3"), ("a", "4")]
+        assert len(idx) == 4
+
+    def test_one_row_bucket_is_untracked_tuple_then_list_grown_in_place(self):
+        idx = HashIndex((0,))
+        idx.add(("a", "1"))
+        gc.collect()
+        assert type(idx.buckets["a"]) is tuple
+        assert not gc.is_tracked(idx.buckets["a"])
+        idx.add(("a", "2"))
+        bucket = idx.buckets["a"]
+        assert type(bucket) is list
+        idx.extend([("a", "3")])
+        idx.add(("a", "4"))
+        assert idx.buckets["a"] is bucket
+        assert bucket == [("a", "1"), ("a", "2"), ("a", "3"), ("a", "4")]
+
+    def test_len_counts_rows_over_both_kinds(self):
+        idx = HashIndex((0,))
+        assert len(idx) == 0
+        idx.add(("a", "1"))
+        assert len(idx) == 1
+        idx.add(("b", "1"))
+        idx.add(("a", "2"))
+        assert len(idx) == 3
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_where_same_rows_in_insertion_order(self, cached):
+        v = View(cached=cached)
+        v.add_all(self.ROWS)
+        assert list(v.where(0, "z")) == []
+        assert list(v.where(0, "b")) == [("b", "2")]
+        assert list(v.where(0, "a")) == [("a", "1"), ("a", "3"), ("a", "4")]
+
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_probe_join_zero_one_and_many_rows(self, incremental):
+        idx = self.index(incremental)
+        probe = [("z",), ("b",), ("a",)]
+        got = probe_join(probe, (0,), idx, lambda pr, br: br)
+        assert got == [("b", "2"), ("a", "1"), ("a", "3"), ("a", "4")]
+        assert COUNTERS == {"build_rows": 0, "probe_rows": 3, "out_rows": 4}

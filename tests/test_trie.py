@@ -129,7 +129,7 @@ class TestInsertPath:
 
 def src_values(forest: TrieForest, node) -> list:
     """The vertices ``src_ind`` registers ``node`` under."""
-    return [v for v, nodes in forest.src_ind.get(node.sig, {}).items() if node in nodes]
+    return [v for v, nodes in forest.sources(node.sig).items() if node in nodes]
 
 
 class TestEntryNodes:
@@ -163,12 +163,12 @@ class TestEntryNodes:
         # root's view holds y at its new slot (its one live slot)
         assert root.keep == (1,)
         f.add_sources(root, [("y",)])
-        assert f.src_ind[self.SIG] == {"y": [mid]}
+        assert f.sources(self.SIG) == {"y": [mid]}
         assert f.affected_roots([self.SIG], "y") == [root, mid]
         assert f.affected_roots([self.SIG], "x") == [root]
         # candidates come ancestors first, whatever the registration order
         f.add_sources(mid, [("x",), ("y",)])
-        assert f.src_ind[self.SIG] == {"y": [mid, leaf], "x": [leaf]}
+        assert f.sources(self.SIG) == {"y": [mid, leaf], "x": [leaf]}
         assert f.affected_roots([self.SIG], "y") == [root, mid, leaf]
 
     def test_add_sources_registers_each_value_once(self):
@@ -176,7 +176,7 @@ class TestEntryNodes:
         f.add_sources(root, [("y",), ("z",), ("y",)])
         # a later row with a value the view already holds registers nothing
         f.add_sources(root, [("z",), ("w",)])
-        assert f.src_ind[self.SIG] == {"y": [mid], "z": [mid], "w": [mid]}
+        assert f.sources(self.SIG) == {"y": [mid], "z": [mid], "w": [mid]}
         assert src_values(f, leaf) == []
 
     def test_bare_root_above_literal_variants(self):
@@ -253,7 +253,7 @@ class TestEntryNodes:
         f.add_sources(r_a, [("v",)])
         f.add_sources(s_root, [("v",)])
         f.add_sources(r_root, [("v",)])
-        assert f.src_ind[a]["v"] == [deep, shallow, r_a]
+        assert f.sources(a)["v"] == [deep, shallow, r_a]
         # ... and come shallowest first, one depth in creation order
         assert f.affected_roots([a], "v") == [r_a, shallow, deep]
 
