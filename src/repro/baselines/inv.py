@@ -13,10 +13,10 @@ processed once *per query*.
 * **INC**: per update, only the update tuple is extended left/right along
   each affected path through the base views, yielding the path's *delta*
   ("makes use of only the update u_i"); per-(query, path) results persist in
-  the shared assembler's canonical views.  Still no sharing across queries.
+  the query's assembler's canonical views.  Still no sharing across queries.
 * Both end each affected query with the final join among all its paths,
   computed in full (§5.1 Step 3), and report the query when that join's
-  row count grows (:meth:`~repro.engine.assembler.QueryAssembler.full_join`):
+  row count grows (:meth:`~repro.engine.assembler.FullJoinAssembler.full_join`):
   one join per component, no delta join beside it.
 * The ``+`` variants cache the hash-join build structures: base views and
   assembler views keep incrementally maintained hash indexes (§4.2 Caching).
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from abc import abstractmethod
 
-from repro.engine.assembler import QueryAssembler
+from repro.engine.assembler import FullJoinAssembler
 from repro.engine.base import Engine, EngineOverflow
 from repro.graph.covering import covering_paths
 from repro.graph.model import EdgeSig, QueryPattern, Triple, update_sigs
@@ -45,7 +45,7 @@ class _InvertedBase(Engine):
         self.edge_ind: dict[EdgeSig, set[int]] = {}
         #: queryInd: qid -> per covering path, its signature chain
         self.query_ind: dict[int, list[tuple[EdgeSig, ...]]] = {}
-        self.assemblers: dict[int, QueryAssembler] = {}
+        self.assemblers: dict[int, FullJoinAssembler] = {}
 
     def add_query(self, q: QueryPattern) -> None:
         self._check_indexing()
@@ -58,7 +58,7 @@ class _InvertedBase(Engine):
                 self.edge_ind.setdefault(sig, set()).add(q.qid)
                 if sig not in self.base:
                     self.base[sig] = View(cached=self.cached)
-        self.assemblers[q.qid] = QueryAssembler(q, paths, self.cached, self.max_rows)
+        self.assemblers[q.qid] = FullJoinAssembler(q, paths, self.cached, self.max_rows)
 
     def process_update(self, u: Triple) -> list[int]:
         if not self.answering:
@@ -85,7 +85,7 @@ class _InvertedBase(Engine):
 
     @abstractmethod
     def _feed(
-        self, qid: int, asm: QueryAssembler, sig_set: set[EdgeSig], u_row: Row
+        self, qid: int, asm: FullJoinAssembler, sig_set: set[EdgeSig], u_row: Row
     ) -> bool:
         """Feed query ``qid``'s path rows for this update to ``asm``; False
         skips the query's final join."""

@@ -28,8 +28,8 @@ non-empty delta, and adds ``u``'s term only at a child that is a
 candidate, which it marks reached.  One helper,
 :meth:`TricEngine._delta`, computes a node's delta for the entries and
 inside the descent.  So TRIC closes a cycle in the trie step that reaches
-its repeated vertex; INV and INC still leave the closure to the
-assembler.  Rows hold only each node's live slots
+its repeated vertex; INV and INC still leave the closure to their
+:class:`~repro.engine.assembler.FullJoinAssembler`.  Rows hold only each node's live slots
 (:attr:`~repro.core.trie.TrieNode.keep`, fixed when
 :meth:`TricEngine.end_indexing` freezes the trie, at the latest in the
 first update): ``probe`` finds ``last`` and ``k`` in the parent's row,
@@ -49,8 +49,8 @@ lacks: it is no candidate, its ``Δ(parent) ⋈ base`` is empty, and the
 descent skips it without a join.
 A child delta above ``max_rows`` rows raises
 :class:`~repro.engine.base.EngineOverflow`.  A node's delta goes to the
-:class:`~repro.engine.assembler.QueryAssembler` (final join across covering
-paths) of each query registered there, and only a query whose assembler
+:class:`~repro.engine.assembler.QueryAssembler` (TRIC's final join across
+covering paths) of each query registered there, and only a query whose assembler
 queued it is finished after the descent: the assembler queues nothing while
 a join partner's view is empty, since that partner's own delta of this
 update, if any, finds the new rows.  The paths registered at one node that
@@ -99,9 +99,7 @@ class TricEngine(Engine):
             for sig in p.sig_chain(q):
                 if sig not in self.base:
                     self.base[sig] = View(cached=self.cached)
-        self.assemblers[q.qid] = QueryAssembler(
-            q, paths, self.cached, self.max_rows, projected=True
-        )
+        self.assemblers[q.qid] = QueryAssembler(q, paths, self.cached, self.max_rows)
 
     # -- answering phase ------------------------------------------------
     def end_indexing(self) -> None:

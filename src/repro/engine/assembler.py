@@ -6,40 +6,21 @@ full recomputation; the graph DB bypasses this module).  What is common is
 the last step: when a path receives *new* matches, join them with the other
 paths' matches **on the query vertices the paths share** ("intersection"
 information, §4.1) to decide whether new full-query embeddings appeared.
+Paths are grouped into variable-connected components, and a new full-query
+embedding exists after an update iff some component gained a join row and
+every component has one.  Each path keeps a *canonical* view, read only by
+one greedy join over its component, run once per affected query.
 
-The assembler keeps, per covering path, a *canonical* view.  For INV and
-INC it holds slot tuples projected to the path's distinct variable vertices
-(literal slots carry no information — their values are fixed by the edge
-signatures), after checking within-path consistency of repeated vertices;
-that check is where they enforce a cycle's closure.  TRIC's tries already
-close each cycle at the node whose back-reference names the repeated
-vertex, and an event only asks whether a new embedding exists, so for TRIC
-the view holds projections onto the variables the path shares with other
-paths (``projected=True``).
-A canonical view is read only by the final join over its component.
+:class:`QueryAssembler` is TRIC's, in the style of Dynamic Yannakakis: it
+joins each path delta, projected onto the variables the path shares with
+other paths, with its partners' views.  The paths registered at one trie
+node that read its rows through the same slots form one :class:`Feed`,
+whose projections the descent computes and stores once.
 
-Paths are grouped into variable-connected components, and a new
-full-query embedding exists after an update iff some component gained a
-join row and every component has one.  The two modes decide this from one
-greedy join, run once per affected query:
-
-* INV and INC (default) store a path's canonical rows (:meth:`add_rows`)
-  and join each component in full from its smallest view
-  (:meth:`full_join`, paper §5.1 Step 3).  Canonical views only grow and
-  a join of sets is a set, so a component's row count never falls, and it
-  grows exactly when a join from this update's new rows would find one:
-  the count is the whole state the decision needs.
-* TRIC (``projected``) queues each path delta (:meth:`on_path_delta`) and
-  joins the queued deltas with their partners' views
-  (:meth:`finish_update`); a component is marked once such a join finds a
-  row.  A delta is queued only if every join partner's view is non-empty:
-  a partner still empty gets its first rows in this update or none, and
-  its own delta then joins against this path's stored rows.  TRIC's paths
-  that read the same trie node's rows through the same slots form one
-  :class:`Feed` (:meth:`QueryAssembler.bind_columns`): they share one
-  canonical view, and the descent projects, de-duplicates and stores a
-  node's delta once per feed before it hands the projections to each
-  member's :meth:`on_path_delta`.
+:class:`FullJoinAssembler` is INV's and INC's: it stores the rows of each
+path that close the path's cycles, projected onto all of its variables,
+and fires when the full join of a component's views grows (paper §5.1
+Step 3).
 """
 from __future__ import annotations
 
@@ -73,30 +54,10 @@ class Feed:
         self.members: list[tuple[int, int]] = []
 
 
-class QueryAssembler:
-    """Final-join state machine for one indexed query.
-
-    By default (INV, INC) a path is fed whole slot rows, open walks
-    included: its canonical rows are the rows that pass the closure check,
-    projected onto every distinct variable of the path, and its canonical
-    view is a set, which :meth:`full_join` reads whole.
-
-    ``projected=True`` (TRIC) is the caller's promise that every row fed to
-    a path already closes the path's cycles and stands for at least one
-    embedding new with this update.  Canonical rows are then projections
-    onto the path's *join variables*, the ones it shares with another path,
-    with no closure check.  Every other variable occurs in that path alone,
-    so the full join is non-empty iff the join of the projections is.  The
-    caller projects a path's delta (:meth:`canon`), de-duplicates it and
-    stores it in the path's view, which keeps the projections it does not
-    hold yet; :meth:`on_path_delta` then queues the whole de-duplicated
-    projection, unless a join partner's view is empty: a new embedding
-    whose projection is already stored still fires.  A path alone in its
-    component has no join variable, so its rows project to ``()`` and its
-    view stores nothing.  The caller may feed rows narrower than slot
-    rows, and share one view among paths fed the same rows, after
-    :meth:`bind_columns` names their columns.
-    """
+class _FinalJoin:
+    """What both final joins of one indexed query share: the paths'
+    components and join partners, each path's canonical view over the
+    variables a subclass's ``_canonical`` picks, and the greedy join."""
 
     def __init__(
         self,
@@ -104,30 +65,18 @@ class QueryAssembler:
         paths: list[CoverPath],
         cached: bool,
         max_rows: int = 2_000_000,
-        projected: bool = False,
     ):
         self.q = q
         self.max_rows = max_rows
 
-        # per path: the first slot of each distinct variable, in path order,
-        # and the (left, right) slot lists of repeated positions that must
-        # agree (the cycle's closure)
+        # per path: the first slot of each distinct variable, in path order
         firsts: list[dict[int, int]] = []
-        repeats: list[tuple[list[int], list[int]]] = []
         for p in paths:
             first: dict[int, int] = {}
-            left: list[int] = []
-            right: list[int] = []
             for i, vid in enumerate(p.slots):
-                if q.vertices[vid] is not None:
-                    continue  # literal slot: value fixed by signature
-                if vid in first:
-                    left.append(first[vid])
-                    right.append(i)
-                else:
-                    first[vid] = i
+                if q.vertices[vid] is None:  # literal slot: value fixed by signature
+                    first.setdefault(vid, i)
             firsts.append(first)
-            repeats.append((left, right))
 
         # variable-connected components of paths (union-find)
         parent = list(range(len(paths)))
@@ -157,119 +106,18 @@ class QueryAssembler:
             [j for j in self.components[c] if j != i]
             for i, c in enumerate(self.path_comp)
         ]
-        #: per component: the row count of its last full join (INV, INC),
-        #: or 1 once a delta join found a row (TRIC); non-zero iff the
-        #: component has an embedding
+        #: per component: non-zero iff the component has an embedding
         self.comp_rows = [0] * len(self.components)
 
         #: per path: the variables of its canonical rows, and the slot each
         #: is read from
         self.path_vars: list[tuple[int, ...]] = []
         self.var_slots: list[tuple[int, ...]] = []
-        self._project: list[Getter] = []
-        self._closure: list[Optional[tuple[Getter, Getter]]] = []
-        for first, (left, right) in zip(firsts, repeats):
-            if projected:
-                first = {v: i for v, i in first.items() if v in shared}
+        for first in firsts:
+            first = self._canonical(first, shared)
             self.path_vars.append(tuple(first))
             self.var_slots.append(tuple(first.values()))
-            self._project.append(getter(self.var_slots[-1]))
-            self._closure.append(
-                (getter(tuple(left)), getter(tuple(right)))
-                if left and not projected
-                else None
-            )
-
         self.canon_views = [View(cached=cached) for _ in self.path_vars]
-        self._pending: dict[int, list[Row]] = {}
-
-    def bind_columns(
-        self, pidx: int, cols: tuple[int, ...], feeds: dict[tuple[int, ...], Feed]
-    ) -> None:
-        """Path ``pidx`` is fed rows whose columns are the slots ``cols``,
-        which must include :attr:`var_slots` ``[pidx]``.
-
-        ``feeds`` maps :attr:`var_slots` to :class:`Feed` objects, one dict
-        per source of rows (for TRIC, per trie node): the path joins the
-        feed stored there under its var_slots, or starts one with its own
-        projection and, if it has join partners, its own canonical view.
-        Every path fed the same rows with the same var_slots holds the same
-        projections, so one view serves them all.  (Only a lone path has
-        no join variable, so a feed's paths are all lone or none is.)"""
-        slots = self.var_slots[pidx]
-        feed = feeds.get(slots)
-        if feed is None:
-            project = getter(tuple(cols.index(s) for s in slots))
-            view = self.canon_views[pidx] if self._partners[pidx] else None
-            feed = feeds[slots] = Feed(project, view)
-        feed.members.append((self.q.qid, pidx))
-        self._project[pidx] = feed.project
-        if feed.view is not None:
-            self.canon_views[pidx] = feed.view
-
-    # ------------------------------------------------------------------
-    def canon(self, pidx: int, slot_rows: list[Row]) -> list[Row]:
-        """Project fed rows onto the path's canonical variables, dropping
-        rows whose repeated-vertex positions disagree (cycle closure; not
-        checked when ``projected``)."""
-        proj = self._project[pidx]
-        closure = self._closure[pidx]
-        if closure is None:
-            return [proj(r) for r in slot_rows]
-        left, right = closure
-        return [proj(r) for r in slot_rows if left(r) == right(r)]
-
-    def add_rows(self, pidx: int, slot_rows: list[Row]) -> None:
-        """Store the canonical rows of fed slot rows for path ``pidx`` (INV,
-        INC); :meth:`full_join` then decides the update."""
-        self.canon_views[pidx].add_all(self.canon(pidx, slot_rows))
-
-    def full_join(self) -> bool:
-        """The final join among all paths, computed in full per component
-        from its smallest view (INV and INC, paper §5.1 Step 3); returns
-        True iff new full-query embeddings exist: some component's row
-        count grew (it never falls) and every component has rows.
-
-        Cross-component products are not materialized.  Wrong for a
-        ``projected`` assembler, whose lone paths store nothing."""
-        views = self.canon_views
-        counts = self.comp_rows
-        grew = False
-        for c, members in enumerate(self.components):
-            first = min(members, key=lambda j: len(views[j].rows))
-            n = len(self._join(views[first].rows, first, self._partners[first]))
-            if n > counts[c]:
-                counts[c] = n
-                grew = True
-        return grew and all(counts)
-
-    def on_path_delta(self, pidx: int, rows: list[Row]) -> bool:
-        """Hand a ``projected`` assembler (TRIC) a path's non-empty delta as
-        canonical rows, de-duplicated and already stored in the path's
-        view; returns True iff they were queued for :meth:`finish_update`.
-
-        Nothing is queued while a join partner's view is empty.  The
-        partner then held nothing before this update, so every new
-        embedding uses one of its rows of this update: its own queued delta
-        joins against this path's view, which by then holds these rows."""
-        views = self.canon_views
-        for j in self._partners[pidx]:
-            if not views[j].rows:
-                return False
-        self._pending.setdefault(pidx, []).extend(rows)
-        return True
-
-    def finish_update(self) -> bool:
-        """Close a ``projected`` assembler's update: join each queued delta
-        with its partners' views; returns True iff new full-query
-        embeddings exist."""
-        delta_success = False
-        for pidx, delta in self._pending.items():
-            if self._join(delta, pidx, self._partners[pidx]):
-                self.comp_rows[self.path_comp[pidx]] = 1
-                delta_success = True
-        self._pending.clear()
-        return delta_success and all(self.comp_rows)
 
     def _join(self, acc: list[Row], start: int, others: list[int]) -> list[Row]:
         """Join ``acc`` (rows over path ``start``'s variables) with the
@@ -307,3 +155,148 @@ class QueryAssembler:
             acc_vars += [self.path_vars[j][c] for c in new_cols]
             remaining.discard(j)
         return acc
+
+
+class QueryAssembler(_FinalJoin):
+    """TRIC's final join for one indexed query, over queued path deltas.
+
+    Every row fed to a path already closes the path's cycles and stands for
+    at least one embedding new with this update.  Canonical rows are
+    projections onto the path's *join variables*, the ones it shares with
+    another path, with no closure check.  Every other variable occurs in
+    that path alone, so the full join is non-empty iff the join of the
+    projections is.  The caller projects a path's delta, de-duplicates it
+    and stores it in the path's view, which keeps the projections it does
+    not hold yet; :meth:`on_path_delta` then queues the whole de-duplicated
+    projection, unless a join partner's view is empty: a new embedding
+    whose projection is already stored still fires.  A path alone in its
+    component has no join variable, so its rows project to ``()`` and its
+    view stores nothing.  :attr:`comp_rows` marks a component 1 once a
+    delta join finds a row.
+    """
+
+    def __init__(self, q, paths, cached, max_rows=2_000_000):
+        super().__init__(q, paths, cached, max_rows)
+        self._pending: dict[int, list[Row]] = {}
+
+    @staticmethod
+    def _canonical(first: dict[int, int], shared: set[int]) -> dict[int, int]:
+        """Of a path's distinct variables ``first``, the join variables."""
+        return {v: i for v, i in first.items() if v in shared}
+
+    def bind_columns(
+        self, pidx: int, cols: tuple[int, ...], feeds: dict[tuple[int, ...], Feed]
+    ) -> None:
+        """Path ``pidx`` is fed rows whose columns are the slots ``cols``,
+        which must include :attr:`var_slots` ``[pidx]``.
+
+        ``feeds`` maps :attr:`var_slots` to :class:`Feed` objects, one dict
+        per source of rows (for TRIC, per trie node): the path joins the
+        feed stored there under its var_slots, or starts one with its own
+        projection and, if it has join partners, its own canonical view.
+        Every path fed the same rows with the same var_slots holds the same
+        projections, so one view serves them all.  (Only a lone path has
+        no join variable, so a feed's paths are all lone or none is.)"""
+        slots = self.var_slots[pidx]
+        feed = feeds.get(slots)
+        if feed is None:
+            project = getter(tuple(cols.index(s) for s in slots))
+            view = self.canon_views[pidx] if self._partners[pidx] else None
+            feed = feeds[slots] = Feed(project, view)
+        feed.members.append((self.q.qid, pidx))
+        if feed.view is not None:
+            self.canon_views[pidx] = feed.view
+
+    def on_path_delta(self, pidx: int, rows: list[Row]) -> bool:
+        """Hand a path's non-empty delta as canonical rows, de-duplicated
+        and already stored in the path's view; returns True iff they were
+        queued for :meth:`finish_update`.
+
+        Nothing is queued while a join partner's view is empty.  The
+        partner then held nothing before this update, so every new
+        embedding uses one of its rows of this update: its own queued delta
+        joins against this path's view, which by then holds these rows."""
+        views = self.canon_views
+        for j in self._partners[pidx]:
+            if not views[j].rows:
+                return False
+        self._pending.setdefault(pidx, []).extend(rows)
+        return True
+
+    def finish_update(self) -> bool:
+        """Close the update: join each queued delta with its partners'
+        views; returns True iff new full-query embeddings exist."""
+        delta_success = False
+        for pidx, delta in self._pending.items():
+            if self._join(delta, pidx, self._partners[pidx]):
+                self.comp_rows[self.path_comp[pidx]] = 1
+                delta_success = True
+        self._pending.clear()
+        return delta_success and all(self.comp_rows)
+
+
+class FullJoinAssembler(_FinalJoin):
+    """INV's and INC's final join for one indexed query, computed in full.
+
+    A path is fed whole slot rows, open walks included: its canonical rows
+    are the rows that pass the closure check, projected onto every distinct
+    variable of the path (literal slots carry no information: their values
+    are fixed by the edge signatures), and its canonical view is a set,
+    which :meth:`full_join` reads whole.  :attr:`comp_rows` holds each
+    component's row count of its last full join.  Canonical views only
+    grow and a join of sets is a set, so a component's row count never
+    falls, and it grows exactly when a join from this update's new rows
+    would find one: the count is the whole state the decision needs.
+    """
+
+    def __init__(self, q, paths, cached, max_rows=2_000_000):
+        super().__init__(q, paths, cached, max_rows)
+        self._project = [getter(slots) for slots in self.var_slots]
+        #: per path: getters of the (left, right) slots whose values must
+        #: agree (the cycle's closure), or None if the path closes no cycle
+        self._closure: list[Optional[tuple[Getter, Getter]]] = []
+        for p in paths:
+            pairs = [(r, i + 1) for i, r in enumerate(p.back_refs(q)) if r is not None]
+            if pairs:
+                left, right = zip(*pairs)
+                self._closure.append((getter(left), getter(right)))
+            else:
+                self._closure.append(None)
+
+    @staticmethod
+    def _canonical(first: dict[int, int], shared: set[int]) -> dict[int, int]:
+        """Every distinct variable of a path."""
+        return first
+
+    def canon(self, pidx: int, slot_rows: list[Row]) -> list[Row]:
+        """Project slot rows onto the path's canonical variables, dropping
+        rows whose repeated-vertex positions disagree (cycle closure)."""
+        proj = self._project[pidx]
+        closure = self._closure[pidx]
+        if closure is None:
+            return [proj(r) for r in slot_rows]
+        left, right = closure
+        return [proj(r) for r in slot_rows if left(r) == right(r)]
+
+    def add_rows(self, pidx: int, slot_rows: list[Row]) -> None:
+        """Store the canonical rows of slot rows for path ``pidx``;
+        :meth:`full_join` then decides the update."""
+        self.canon_views[pidx].add_all(self.canon(pidx, slot_rows))
+
+    def full_join(self) -> bool:
+        """The final join among all paths, computed in full per component
+        from its smallest view (paper §5.1 Step 3); returns True iff new
+        full-query embeddings exist: some component's row count grew (it
+        never falls) and every component has rows.
+
+        Cross-component products are not materialized."""
+        views = self.canon_views
+        counts = self.comp_rows
+        grew = False
+        for c, members in enumerate(self.components):
+            first = min(members, key=lambda j: len(views[j].rows))
+            n = len(self._join(views[first].rows, first, self._partners[first]))
+            if n > counts[c]:
+                counts[c] = n
+                grew = True
+        return grew and all(counts)

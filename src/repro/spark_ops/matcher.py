@@ -19,8 +19,18 @@ from typing import Iterator
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.engine.base import make_engine
+from repro.engine.base import Engine, make_engine
 from repro.graph.model import QueryPattern, Triple
+
+
+def frame_events(engine: Engine, pdf: pd.DataFrame) -> list[tuple[int, int]]:
+    """Feed the updates of frame ``pdf`` ``(t, s, p, o)`` to ``engine`` in
+    row order; returns their ``(t, qid)`` match events."""
+    return [
+        (int(t), qid)
+        for t, s, p, o in zip(pdf["t"], pdf["s"], pdf["p"], pdf["o"])
+        for qid in engine.process_update(Triple(str(s), str(p), str(o)))
+    ]
 
 
 def match_updates(
@@ -36,13 +46,8 @@ def match_updates(
             engine.add_query(q)
         engine.end_indexing()
         for pdf in batches:
-            ts, qids = [], []
-            for t, s, p, o in zip(pdf["t"], pdf["s"], pdf["p"], pdf["o"]):
-                for qid in engine.process_update(Triple(str(s), str(p), str(o))):
-                    ts.append(int(t))
-                    qids.append(qid)
-            yield pd.DataFrame({"t": pd.Series(ts, dtype="int64"),
-                                "qid": pd.Series(qids, dtype="int64")})
+            events = frame_events(engine, pdf)
+            yield pd.DataFrame(events, columns=["t", "qid"], dtype="int64")
 
     ordered = updates.coalesce(1).sortWithinPartitions("t")
     return ordered.mapInPandas(run, schema="t long, qid long")

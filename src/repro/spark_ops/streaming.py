@@ -17,7 +17,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.engine.base import Engine
-from repro.graph.model import Triple
+from repro.spark_ops.matcher import frame_events
 
 
 def run_structured_stream(
@@ -46,10 +46,7 @@ def run_structured_stream(
     events: list[tuple[int, int]] = []
 
     def on_batch(batch_df, batch_id: int) -> None:
-        pdf = batch_df.toPandas().sort_values("t")
-        for t, s, p, o in zip(pdf["t"], pdf["s"], pdf["p"], pdf["o"]):
-            for qid in engine.process_update(Triple(str(s), str(p), str(o))):
-                events.append((int(t), qid))
+        events.extend(frame_events(engine, batch_df.toPandas().sort_values("t")))
 
     stream = (
         spark.readStream.schema("t long, s string, p string, o string")

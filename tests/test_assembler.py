@@ -1,24 +1,26 @@
-"""QueryAssembler: canonicalization, cycle closure, components, and the two
-final joins: in full (INV, INC) and over queued deltas (TRIC)."""
+"""The final joins: canonicalization, cycle closure, components, and the
+two assemblers: in full (FullJoinAssembler: INV, INC) and over queued
+deltas (QueryAssembler: TRIC)."""
 import random
 
 import pytest
 
-from repro.engine.assembler import AssemblyOverflow, QueryAssembler
+from repro.engine.assembler import AssemblyOverflow, FullJoinAssembler, QueryAssembler
 from repro.graph.covering import covering_paths
 from repro.graph.model import QueryPattern
+from repro.relational.relation import getter
 
 
-def make(q, cached=False, max_rows=2_000_000, projected=False):
+def make(q, cached=False, max_rows=2_000_000, cls=FullJoinAssembler):
     paths = covering_paths(q)
-    return QueryAssembler(q, paths, cached, max_rows, projected), paths
+    return cls(q, paths, cached, max_rows), paths
 
 
 def hand(asm, pidx, rows):
-    """Hand path ``pidx`` of a ``projected`` assembler a delta of fed rows
-    the way TRIC's descent does: project it, de-duplicate it and store it
-    in the path's view, then pass the projections to ``on_path_delta``."""
-    new = list(dict.fromkeys(asm.canon(pidx, rows)))
+    """Hand path ``pidx`` of TRIC's assembler a delta of fed rows the way
+    TRIC's descent does: project it, de-duplicate it and store it in the
+    path's view, then pass the projections to ``on_path_delta``."""
+    new = list(dict.fromkeys(map(getter(asm.var_slots[pidx]), rows)))
     if asm._partners[pidx]:
         asm.canon_views[pidx].add_all(new)
     return asm.on_path_delta(pidx, new)
@@ -119,15 +121,14 @@ class TestComponents:
         assert len(asm.components) == 1
 
     def test_var_disjoint_paths_split_components(self):
-        # two paths joined only through the literal middle vertex
+        # two paths joined only through the literal vertex they both enter
         q = QueryPattern(
             qid=0,
             vertices=[None, "M", None],
-            edges=[(0, "a", 1), (1, "b", 2)],
+            edges=[(0, "a", 1), (2, "b", 1)],
         )
         asm, paths = make(q)
-        if len(paths) == 1:
-            pytest.skip("extractor produced a single chain path")
+        assert len(paths) == 2
         assert len(asm.components) == 2
 
     def test_shared_var_merges_components(self):
@@ -141,13 +142,13 @@ class TestComponents:
 
 
 class Pair:
-    """A full-join assembler (INV, INC) and a ``projected`` one (TRIC) fed
+    """A full-join assembler (INV, INC) and a delta one (TRIC) fed
     the same fresh rows: :meth:`step` feeds one update to both and returns
     the verdict they must share."""
 
     def __init__(self, q, cached=False):
         self.full, self.paths = make(q, cached)
-        self.delta, _ = make(q, cached, projected=True)
+        self.delta, _ = make(q, cached, cls=QueryAssembler)
 
     def step(self, *feeds):
         for pidx, rows in feeds:
@@ -181,7 +182,7 @@ class TestDeltaSemantics:
         assert pair.step((1, [("c2", "Y")])) is False  # different center
 
     def test_duplicate_slot_rows_do_not_reemit(self):
-        # a repeated row is outside the projected contract: full join only
+        # a repeated row is outside TRIC's contract: full join only
         q = QueryPattern(qid=0, vertices=[None, None], edges=[(0, "a", 1)])
         asm, _ = make(q)
         asm.add_rows(0, [("x", "y")])
@@ -191,13 +192,12 @@ class TestDeltaSemantics:
 
     def test_disjoint_components_emit_when_both_satisfied(self):
         q = QueryPattern(
-            qid=0, vertices=[None, "M", None], edges=[(0, "a", 1), (1, "b", 2)]
+            qid=0, vertices=[None, "M", None], edges=[(0, "a", 1), (2, "b", 1)]
         )
         pair = Pair(q)
-        if len(pair.paths) == 1:
-            pytest.skip("single chain path")
+        assert [p.slots for p in pair.paths] == [(0, 1), (2, 1)]
         assert pair.step((0, [("x", "M")])) is False  # other component unsatisfied
-        assert pair.step((1, [("M", "y")])) is True
+        assert pair.step((1, [("y", "M")])) is True
 
     @pytest.mark.parametrize("cached", [False, True])
     def test_cached_equals_uncached(self, cached):
@@ -248,7 +248,7 @@ class TestFullJoin:
         # projected rows of the three paths: (v1,), (v1, v2), (v2,); a
         # delta on the first path fans out through the middle one
         q = TestNonAdjacentPaths().query()
-        asm, _ = make(q, max_rows=10, projected=True)
+        asm, _ = make(q, max_rows=10, cls=QueryAssembler)
         hand(asm, 2, [("z", "y0")])
         hand(asm, 1, [("m", f"y{i}") for i in range(20)])
         asm.finish_update()
@@ -296,7 +296,7 @@ class TestNonAdjacentPaths:
         # row cap 3: joining the first and last paths directly (a cross
         # product of 1 x 5 rows in step 3) would overflow
         full, paths = make(self.query(), cached=cached, max_rows=3)
-        delta, _ = make(self.query(), cached=cached, max_rows=3, projected=True)
+        delta, _ = make(self.query(), cached=cached, max_rows=3, cls=QueryAssembler)
         assert [p.slots for p in paths] == [(1, 0), (1, 2), (3, 2)]
         views = ([], [], [])
         steps = [
@@ -323,11 +323,12 @@ class TestNonAdjacentPaths:
 
 
 class TestFreshRows:
-    """``projected=True`` (TRIC's contract: every row fed to a path closes
-    its cycles and stands for an embedding new with the update) fires its
-    delta join on exactly the updates where a default assembler's full
-    join grows, stores per path the default's canonical rows projected
-    onto the join variables, and stores nothing for a lone path."""
+    """TRIC's assembler (whose contract is that every row fed to a path
+    closes its cycles and stands for an embedding new with the update)
+    fires its delta join on exactly the updates where a full-join
+    assembler's full join grows, stores per path the full join's canonical
+    rows projected onto the join variables, and stores nothing for a lone
+    path."""
 
     QUERIES = {
         "lone path": QueryPattern(
@@ -346,8 +347,8 @@ class TestFreshRows:
     def test_fires_like_default(self, kind, cached):
         q = self.QUERIES[kind]
         paths = covering_paths(q)
-        plain = QueryAssembler(q, paths, cached)
-        projected = QueryAssembler(q, paths, cached, projected=True)
+        plain = FullJoinAssembler(q, paths, cached)
+        tric = QueryAssembler(q, paths, cached)
         rng = random.Random(kind)
         fed = [set() for _ in paths]
         fired = []
@@ -362,26 +363,26 @@ class TestFreshRows:
                     rows.append(r)
             plain.add_rows(pidx, rows)
             if rows:  # TRIC feeds only non-empty deltas
-                hand(projected, pidx, rows)
+                hand(tric, pidx, rows)
             fired.append(plain.full_join())
-            assert projected.finish_update() is fired[-1], kind
+            assert tric.finish_update() is fired[-1], kind
         assert True in fired and False in fired  # both outcomes exercised
-        for pidx, v in enumerate(projected.canon_views):
-            if len(projected.components[projected.path_comp[pidx]]) > 1:
+        for pidx, v in enumerate(tric.canon_views):
+            if len(tric.components[tric.path_comp[pidx]]) > 1:
                 full_vars = plain.path_vars[pidx]
-                cols = [full_vars.index(x) for x in projected.path_vars[pidx]]
+                cols = [full_vars.index(x) for x in tric.path_vars[pidx]]
                 want = {tuple(r[c] for c in cols) for r in plain.canon_views[pidx].rows}
                 assert set(v.rows) == want
                 assert len(v) <= len(plain.canon_views[pidx])
             else:
-                assert projected.path_vars[pidx] == ()
+                assert tric.path_vars[pidx] == ()
                 assert len(v) == 0 < len(plain.canon_views[pidx])
 
     def test_bound_columns(self):
         """Rows narrower than slot rows are read through ``bind_columns``."""
         q = self.QUERIES["two-path component"]
         paths = covering_paths(q)
-        asm = QueryAssembler(q, paths, False, projected=True)
+        asm = QueryAssembler(q, paths, False)
         assert asm.var_slots == [(0,), (0,)]
         asm.bind_columns(0, (0,), {})
         asm.bind_columns(1, (0, 1), {})
@@ -393,7 +394,7 @@ class TestFreshRows:
 
 
 class TestEmptyPartner:
-    """``projected=True`` queues no delta while a join partner's view is
+    """TRIC's assembler queues no delta while a join partner's view is
     empty: the partner's own later delta of the same update joins against
     this path's view, which already holds the new rows.  That holds for
     partners registered at one trie node too, whose rows are stored once
@@ -417,7 +418,7 @@ class TestEmptyPartner:
     @pytest.mark.parametrize("first", [0, 1])
     def test_first_rows_of_both_paths_in_one_update(self, first):
         q = self.STAR2
-        asm = QueryAssembler(q, covering_paths(q), False, projected=True)
+        asm = QueryAssembler(q, covering_paths(q), False)
         later = 1 - first
         assert hand(asm, first, self.rows(q, first, "c")) is False
         assert hand(asm, later, self.rows(q, later, "c")) is True
@@ -427,7 +428,7 @@ class TestEmptyPartner:
 
     def test_partner_already_non_empty_queues(self):
         q = self.STAR2
-        asm = QueryAssembler(q, covering_paths(q), False, projected=True)
+        asm = QueryAssembler(q, covering_paths(q), False)
         assert hand(asm, 1, self.rows(q, 1, "c")) is False
         assert asm.finish_update() is False
         assert hand(asm, 0, self.rows(q, 0, "c")) is True
@@ -437,7 +438,7 @@ class TestEmptyPartner:
         q = self.STAR3
         paths = covering_paths(q)
         assert len(paths) == 3
-        asm = QueryAssembler(q, paths, False, projected=True)
+        asm = QueryAssembler(q, paths, False)
         assert hand(asm, 2, self.rows(q, 2, "c")) is False  # C
         assert asm.finish_update() is False
         # one update: A while B is empty and C is not, then B
@@ -463,7 +464,7 @@ class TestEmptyPartner:
         q = self.ONE_FEED
         paths = covering_paths(q)
         assert [p.sig_chain(q) for p in paths] == [(("a", None, None),)] * 2
-        asm = QueryAssembler(q, paths, cached, projected=True)
+        asm = QueryAssembler(q, paths, cached)
         feeds = {}
         for pidx in (0, 1):
             asm.bind_columns(pidx, (0, 1), feeds)
@@ -481,7 +482,7 @@ class TestEmptyPartner:
         q = self.TWO_FEEDS
         paths = covering_paths(q)
         assert [p.slots for p in paths] == [(0, 1), (0, 2), (3, 2)]
-        asm = QueryAssembler(q, paths, cached, projected=True)
+        asm = QueryAssembler(q, paths, cached)
         feeds = {}
         for pidx in (0, 1):
             asm.bind_columns(pidx, (0, 1), feeds)

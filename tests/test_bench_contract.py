@@ -1,6 +1,7 @@
-"""The benchmark's tracing contract with the program.
+"""The benchmark's contract with the program.
 
 ``perfbench/tracing.py`` wraps engine entry points by module, class and
+attribute name, and ``perfbench/replay.py`` reads engine state by
 attribute name.  A refactor that renames or moves one of them must fail
 here, not only when the benchmark runs.
 """
@@ -8,16 +9,21 @@ import inspect
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.bench.harness import build_workload
 from repro.core.tric import TricEngine
+from repro.engine.base import make_engine
 from repro.engine.runner import index_queries, run_stream
 
 _PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
+_PATH = list(sys.path)
 sys.path.insert(0, _PERFBENCH)
 try:
+    import replay
     import tracing
 finally:
-    sys.path.remove(_PERFBENCH)
+    sys.path[:] = _PATH  # replay.py adds its own entries on import
 
 
 def test_every_target_resolves():
@@ -72,3 +78,21 @@ def test_descend_useful_tally_reads_the_delta(monkeypatch):
     assert layers["core.tric.descend_calls"] == seen["calls"]
     assert layers["core.tric.descend_useful"] == seen["useful"]
     assert layers["trace.stray_spans"] == 0
+
+
+@pytest.mark.parametrize("name", ["tric", "tric+"])
+def test_replay_state_reads(name):
+    """``replay.state_rows`` and ``replay.route_hits`` read the trie's nodes
+    and views, the base views, the assemblers' canonical views and the
+    views' indexes; only TRIC+ keeps indexes."""
+    updates, queries = build_workload("snb", 200, 20, seed=0)
+    engine = make_engine(name)
+    index_queries(engine, queries)
+    run_stream(engine, updates)
+    rows = replay.state_rows(engine)
+    assert sorted(rows) == ["base_rows", "canon_rows", "index_rows", "trie_rows"]
+    assert all(type(n) is int for n in rows.values())
+    assert rows["trie_rows"] > 0 and rows["base_rows"] > 0 and rows["canon_rows"] > 0
+    assert (rows["index_rows"] > 0) is engine.cached
+    hits = replay.route_hits(engine, updates)
+    assert type(hits) is int and 0 < hits < len(updates)

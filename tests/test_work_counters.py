@@ -6,13 +6,13 @@ engine does on a 300-update SNB stream with 30 queries.  A change that
 alters the join work of an engine fails here deterministically: a rise is
 a work regression, a fall must be explained and the numbers updated.  The
 same holds for TRIC's trie walk, counted as ``TricEngine._descend`` calls,
-and for INV and INC's final join, counted as ``QueryAssembler._join`` calls.
+and for INV and INC's final join, counted as ``FullJoinAssembler._join`` calls.
 """
 import pytest
 
 from repro.bench.harness import build_workload
 from repro.core.tric import TricEngine
-from repro.engine.assembler import QueryAssembler
+from repro.engine.assembler import FullJoinAssembler
 from repro.engine.base import make_engine
 from repro.engine.runner import index_queries, run_stream
 from repro.relational.relation import COUNTERS, reset_counters
@@ -82,7 +82,7 @@ def test_one_final_join_per_component(workload, name, monkeypatch):
     updates, queries = workload
     e = make_engine(name)
     index_queries(e, queries)
-    feed, join = type(e)._feed, QueryAssembler._join
+    feed, join = type(e)._feed, FullJoinAssembler._join
     expected = calls = 0
 
     def counting_feed(self, qid, asm, *args):
@@ -98,7 +98,7 @@ def test_one_final_join_per_component(workload, name, monkeypatch):
         return join(self, *args)
 
     monkeypatch.setattr(type(e), "_feed", counting_feed)
-    monkeypatch.setattr(QueryAssembler, "_join", counting_join)
+    monkeypatch.setattr(FullJoinAssembler, "_join", counting_join)
     r = run_stream(e, updates)
     assert not r.timed_out and len(r.events) == EXPECTED[name][3]
     assert expected > 0 and calls == expected
