@@ -15,7 +15,9 @@ The caching distinction between the plain and ``+`` algorithm variants maps
 directly onto :class:`HashIndex`:
 
 * plain (TRIC/INV/INC): the build phase runs from scratch on every join —
-  ``hash_join`` constructs a throwaway dict over the build side each call;
+  ``hash_join`` reads every build row each call and indexes, in a
+  throwaway dict, only the rows some probe key can match (a semi-join
+  filter, taken when the probe side is the smaller input);
 * cached (TRIC+/INV+/INC+): views keep :class:`HashIndex` objects that are
   maintained incrementally as tuples arrive, so joins skip the build phase
   (``probe_join`` against ``view.index(key)``).
@@ -205,9 +207,19 @@ def append_target(pr: Row, br: Row) -> Row:
     return pr + (br[1],)
 
 
-def _build(rows: list[Row], key_cols: tuple[int, ...]) -> HashIndex:
-    """Build phase of an uncached join: a throwaway index over ``rows``."""
+def _build(
+    rows: list[Row], key_cols: tuple[int, ...], keys: Optional[set] = None
+) -> HashIndex:
+    """Build phase of an uncached join: a throwaway index over ``rows``.
+
+    Every row is read and counted as build work.  Given the probe side's
+    ``keys`` (in :func:`key_getter` form), only the rows whose key is among
+    them are inserted: the others cannot join, so the index answers every
+    probe the same and each bucket keeps its rows in view order."""
     COUNTERS["build_rows"] += len(rows)
+    if keys is not None:
+        key = key_getter(key_cols)
+        rows = [r for r in rows if key(r) in keys]
     return HashIndex(key_cols, rows)
 
 
@@ -239,10 +251,20 @@ def hash_join(
     """Join ``probe_rows`` (usually a small delta) against a view.
 
     Cached views supply their maintained index (probe only); uncached views
-    pay for a full build over their rows on *every* call — this asymmetry is
-    the entire plain-vs-``+`` performance story of the paper.
+    pay for a build pass over their rows on *every* call — this asymmetry is
+    the entire plain-vs-``+`` performance story of the paper.  When the
+    probe side has fewer rows than the view, that pass indexes only the
+    view rows whose key some probe row holds (Bernstein and Chiu's
+    semi-join); otherwise the probe keys would cost more to collect than
+    the inserts they save, and every row is indexed.  The output is the
+    same either way: probe-major, view order within a key.
     """
     idx = build_view.index(build_key)
     if idx is None:
-        idx = _build(build_view.rows, build_key)
+        rows = build_view.rows
+        keys = None
+        if len(probe_rows) < len(rows):
+            key = key_getter(probe_key)
+            keys = {key(r) for r in probe_rows}
+        idx = _build(rows, build_key, keys)
     return probe_join(probe_rows, probe_key, idx, emit)

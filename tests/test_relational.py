@@ -4,6 +4,7 @@ import gc
 import pandas as pd
 import pytest
 
+from repro.relational import relation
 from repro.relational.relation import (
     COUNTERS,
     HashIndex,
@@ -158,6 +159,85 @@ class TestHashIndexKeys:
         got = probe_join(probe, probe_key, HashIndex(build_key, v.rows), emit)
         assert got == hash_join(probe, probe_key, v, build_key, emit)
         assert got
+
+
+class TestUncachedBuildKeepsMatchableRows:
+    """An uncached join reads every view row but, when the probe side is the
+    smaller input, indexes only the rows whose key some probe row holds.
+    Its output equals a cached join's, list for list."""
+
+    #: build rows; under key (0,) "a" has 3 rows, under (0, 1) ("a", "x") 2
+    ROWS = [("a", "x", "1"), ("b", "y", "2"), ("a", "x", "3"),
+            ("c", "x", "4"), ("a", "y", "5")]
+    PROBES = {
+        "none": [],
+        "one": [("a", "x")],
+        "repeated_and_absent": [("a", "x"), ("q", "q"), ("a", "x"), ("a", "y")],
+        "as_many_as_build": [("c", "x"), ("a", "y"), ("z", "z"), ("a", "y"),
+                             ("a", "x")],
+        "more_than_build": [("a", "y"), ("z", "x"), ("a", "x"), ("z", "x"),
+                            ("q", "q"), ("a", "y")],
+    }
+    KEYS = [(0,), (0, 1)]
+
+    @classmethod
+    def view(cls, cached: bool) -> View:
+        v = View(cached=cached)
+        v.add_all(cls.ROWS)
+        return v
+
+    @staticmethod
+    def emit(pr, br):
+        return pr + br[2:]
+
+    @pytest.mark.parametrize("key", KEYS)
+    @pytest.mark.parametrize("probe", PROBES)
+    def test_same_list_as_cached_join(self, probe, key):
+        rows = self.PROBES[probe]
+        got = hash_join(rows, key, self.view(False), key, self.emit)
+        assert got == hash_join(rows, key, self.view(True), key, self.emit)
+        want = [pr + br[2:] for pr in rows for br in self.ROWS
+                if all(pr[c] == br[c] for c in key)]
+        assert got == want
+
+    @pytest.mark.parametrize("key", KEYS)
+    @pytest.mark.parametrize("probe", PROBES)
+    def test_counts_every_build_probe_and_output_row(self, probe, key):
+        rows = self.PROBES[probe]
+        v = self.view(False)
+        out = hash_join(rows, key, v, key, self.emit)
+        assert COUNTERS == {"build_rows": len(v), "probe_rows": len(rows),
+                            "out_rows": len(out)}
+        out2 = hash_join(rows, key, v, key, self.emit)
+        assert COUNTERS == {"build_rows": 2 * len(v),
+                            "probe_rows": 2 * len(rows),
+                            "out_rows": len(out) + len(out2)}
+
+    @pytest.mark.parametrize("key", KEYS)
+    @pytest.mark.parametrize("probe", PROBES)
+    def test_build_indexes_matchable_rows_only_when_probe_is_smaller(
+        self, monkeypatch, probe, key
+    ):
+        built = []
+        build = relation._build
+
+        def spy(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(relation, "_build", spy)
+        rows = self.PROBES[probe]
+        hash_join(rows, key, self.view(True), key, self.emit)
+        assert built == []
+        hash_join(rows, key, self.view(False), key, self.emit)
+        assert len(built) == 1
+        keys = {tuple(pr[c] for c in key) for pr in rows}
+        matchable = [r for r in self.ROWS if tuple(r[c] for c in key) in keys]
+        indexed = [r for bucket in built[0].buckets.values() for r in bucket]
+        if len(rows) < len(self.ROWS):
+            assert sorted(indexed) == sorted(matchable)
+        else:
+            assert sorted(indexed) == sorted(self.ROWS)
 
 
 class TestBuckets:
