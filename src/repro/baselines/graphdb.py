@@ -27,7 +27,7 @@ from __future__ import annotations
 import time
 
 from repro.engine.base import Engine, EngineOverflow
-from repro.graph.model import QueryPattern, Triple, sig_matches, update_sigs
+from repro.graph.model import QueryPattern, Triple, update_sigs
 
 
 class GraphDBEngine(Engine):
@@ -84,8 +84,9 @@ class GraphDBEngine(Engine):
             self.end_indexing()
         if not self._insert(u):
             return []
+        sigs = update_sigs(u)
         qids: set[int] = set()
-        for sig in update_sigs(u):
+        for sig in sigs:
             qids.update(self.edge_ind.get(sig, ()))
         out: list[int] = []
         for qid in sorted(qids):
@@ -94,7 +95,7 @@ class GraphDBEngine(Engine):
             # and returns *all* rows — no existence early-exit.
             found = False
             for eidx in range(len(q.edges)):
-                if sig_matches(q.edge_sig(eidx), u):
+                if q.edge_sig(eidx) in sigs:
                     found |= self._execute(q, eidx, u) > 0
             if found:
                 out.append(qid)

@@ -13,16 +13,17 @@ semi-naively.  On whole slot rows, with ``last = parent.depth + 1`` and
              ∪ {pr + (u.o,) : pr ∈ old(parent), pr[last] = u.s, pr[k] = u.o}
 
 (the ``k`` conditions only where the child closes a cycle, ``k`` not
-``None``; a root's delta is ``u``'s row, and a root with ``k = 0`` takes
-``u`` only if it is a self-loop).  The second term, ``u``'s own, can be
-non-empty only at the update's *candidates*
+``None``; a root's delta is ``u``'s row).  The second term, ``u``'s own,
+can be non-empty only at the update's *candidates*
 (:meth:`~repro.core.trie.TrieForest.affected_roots`): the roots whose
-signature ``u`` satisfies, and the nodes whose signature ``u`` satisfies
-and whose parent's view holds ``u.s`` at its new slot, which the forest's
-``src_ind`` names.  They come ancestors first.  A candidate that no
-earlier descent has reached is an *entry*: its parent got no delta in this
-update (a delta there would have come from a shallower candidate, whose
-descent reaches this one), so its delta is ``old(parent) ⋈ {u}`` alone.
+signature ``u`` satisfies (a root with ``k = 0`` only if ``u`` is a
+self-loop), and the nodes whose signature ``u`` satisfies and whose
+parent's view holds ``u.s`` at its new slot, which the forest's
+``src_ind`` names.  So every root candidate's delta is ``u``'s row.  They
+come in creation order, so ancestors first.  A candidate that no earlier
+descent has reached is an *entry*: its parent got no delta in this update
+(a delta there would have come from an ancestor candidate, whose descent
+reaches this one), so its delta is ``old(parent) ⋈ {u}`` alone.
 Below an entry, :meth:`TricEngine._descend` enters a child only with a
 non-empty delta, and adds ``u``'s term only at a child that is a
 candidate, which it marks reached.  One helper,
@@ -132,8 +133,7 @@ class TricEngine(Engine):
         # list, not a generator: every base view must take the row.)
         if not any([self.base[sig].add(row) for sig in sigs]):
             return []
-        loop = u.s == u.o
-        cands = self.forest.affected_roots(sigs, u.s)
+        cands = self.forest.affected_roots(sigs, u)
         pending = set(cands)  # candidates not reached yet (never iterated)
         affected: set[int] = set()
         for node in cands:
@@ -141,7 +141,7 @@ class TricEngine(Engine):
                 continue  # reached inside an ancestor's descent
             parent = node.parent
             if parent is None:
-                delta = [node.emit(row[:1], row)] if node.ref is None or loop else []
+                delta = [node.emit(row[:1], row)]
             else:
                 # no descent reached the node, so Δ(parent) is empty
                 delta = self._delta(parent, node, [], row)

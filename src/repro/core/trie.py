@@ -4,8 +4,14 @@ Step 2, Figs. 6 & 8).
 Data structures, named as in the paper:
 
 * ``rootInd``  → :attr:`TrieForest.roots`: key of a first edge → root.
-* ``edgeInd``  → :attr:`TrieForest.edge_ind`: signature → the roots that
-  carry it, in creation order.
+* ``edgeInd`` (signature → the roots that carry it) has no structure of
+  its own.  A root's back-reference is ``None``, or ``0`` for a self-loop
+  edge, so ``rootInd`` finds a signature's roots in at most two lookups.
+
+Every node is created after its parent, so the forest's node list in
+creation order puts ancestors first.  It is the forest's one enumeration:
+:meth:`TrieForest.freeze` walks it backwards and forwards,
+:meth:`TrieForest.all_nodes` returns it, and candidates come in its order.
 
 A node's key is ``(signature, back-reference)``
 (:meth:`~repro.graph.covering.CoverPath.back_refs`).  The paper indexes
@@ -34,7 +40,7 @@ stops tracking it (a list of nodes would stay tracked for the whole stream
 and bring full collections closer, as :mod:`~repro.relational.relation`
 explains).  :meth:`TrieForest.affected_roots` gives an update's
 *candidates*, the matching roots plus the nodes
-``src_ind`` names for ``(sig, u.s)``, ancestors first; no other node can
+``src_ind`` names for ``(sig, u.s)``, in creation order; no other node can
 get ``u``'s own term.  This is the delta-query principle of Graphflow
 (Ammar et al., PVLDB 2018): start from the update's endpoint, not from
 every place its label occurs.
@@ -50,11 +56,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import cache
-from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.graph.covering import CoverPath
-from repro.graph.model import EdgeSig, QueryPattern
+from repro.graph.model import EdgeSig, QueryPattern, Triple
 from repro.relational.relation import Row, View, append_target, getter
 
 if TYPE_CHECKING:
@@ -62,10 +67,6 @@ if TYPE_CHECKING:
 
 #: a trie node's key among its siblings: (edge signature, back-reference)
 NodeKey = tuple[EdgeSig, Optional[int]]
-
-#: candidates' order: by depth, so ancestors come first, then by creation,
-#: which fixes the order in which one depth's deltas reach the assemblers
-_rank = attrgetter("depth", "order")
 
 
 def _target(pr: Row, br: Row) -> Row:
@@ -155,55 +156,20 @@ class TrieNode:
         self.base: Optional[View] = None
         self.feeds: tuple[Feed, ...] = ()
 
-    def walk(self):
-        """DFS iterator over this subtree (self first)."""
-        yield self
-        for c in self.children.values():
-            yield from c.walk()
-
-    def _freeze_keep(self, path_slots: Callable[[int, int], Iterable[int]]) -> None:
-        """Set :attr:`keep` for this subtree, children first."""
-        new = self.depth + 1
-        keep = {s for qid, pidx in self.registered for s in path_slots(qid, pidx)}
-        for c in self.children.values():
-            c._freeze_keep(path_slots)
-            keep.update(s for s in c.keep if s <= new)
-            if c.ref is not None:
-                keep.add(c.ref)
-        if self.children:
-            keep.add(new)
-        self.keep = tuple(sorted(keep))
-
-    def _freeze_step(self, parent_keep: tuple[int, ...]) -> None:
-        """Set :attr:`probe` and :attr:`emit` for this subtree, given the
-        parent's live slots (``(0,)`` for a root: its "parent row" is the
-        update's source)."""
-        self.probe = tuple(
-            parent_keep.index(s) for s in (self.depth, self.ref) if s is not None
-        )
-        cols = tuple(parent_keep.index(s) for s in self.keep if s <= self.depth)
-        new = self.depth + 1 in self.keep
-        if new and len(cols) == len(parent_keep):
-            self.emit = append_target
-        else:
-            self.emit = _step_emit(cols, new)
-        for c in self.children.values():
-            c._freeze_step(self.keep)
-
 
 class TrieForest:
-    """The forest of tries, the paper's root and edge indexes, and the
-    vertex-keyed entry index ``src_ind``."""
+    """The forest of tries, the paper's root index, its nodes in creation
+    order, and the vertex-keyed entry index ``src_ind``."""
 
     def __init__(self, cached: bool):
         self.cached = cached
         self.roots: dict[NodeKey, TrieNode] = {}  # rootInd
-        self.edge_ind: dict[EdgeSig, list[TrieNode]] = {}  # sig -> roots
         #: sig -> vertex -> the creation indices (:attr:`TrieNode.order`)
         #: of the non-root nodes of that signature whose parent's view
         #: holds the vertex at its new slot
         self.src_ind: dict[EdgeSig, dict[object, tuple[int, ...]]] = defaultdict(dict)
-        #: every node, in creation order: ``src_ind`` entries index it
+        #: every node, in creation order, so ancestors first: the forest's
+        #: one enumeration, which ``src_ind`` entries and candidates index
         self._nodes: list[TrieNode] = []
 
     def insert_path(self, q: QueryPattern, pidx: int, path: CoverPath) -> TrieNode:
@@ -218,8 +184,6 @@ class TrieForest:
                 child = TrieNode(*key, node, self.cached, len(self._nodes))
                 level[key] = child
                 self._nodes.append(child)
-                if node is None:
-                    self.edge_ind.setdefault(key[0], []).append(child)
             node = child
             level = node.children
         node.registered.append((q.qid, pidx))
@@ -229,30 +193,57 @@ class TrieForest:
         """Fix every node's live slots and step once the trie's shape is
         final; ``path_slots(qid, pidx)`` gives the slots whose values a
         registered path's final join reads."""
-        for root in self.roots.values():
-            root._freeze_keep(path_slots)
-            root._freeze_step((0,))
+        nodes = self._nodes
+        # children first: a node keeps every slot its children read
+        for node in reversed(nodes):
+            new = node.depth + 1
+            keep = {s for qid, pidx in node.registered for s in path_slots(qid, pidx)}
+            for c in node.children.values():
+                keep.update(s for s in c.keep if s <= new)
+                if c.ref is not None:
+                    keep.add(c.ref)
+            if node.children:
+                keep.add(new)
+            node.keep = tuple(sorted(keep))
+        # parents first: a step reads its parent's live slots, and a root's
+        # "parent row" is the update's source, ``(0,)``
+        for node in nodes:
+            parent_keep = (0,) if node.parent is None else node.parent.keep
+            node.probe = tuple(
+                parent_keep.index(s) for s in (node.depth, node.ref) if s is not None
+            )
+            cols = tuple(parent_keep.index(s) for s in node.keep if s <= node.depth)
+            new = node.depth + 1 in node.keep
+            if new and len(cols) == len(parent_keep):
+                node.emit = append_target
+            else:
+                node.emit = _step_emit(cols, new)
 
-    def affected_roots(self, sigs: Iterable[EdgeSig], src: object) -> list[TrieNode]:
-        """The candidates of an update with signatures ``sigs`` and source
-        vertex ``src`` (answering Step 1): the roots that carry one of
-        ``sigs``, and the nodes ``src_ind`` names for one of them and
-        ``src``, ancestors first.  A new list, since ``src_ind`` grows while
-        the update is answered.  Valid once the forest is frozen."""
-        out: list[TrieNode] = []
+    def affected_roots(self, sigs: Iterable[EdgeSig], u: Triple) -> list[TrieNode]:
+        """The candidates of update ``u``, whose signatures are ``sigs``
+        (answering Step 1): the roots ``rootInd`` holds under one of
+        ``sigs`` and back-reference ``None`` (or ``0``, the self-loop roots,
+        if ``u`` is a self-loop), and the nodes ``src_ind`` names for one
+        of ``sigs`` and ``u.s``; in creation order, so ancestors first.  A
+        new list, since ``src_ind`` grows while the update is answered.
+        Valid once the forest is frozen."""
+        roots, src_ind, src = self.roots, self.src_ind, u.s
+        loop = src == u.o
+        orders: list[int] = []
         for s in sigs:
-            roots = self.edge_ind.get(s)
-            if roots:
-                out += roots
-            by_src = self.src_ind.get(s)
+            root = roots.get((s, None))
+            if root is not None:
+                orders.append(root.order)
+            if loop:
+                root = roots.get((s, 0))
+                if root is not None:
+                    orders.append(root.order)
+            by_src = src_ind.get(s)
             if by_src:
-                orders = by_src.get(src)
-                if orders:
-                    nodes = self._nodes
-                    out += [nodes[i] for i in orders]
-        if len(out) > 1:
-            out.sort(key=_rank)
-        return out
+                orders += by_src.get(src, ())
+        orders.sort()
+        nodes = self._nodes
+        return [nodes[i] for i in orders]
 
     def add_sources(self, node: TrieNode, rows: list[Row]) -> None:
         """Register ``node``'s children in ``src_ind`` under each new-slot
@@ -284,9 +275,9 @@ class TrieForest:
             for v, orders in self.src_ind.get(sig, {}).items()
         }
 
-    # -- introspection used by tests -----------------------------------
     def n_nodes(self) -> int:
         return len(self._nodes)
 
     def all_nodes(self) -> list[TrieNode]:
-        return [n for r in self.roots.values() for n in r.walk()]
+        """Every node, in creation order (ancestors first)."""
+        return self._nodes

@@ -93,9 +93,3 @@ class QueryPattern:
             raise ValueError(f"Q{self.qid}: isolated vertices {set(range(n)) - touched}")
         if not self.is_connected():
             raise ValueError(f"Q{self.qid}: pattern is not connected")
-
-
-def sig_matches(sig: EdgeSig, u: Triple) -> bool:
-    """Whether update ``u`` satisfies edge signature ``sig``."""
-    p, s, o = sig
-    return p == u.p and (s is None or s == u.s) and (o is None or o == u.o)

@@ -20,6 +20,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.engine.base import Engine, make_engine
+from repro.engine.runner import index_queries
 from repro.graph.model import QueryPattern, Triple
 
 
@@ -42,9 +43,7 @@ def match_updates(
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         engine = make_engine(engine_name)
-        for q in queries:
-            engine.add_query(q)
-        engine.end_indexing()
+        index_queries(engine, queries)
         for pdf in batches:
             events = frame_events(engine, pdf)
             yield pd.DataFrame(events, columns=["t", "qid"], dtype="int64")

@@ -7,6 +7,7 @@ here, not only when the benchmark runs.
 """
 import inspect
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,26 @@ def test_every_target_resolves():
         # methods are patched on the class that defines them
         fn = owner.__dict__.get(attr) if cls else getattr(owner, attr, None)
         assert callable(fn), f"{module}.{cls or ''}.{attr} not found"
+
+
+def test_every_target_records_spans():
+    """A traced uncached-TRIC run calls every target under the name the
+    tracer wraps, so a refactor that keeps a name but stops calling it
+    fails here.  The one exception is ``relation.hash_join``: ``tric``,
+    ``assembler`` and ``inv`` bind ``hash_join`` at import, so no caller
+    looks it up on its own module."""
+    updates, queries = build_workload("snb", 300, 30, seed=0)
+    rec = tracing.Recorder()
+    rec.install()
+    try:
+        engine = TricEngine(cached=False)
+        index_queries(engine, queries)
+        run_stream(engine, updates)
+    finally:
+        rec.uninstall()
+    spans = Counter(rec.names[i] for i in rec.span_name)
+    idle = [name for *_, name in tracing.TARGETS if not spans[name]]
+    assert [name for name in idle if name != "join.hash_join"] == []
 
 
 def test_install_then_uninstall_leaves_no_wrapper():

@@ -1,12 +1,7 @@
 """Unit tests for the graph/query model (repro.graph.model)."""
 import pytest
 
-from repro.graph.model import (
-    QueryPattern,
-    Triple,
-    sig_matches,
-    update_sigs,
-)
+from repro.graph.model import QueryPattern, Triple, update_sigs
 
 
 def chain(qid=0, terms=("a", None, "b"), preds=("p1", "p2")):
@@ -26,29 +21,6 @@ class TestUpdateSigs:
             ("p", None, "b"),
             ("p", None, None),
         )
-
-    def test_all_signatures_match_their_update(self):
-        u = Triple("a", "p", "b")
-        for sig in update_sigs(u):
-            assert sig_matches(sig, u)
-
-
-class TestSigMatches:
-    @pytest.mark.parametrize(
-        "sig,expect",
-        [
-            (("p", None, None), True),
-            (("p", "a", None), True),
-            (("p", None, "b"), True),
-            (("p", "a", "b"), True),
-            (("q", None, None), False),
-            (("p", "x", None), False),
-            (("p", None, "x"), False),
-            (("p", "a", "x"), False),
-        ],
-    )
-    def test_matrix(self, sig, expect):
-        assert sig_matches(sig, Triple("a", "p", "b")) is expect
 
 
 class TestQueryPattern:

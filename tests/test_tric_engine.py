@@ -76,7 +76,7 @@ class TestDeltaPropagation:
         mid = root.children[(("a", None, None), None)]
         (leaf,) = mid.children.values()
         sigs = [s for s in update_sigs(stream[2]) if s in e.base]
-        assert e.forest.affected_roots(sigs, "z") == [leaf]
+        assert e.forest.affected_roots(sigs, stream[2]) == [leaf]
         # root's view holds (y,) only: the topmost node's u-term is empty
         assert e._delta(root, mid, [], ("z", "w")) == []
         got.append(e.process_update(stream[2]))
@@ -99,12 +99,12 @@ class TestDeltaPropagation:
         u = Triple("q", "a", "w")
         sigs = [s for s in update_sigs(u) if s in e.base]
         assert sum(n.sig in sigs for n in e.forest.all_nodes()) == 10
-        assert e.forest.affected_roots(sigs, u.s) == []
+        assert e.forest.affected_roots(sigs, u) == []
         reset_counters()
         assert e.process_update(u) == []
         assert (COUNTERS["build_rows"], COUNTERS["probe_rows"]) == (0, 0)
         # from the vertex the parents hold, all ten fire
-        assert e.forest.affected_roots(sigs, "y") == [
+        assert e.forest.affected_roots(sigs, Triple("y", "a", "w")) == [
             n for n in e.forest.all_nodes() if n.sig in sigs
         ]
         assert e.process_update(Triple("y", "a", "w")) == list(range(10))

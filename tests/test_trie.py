@@ -1,11 +1,11 @@
-"""Trie forest (rootInd / edgeInd / registered queries) — clustering
-behaviour, incl. the paper's Fig. 5/8 worked example, and the candidates
-an update's signatures and source vertex reach (``src_ind``)."""
+"""Trie forest (rootInd / registered queries) — clustering behaviour,
+incl. the paper's Fig. 5/8 worked example, and the candidates an update's
+signatures and source vertex reach (``src_ind``)."""
 import pytest
 
 from repro.core.trie import TrieForest
 from repro.graph.covering import covering_paths
-from repro.graph.model import QueryPattern
+from repro.graph.model import QueryPattern, Triple
 
 
 def index_query(forest: TrieForest, q: QueryPattern):
@@ -19,6 +19,13 @@ def freeze(forest: TrieForest) -> TrieForest:
     """Freeze the forest's shape, as the first update does."""
     forest.freeze(lambda qid, pidx: ())
     return forest
+
+
+def subtree(node):
+    """The nodes of ``node``'s subtree, ``node`` first."""
+    yield node
+    for c in node.children.values():
+        yield from subtree(c)
 
 
 def fig5_queries():
@@ -92,17 +99,17 @@ class TestInsertPath:
         assert leaf.registered == [(7, 0)]
         assert [n for n in f.all_nodes() if n.registered] == [leaf]
 
-    def test_edge_ind_points_to_roots(self):
+    def test_roots_of_a_signature_are_its_candidates(self):
         f = TrieForest(cached=False)
+        a, b = ("a", None, None), ("b", None, None)
         q = QueryPattern(
             qid=0, vertices=[None, None, None], edges=[(0, "a", 1), (1, "b", 2)]
         )
         index_query(f, q)
-        root = f.roots[(("a", None, None), None)]
+        root = f.roots[(a, None)]
         (child,) = root.children.values()
-        assert f.edge_ind == {("a", None, None): [root]}
         assert (root.parent, child.parent) == (None, root)
-        # a second path adds only the roots it creates, in creation order
+        # a second path adds only the roots it creates
         index_query(
             f,
             QueryPattern(
@@ -111,8 +118,14 @@ class TestInsertPath:
                 edges=[(0, "b", 1), (1, "a", 2), (2, "b", 3)],
             ),
         )
-        b_root = f.roots[(("b", None, None), None)]
-        assert f.edge_ind == {("a", None, None): [root], ("b", None, None): [b_root]}
+        b_root = f.roots[(b, None)]
+        assert set(f.roots) == {(a, None), (b, None)}
+        freeze(f)
+        # empty views: a signature's candidates are its roots, each once,
+        # not the non-root nodes that carry it
+        assert f.affected_roots([a], Triple("v", "a", "w")) == [root]
+        assert f.affected_roots([b], Triple("v", "b", "w")) == [b_root]
+        assert f.affected_roots([b, a], Triple("v", "b", "w")) == [root, b_root]
 
     def test_affected_roots_none_safe_and_deduped(self):
         f = TrieForest(cached=False)
@@ -121,10 +134,11 @@ class TestInsertPath:
         index_query(f, qa)
         index_query(f, qb)
         freeze(f)
-        roots = f.affected_roots([("a", None, "x"), ("a", None, None)], "v")
+        u = Triple("v", "a", "x")
+        roots = f.affected_roots([("a", None, "x"), ("a", None, None)], u)
         # two distinct tries, each returned once, in creation order
         assert [r.sig for r in roots] == [("a", None, "x"), ("a", None, None)]
-        assert f.affected_roots([("z", None, None)], "v") == []
+        assert f.affected_roots([("z", None, None)], Triple("v", "z", "w")) == []
 
 
 def src_values(forest: TrieForest, node) -> list:
@@ -159,17 +173,17 @@ class TestEntryNodes:
     def test_repeated_signature_chain_enters_at_root(self):
         f, root, mid, leaf = self.chain3()
         # empty views: the signature reaches three nodes, the update the root
-        assert f.affected_roots([self.SIG], "y") == [root]
+        assert f.affected_roots([self.SIG], Triple("y", "i", "w")) == [root]
         # root's view holds y at its new slot (its one live slot)
         assert root.keep == (1,)
         f.add_sources(root, [("y",)])
         assert f.sources(self.SIG) == {"y": [mid]}
-        assert f.affected_roots([self.SIG], "y") == [root, mid]
-        assert f.affected_roots([self.SIG], "x") == [root]
+        assert f.affected_roots([self.SIG], Triple("y", "i", "w")) == [root, mid]
+        assert f.affected_roots([self.SIG], Triple("x", "i", "w")) == [root]
         # candidates come ancestors first, whatever the registration order
         f.add_sources(mid, [("x",), ("y",)])
         assert f.sources(self.SIG) == {"y": [mid, leaf], "x": [leaf]}
-        assert f.affected_roots([self.SIG], "y") == [root, mid, leaf]
+        assert f.affected_roots([self.SIG], Triple("y", "i", "w")) == [root, mid, leaf]
 
     def test_add_sources_registers_each_value_once(self):
         f, root, mid, leaf = self.chain3()
@@ -196,10 +210,11 @@ class TestEntryNodes:
         # every child of a node is registered under the values of its view
         f.add_sources(root, [("v",)])
         assert (src_values(f, child_l), src_values(f, child_m)) == (["v"], ["v"])
-        assert f.affected_roots([sig_l, bare], "v") == [root, child_l]
-        assert f.affected_roots([sig_l, sig_m], "v") == [child_l, child_m]
+        u = Triple("v", "a", "L")
+        assert f.affected_roots([sig_l, bare], u) == [root, child_l]
+        assert f.affected_roots([sig_l, sig_m], u) == [child_l, child_m]
         # the children's signatures match, but root's view does not hold u
-        assert f.affected_roots([sig_l, sig_m], "u") == []
+        assert f.affected_roots([sig_l, sig_m], Triple("u", "a", "L")) == []
 
     def test_sibling_branches_each_returned_once(self):
         f = TrieForest(cached=False)
@@ -226,14 +241,15 @@ class TestEntryNodes:
         assert set(root.children) == {(a, None), (a, 1)}
         assert all(len(c.children) == 1 for c in root.children.values())
         f.add_sources(root, [("y",)])
-        assert f.affected_roots([a], "y") == list(root.children.values())
-        assert f.affected_roots([r, a], "y") == [root, *root.children.values()]
-        assert f.affected_roots([r], "y") == [root]
+        u = Triple("y", "a", "w")
+        assert f.affected_roots([a], u) == list(root.children.values())
+        assert f.affected_roots([r, a], u) == [root, *root.children.values()]
+        assert f.affected_roots([r], u) == [root]
 
-    def test_order_is_depth_then_creation(self):
+    def test_order_is_creation(self):
         f = TrieForest(cached=False)
         a = ("a", None, None)
-        # the depth-2 `a` node is created before the depth-1 one
+        # the depth-2 `a` node is created before the depth-1 one below `s`
         index_query(
             f,
             QueryPattern(
@@ -254,8 +270,8 @@ class TestEntryNodes:
         f.add_sources(s_root, [("v",)])
         f.add_sources(r_root, [("v",)])
         assert f.sources(a)["v"] == [deep, shallow, r_a]
-        # ... and come shallowest first, one depth in creation order
-        assert f.affected_roots([a], "v") == [r_a, shallow, deep]
+        # ... and come in creation order, which puts ancestors first
+        assert f.affected_roots([a], Triple("v", "a", "w")) == [r_a, deep, shallow]
 
 
 class TestBackRefs:
@@ -301,19 +317,20 @@ class TestBackRefs:
         root = f.roots[(("a", "L", None), None)]
         assert set(root.children) == {(("a", None, "L"), None)}
 
-    def test_edge_ind_keyed_by_bare_signature(self):
+    def test_self_loop_root_is_a_candidate_of_self_loops_only(self):
         f = TrieForest(cached=False)
         index_query(f, QueryPattern(qid=0, vertices=[None], edges=[(0, "a", 0)]))
         index_query(
             f, QueryPattern(qid=1, vertices=[None, None], edges=[(0, "a", 1), (1, "a", 0)])
         )
         # one signature, three nodes: the self-loop root, the plain root
-        # and its closing child; the update enters at both roots
+        # and its closing child; a self-loop enters at both roots
         loop_root, plain_root = f.roots[(self.SIG, 0)], f.roots[(self.SIG, None)]
         assert set(plain_root.children) == {(self.SIG, 0)}
-        assert f.edge_ind == {self.SIG: [loop_root, plain_root]}
-        roots = freeze(f).affected_roots([self.SIG], "v")
+        freeze(f)
+        roots = f.affected_roots([self.SIG], Triple("v", "a", "v"))
         assert [(r.sig, r.ref) for r in roots] == [(self.SIG, 0), (self.SIG, None)]
+        assert f.affected_roots([self.SIG], Triple("v", "a", "w")) == [plain_root]
 
 
 class TestPaperFig8:
@@ -331,7 +348,7 @@ class TestPaperFig8:
         }
         # T1 clusters Q1.P1, Q1.P2, Q2.P1 and Q4.P1:
         t1 = f.roots[(("hasMod", None, None), None)]
-        assert {qid for n in t1.walk() for qid, _ in n.registered} == {1, 2, 4}
+        assert {qid for n in subtree(t1) for qid, _ in n.registered} == {1, 2, 4}
         # posted=(?var,pst1) appears under both T1 (Q1/Q4) and T3 (Q3)
         t3 = f.roots[(("hasCreator", "com1", None), None)]
         posted = (("posted", None, "pst1"), None)
