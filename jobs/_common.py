@@ -30,6 +30,8 @@ from repro.bench.harness import (  # noqa: E402
 from repro.engine.base import ALGORITHMS  # noqa: E402
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
+#: queries whose first matches ``--verify`` checks
+N_VERIFY = 10
 
 
 def parser(desc: str) -> argparse.ArgumentParser:
@@ -45,7 +47,7 @@ def parser(desc: str) -> argparse.ArgumentParser:
     return p
 
 
-def verify_sample(updates, queries, n_sample: int = 10) -> None:
+def verify_sample(updates, queries) -> None:
     """Check tric+'s first-match map against the Catalyst BGP ground truth."""
     from pyspark.sql import SparkSession
 
@@ -59,7 +61,7 @@ def verify_sample(updates, queries, n_sample: int = 10) -> None:
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
-    sample = queries[:n_sample]
+    sample = queries[:N_VERIFY]
     engine = make_engine("tric+")
     index_queries(engine, sample)
     res = run_stream(engine, updates)

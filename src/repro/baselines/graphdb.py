@@ -9,7 +9,9 @@ an in-memory substitute since no Neo4j is available offline:
 * an indexed triple store (label indexes on ``p``, ``(p, s)``, ``(p, o)`` —
   the paper's "indexes on all labels of the schema");
 * a backtracking pattern executor (Neo4j's expand-based runtime) with a
-  greedy selectivity-ordered join plan;
+  greedy selectivity-ordered join plan; queries are validated as
+  connected, so every step expands from a vertex already bound and no step
+  scans a whole label;
 * *parameterized* execution: for every pattern edge the update can bind, the
   query runs with that edge's endpoints bound to the update — which is both
   what the paper's parameter syntax does and why Neo4j beats INV/INC: the
@@ -43,6 +45,10 @@ class GraphDBEngine(Engine):
     graph size as it does for the real system.  Set ``exec_latency_us=0``
     to benchmark the raw search instead; correctness is unaffected either
     way.  See DESIGN.md §5 (dataset/comparator substitutions).
+
+    An execution is anchored at a pattern edge whose signature the update
+    satisfies, so its literals agree with the update, and extends only
+    from bound vertices, since ``add_query`` validates queries as connected.
     """
 
     name = "graphdb"
@@ -113,9 +119,8 @@ class GraphDBEngine(Engine):
         bound = {q.edges[anchor][0], q.edges[anchor][2]}
         plan = []
         while remaining:
-            cands = [
-                e for e in remaining if q.edges[e][0] in bound or q.edges[e][2] in bound
-            ] or sorted(remaining)
+            # the query is connected: some remaining edge touches a bound vertex
+            cands = [e for e in remaining if q.edges[e][0] in bound or q.edges[e][2] in bound]
             e = min(cands, key=lambda e: (self._est(q, e, bound), e))
             plan.append(e)
             bound.update((q.edges[e][0], q.edges[e][2]))
@@ -124,7 +129,7 @@ class GraphDBEngine(Engine):
         return plan
 
     def _est(self, q: QueryPattern, eidx: int, bound: set[int]) -> int:
-        """Cardinality estimate for one pattern edge given bound vertices."""
+        """Cardinality estimate of a pattern edge with a bound or literal end."""
         s, p, o = q.edges[eidx]
         s_fixed = q.vertices[s] is not None or s in bound
         o_fixed = q.vertices[o] is not None or o in bound
@@ -134,27 +139,23 @@ class GraphDBEngine(Engine):
             return len(self.by_ps.get((p, q.vertices[s]), ()))
         if o_fixed and q.vertices[o] is not None:
             return len(self.by_po.get((p, q.vertices[o]), ()))
-        if s_fixed or o_fixed:
-            n = len(self.by_p.get(p, ()))
-            keys = len(self.by_ps) if s_fixed else len(self.by_po)
-            return max(1, n // max(1, keys))
-        return len(self.by_p.get(p, ()))
+        n = len(self.by_p.get(p, ()))
+        keys = len(self.by_ps) if s_fixed else len(self.by_po)
+        return max(1, n // max(1, keys))
 
     def _execute(self, q: QueryPattern, anchor: int, u: Triple) -> int:
         """Run ``q`` with edge ``anchor`` bound to the update (parameterized
         execution), enumerating all embeddings; returns their count."""
         t0 = time.perf_counter()
         s_a, _, o_a = q.edges[anchor]
+        # bind anchor endpoints to the update (literal agreement is implied
+        # by the signature match, but the same *variable* may be both ends)
+        if s_a == o_a and u.s != u.o:
+            return 0
         binding: dict[int, str] = {
             i: t for i, t in enumerate(q.vertices) if t is not None
         }
         rows: list[dict[str, str]] = []  # materialized result records
-        # bind anchor endpoints to the update (literal agreement is implied
-        # by the signature match, but the same *variable* may be both ends)
-        if binding.get(s_a, u.s) != u.s or binding.get(o_a, u.o) != u.o:
-            return 0
-        if s_a == o_a and u.s != u.o:
-            return 0
         binding[s_a] = u.s
         binding[o_a] = u.o
         plan = self._plan(q, anchor)
@@ -171,6 +172,7 @@ class GraphDBEngine(Engine):
                 # materialize the record as a driver would return it
                 rows.append({f"v{i}": v for i, v in binding.items()})
                 return
+            # the plan extends only from bound vertices: bs or bo is set
             s, p, o = q.edges[plan[step]]
             bs, bo = binding.get(s), binding.get(o)
             if bs is not None and bo is not None:
@@ -183,19 +185,10 @@ class GraphDBEngine(Engine):
                     rec(step + 1)
                 binding.pop(o, None)
                 return
-            if bo is not None:
-                for cand in self.by_po.get((p, bo), ()):
-                    binding[s] = cand
-                    rec(step + 1)
-                binding.pop(s, None)
-                return
-            for cs, co in self.by_p.get(p, ()):
-                if s == o and cs != co:
-                    continue  # self-loop pattern edge: endpoints must agree
-                binding[s], binding[o] = cs, co
+            for cand in self.by_po.get((p, bo), ()):
+                binding[s] = cand
                 rec(step + 1)
             binding.pop(s, None)
-            binding.pop(o, None)
 
         try:
             rec(0)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from abc import abstractmethod
 
 from repro.engine.assembler import FullJoinAssembler
-from repro.engine.base import Engine, EngineOverflow
+from repro.engine.base import MAX_ROWS, Engine, EngineOverflow
 from repro.graph.covering import covering_paths
 from repro.graph.model import EdgeSig, QueryPattern, Triple, update_sigs
 from repro.relational.relation import Row, View, append_target, hash_join
@@ -36,7 +36,7 @@ class _InvertedBase(Engine):
     """Shared indexing phase and answering loop of INV and INC (§5.1–5.2);
     the engines differ only in how :meth:`_feed` materializes path rows."""
 
-    def __init__(self, cached: bool, max_rows: int = 2_000_000):
+    def __init__(self, cached: bool, max_rows: int = MAX_ROWS):
         self.cached = cached
         self.max_rows = max_rows
         #: matV[e_i] per signature, shared across queries
@@ -91,12 +91,11 @@ class _InvertedBase(Engine):
         skips the query's final join."""
 
     # -- answering helpers ---------------------------------------------
-    def _guard(self, rows: list[Row], qid: int) -> list[Row]:
+    def _guard(self, rows: list[Row], qid: int) -> None:
         if len(rows) > self.max_rows:
             raise EngineOverflow(
                 f"{self.name}: Q{qid} path materialization exceeded {self.max_rows} rows"
             )
-        return rows
 
     def _extend_right(
         self, rows: list[Row], chain: tuple[EdgeSig, ...], start: int, qid: int
@@ -114,7 +113,7 @@ class _InvertedBase(Engine):
 class InvEngine(_InvertedBase):
     """Algorithm INV (``cached=False``) / INV+ (``cached=True``)."""
 
-    def __init__(self, cached: bool = False, max_rows: int = 2_000_000):
+    def __init__(self, cached: bool = False, max_rows: int = MAX_ROWS):
         super().__init__(cached, max_rows)
         self.name = "inv+" if cached else "inv"
 
@@ -134,7 +133,7 @@ class InvEngine(_InvertedBase):
 class IncEngine(_InvertedBase):
     """Algorithm INC (``cached=False``) / INC+ (``cached=True``)."""
 
-    def __init__(self, cached: bool = False, max_rows: int = 2_000_000):
+    def __init__(self, cached: bool = False, max_rows: int = MAX_ROWS):
         super().__init__(cached, max_rows)
         self.name = "inc+" if cached else "inc"
 

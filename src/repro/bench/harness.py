@@ -130,9 +130,13 @@ def fmt_table(title: str, rows: list[dict], columns: list[str]) -> str:
     return "\n".join(lines)
 
 
-def cell(m: dict, digits: int = 3) -> str:
+#: decimals of a result cell's ms/update
+CELL_DIGITS = 3
+
+
+def cell(m: dict) -> str:
     """One result cell: avg ms/update, with the paper's timeout asterisk."""
-    v = f"{m['avg_ms_per_update']:.{digits}f}"
+    v = f"{m['avg_ms_per_update']:.{CELL_DIGITS}f}"
     if m["timed_out"]:
         v += f"* (timeout at |G_E|={m['processed']})"
     return v

@@ -71,7 +71,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.engine.assembler import Feed, QueryAssembler
-from repro.engine.base import Engine, EngineOverflow
+from repro.engine.base import MAX_ROWS, Engine, EngineOverflow
 from repro.core.trie import TrieForest, TrieNode
 from repro.graph.covering import covering_paths
 from repro.graph.model import EdgeSig, QueryPattern, Triple, update_sigs
@@ -81,7 +81,7 @@ from repro.relational.relation import Row, View, hash_join
 class TricEngine(Engine):
     """Algorithm TRIC (``cached=False``) / TRIC+ (``cached=True``)."""
 
-    def __init__(self, cached: bool = False, max_rows: int = 2_000_000):
+    def __init__(self, cached: bool = False, max_rows: int = MAX_ROWS):
         self.cached = cached
         self.name = "tric+" if cached else "tric"
         self.max_rows = max_rows

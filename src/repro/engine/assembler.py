@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.engine.base import EngineOverflow
+from repro.engine.base import MAX_ROWS, EngineOverflow
 from repro.graph.covering import CoverPath
 from repro.graph.model import QueryPattern
 from repro.relational.relation import Row, View, getter, hash_join
@@ -64,7 +64,7 @@ class _FinalJoin:
         q: QueryPattern,
         paths: list[CoverPath],
         cached: bool,
-        max_rows: int = 2_000_000,
+        max_rows: int = MAX_ROWS,
     ):
         self.q = q
         self.max_rows = max_rows
@@ -175,7 +175,7 @@ class QueryAssembler(_FinalJoin):
     delta join finds a row.
     """
 
-    def __init__(self, q, paths, cached, max_rows=2_000_000):
+    def __init__(self, q, paths, cached, max_rows=MAX_ROWS):
         super().__init__(q, paths, cached, max_rows)
         self._pending: dict[int, list[Row]] = {}
 
@@ -249,7 +249,7 @@ class FullJoinAssembler(_FinalJoin):
     would find one: the count is the whole state the decision needs.
     """
 
-    def __init__(self, q, paths, cached, max_rows=2_000_000):
+    def __init__(self, q, paths, cached, max_rows=MAX_ROWS):
         super().__init__(q, paths, cached, max_rows)
         self._project = [getter(slots) for slots in self.var_slots]
         #: per path: getters of the (left, right) slots whose values must

@@ -11,6 +11,11 @@ class EngineOverflow(RuntimeError):
     runner — the scaled-down analogue of the paper's 24 h threshold)."""
 
 
+#: default ``max_rows`` of TRIC, INV, INC and the final joins (graphdb caps
+#: its results at its own 500,000)
+MAX_ROWS = 2_000_000
+
+
 class Engine(ABC):
     """A continuous multi-query processing engine.
 

@@ -142,8 +142,8 @@ def covering_paths(q: QueryPattern) -> list[CoverPath]:
             ),
             key=lambda v: (indeg[v] != 0, v),
         )
-        path = _walk(q, starts[0], unvisited)
-        if path.edge_idxs:
-            paths.append(path)
+        # starts[0] reaches an unvisited edge, so it has an outgoing edge
+        # and the walk takes at least one
+        paths.append(_walk(q, starts[0], unvisited))
     paths = [p for p in paths if not any(_is_subpath(p, o) for o in paths if o is not p)]
     return paths

@@ -97,8 +97,9 @@ def spark_bgp_match(triples: DataFrame, q: QueryPattern, with_time: bool = False
     return acc.select(*out_cols).distinct()
 
 
-def bgp_to_sql(q: QueryPattern, table: str = "g") -> str:
-    """Equivalent SQL (DuckDB dialect == ANSI here) for the oracle check."""
+def bgp_to_sql(q: QueryPattern) -> str:
+    """Equivalent SQL (DuckDB dialect == ANSI here) for the oracle check,
+    over the triples in table ``g``."""
     aliases = [f"e{i}" for i in range(len(q.edges))]
     conds: list[str] = []
     var_first: dict[int, str] = {}
@@ -112,7 +113,7 @@ def bgp_to_sql(q: QueryPattern, table: str = "g") -> str:
                 conds.append(f"{col} = {var_first[vid]}")
             else:
                 var_first[vid] = col
-    froms = ", ".join(f"(SELECT DISTINCT s, p, o FROM {table}) {a}" for a in aliases)
+    froms = ", ".join(f"(SELECT DISTINCT s, p, o FROM g) {a}" for a in aliases)
     where = " AND ".join(conds)
     if var_first:
         sel = ", ".join(f"{col} AS v{vid}" for vid, col in sorted(var_first.items()))

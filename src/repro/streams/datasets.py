@@ -106,13 +106,17 @@ def snb_stream(n_updates: int, seed: int = 0) -> list[Triple]:
 
 
 # ---------------------------------------------------------------------------
-def nyc_stream(n_updates: int, seed: int = 0, n_zones: int = 60) -> list[Triple]:
+#: number of taxi zones in :func:`nyc_stream`
+N_ZONES = 60
+
+
+def nyc_stream(n_updates: int, seed: int = 0) -> list[Triple]:
     """Taxi-ride stream (NYC TAXI / DEBS'15 stand-in), Zipf-skewed zones."""
     rng = np.random.default_rng(seed)
-    ranks = np.arange(1, n_zones + 1)
+    ranks = np.arange(1, N_ZONES + 1)
     w = 1.0 / ranks**1.2
     w /= w.sum()
-    zones = [f"z{i}" for i in range(n_zones)]
+    zones = [f"z{i}" for i in range(N_ZONES)]
     n_taxis = max(5, n_updates // 60)
     taxis = [f"taxi{i}" for i in range(n_taxis)]
     payments = ["card", "cash"]
@@ -122,8 +126,8 @@ def nyc_stream(n_updates: int, seed: int = 0, n_zones: int = 60) -> list[Triple]
     while len(updates) < n_updates:
         ride += 1
         r = f"r{ride}"
-        za = zones[rng.choice(n_zones, p=w)]
-        zb = zones[rng.choice(n_zones, p=w)]
+        za = zones[rng.choice(N_ZONES, p=w)]
+        zb = zones[rng.choice(N_ZONES, p=w)]
         updates.append(Triple(r, "by_taxi", taxis[rng.integers(n_taxis)]))
         updates.append(Triple(r, "picked_at", za))
         updates.append(Triple(r, "dropped_at", zb))

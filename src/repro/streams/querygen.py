@@ -26,6 +26,11 @@ import numpy as np
 
 from repro.graph.model import QueryPattern, Triple
 
+#: query shapes, drawn equiprobably
+SHAPES = ("chain", "star", "cycle")
+#: random walks tried per length before :func:`_walk` tries a shorter one
+WALK_TRIES = 40
+
 
 @dataclass
 class _Adj:
@@ -68,9 +73,9 @@ def _walk_from(rng, adj: _Adj, start: str, length: int) -> list[tuple[str, str, 
     return triples
 
 
-def _walk(rng, adj: _Adj, length: int, tries: int = 40) -> list[tuple[str, str, str]]:
+def _walk(rng, adj: _Adj, length: int) -> list[tuple[str, str, str]]:
     for want in range(length, 1, -1):
-        for _ in range(tries):
+        for _ in range(WALK_TRIES):
             w = _walk_from(rng, adj, _pick(rng, adj.sources), want)
             if w is not None:
                 return w
@@ -126,13 +131,8 @@ def _lift(
     fixed_terms: dict[str, str | None] | None = None,
 ) -> QueryPattern:
     """Concrete subgraph → pattern: dedup vertices by label, lift to vars."""
-    labels: list[str] = []
-    vid: dict[str, int] = {}
-    for s, _, o in triples:
-        for x in (s, o):
-            if x not in vid:
-                vid[x] = len(labels)
-                labels.append(x)
+    labels = _labels(triples)
+    vid = {lab: i for i, lab in enumerate(labels)}
     terms: list[str | None] = []
     for lab in labels:
         if fixed_terms is not None and lab in fixed_terms:
@@ -154,7 +154,6 @@ def generate_queries(
     overlap: float = 0.35,
     var_prob: float = 0.5,
     seed: int = 0,
-    shapes: tuple[str, ...] = ("chain", "star", "cycle"),
 ) -> list[QueryPattern]:
     """Generate the query database Q_DB against the stream's final graph."""
     rng = np.random.default_rng(seed)
@@ -163,7 +162,7 @@ def generate_queries(
     queries: list[QueryPattern] = []
     for qid in range(n_queries):
         length = max(2, avg_len + int(rng.integers(-1, 2)))
-        shape = shapes[rng.integers(len(shapes))]
+        shape = SHAPES[rng.integers(len(SHAPES))]
         fixed: dict[str, str | None] | None = None
         triples: list[tuple[str, str, str]] | None = None
         if shape == "chain" and pool and rng.random() < overlap:

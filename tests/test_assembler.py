@@ -6,12 +6,13 @@ import random
 import pytest
 
 from repro.engine.assembler import AssemblyOverflow, FullJoinAssembler, QueryAssembler
+from repro.engine.base import MAX_ROWS
 from repro.graph.covering import covering_paths
 from repro.graph.model import QueryPattern
 from repro.relational.relation import getter
 
 
-def make(q, cached=False, max_rows=2_000_000, cls=FullJoinAssembler):
+def make(q, cached=False, max_rows=MAX_ROWS, cls=FullJoinAssembler):
     paths = covering_paths(q)
     return cls(q, paths, cached, max_rows), paths
 

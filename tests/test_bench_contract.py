@@ -1,11 +1,15 @@
 """The benchmark's contract with the program.
 
 ``perfbench/tracing.py`` wraps engine entry points by module, class and
-attribute name, and ``perfbench/replay.py`` reads engine state by
-attribute name.  A refactor that renames or moves one of them must fail
-here, not only when the benchmark runs.
+attribute name, ``perfbench/replay.py`` reads engine state by attribute
+name, and ``perfbench/reference.py`` computes the events every run must
+equal.  A refactor that renames or moves one of them, or makes the
+reference disagree with TRIC, must fail here, not only when the benchmark
+runs.
 """
 import inspect
+import json
+import pickle
 import sys
 from collections import Counter
 from pathlib import Path
@@ -21,10 +25,11 @@ _PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 _PATH = list(sys.path)
 sys.path.insert(0, _PERFBENCH)
 try:
+    import reference
     import replay
     import tracing
 finally:
-    sys.path[:] = _PATH  # replay.py adds its own entries on import
+    sys.path[:] = _PATH  # reference.py and replay.py add entries on import
 
 
 def test_every_target_resolves():
@@ -117,3 +122,20 @@ def test_replay_state_reads(name):
     assert (rows["index_rows"] > 0) is engine.cached
     hits = replay.route_hits(engine, updates)
     assert type(hits) is int and 0 < hits < len(updates)
+
+
+def test_reference_matches_tric(tmp_path, monkeypatch):
+    """The benchmark's correctness gate: ``reference.py`` replays a pickled
+    workload through graphdb and writes sorted events, which must equal
+    tric+'s."""
+    updates, queries = build_workload("snb", 300, 30, seed=0)
+    path, out = tmp_path / "input.pkl", tmp_path / "events.json"
+    with open(path, "wb") as f:
+        pickle.dump((updates, queries), f)
+    monkeypatch.setattr(sys, "argv", ["reference.py", "--input", str(path), "--out", str(out)])
+    assert reference.main() == 0
+    engine = make_engine("tric+")
+    index_queries(engine, queries)
+    res = run_stream(engine, updates)
+    assert res.processed == len(updates) and res.events
+    assert json.loads(out.read_text()) == [list(e) for e in sorted(res.events)]

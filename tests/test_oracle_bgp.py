@@ -28,7 +28,7 @@ def test_catalyst_matches_duckdb(snb, qi):
     updates, queries, triples_df = snb
     q = queries[qi]
     got = spark_bgp_match(triples_df, q)
-    assert_equivalent(got, bgp_to_sql(q, table="g"), g=stream_to_pandas(updates))
+    assert_equivalent(got, bgp_to_sql(q), g=stream_to_pandas(updates))
 
 
 @pytest.mark.parametrize("qi", [0, 3, 7, 11])

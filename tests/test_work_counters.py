@@ -6,10 +6,12 @@ engine does on a 300-update SNB stream with 30 queries.  A change that
 alters the join work of an engine fails here deterministically: a rise is
 a work regression, a fall must be explained and the numbers updated.  The
 same holds for TRIC's trie walk, counted as ``TricEngine._descend`` calls,
-and for INV and INC's final join, counted as ``FullJoinAssembler._join`` calls.
+for INV and INC's final join, counted as ``FullJoinAssembler._join`` calls,
+and for graphdb's parameterized executions and the result rows they return.
 """
 import pytest
 
+from repro.baselines.graphdb import GraphDBEngine
 from repro.bench.harness import build_workload
 from repro.core.tric import TricEngine
 from repro.engine.assembler import FullJoinAssembler
@@ -29,6 +31,9 @@ EXPECTED = {
 
 #: engine -> ``TricEngine._descend`` calls over the stream
 DESCEND_CALLS = {"tric": 867, "tric+": 867}
+
+#: graphdb -> (events, ``_execute`` calls, result rows over all calls)
+GRAPHDB_WORK = (51, 1870, 613)
 
 
 @pytest.fixture(scope="module")
@@ -102,3 +107,25 @@ def test_one_final_join_per_component(workload, name, monkeypatch):
     r = run_stream(e, updates)
     assert not r.timed_out and len(r.events) == EXPECTED[name][3]
     assert expected > 0 and calls == expected
+
+
+def test_graphdb_work_is_pinned(workload, monkeypatch):
+    """graphdb runs one anchored execution per (affected query, edge whose
+    signature the update satisfies) and materializes every result row."""
+    updates, queries = workload
+    e = GraphDBEngine(exec_latency_us=0)
+    index_queries(e, queries)
+    execute = GraphDBEngine._execute
+    calls = rows = 0
+
+    def counting(self, *args):
+        nonlocal calls, rows
+        n = execute(self, *args)
+        calls += 1
+        rows += n
+        return n
+
+    monkeypatch.setattr(GraphDBEngine, "_execute", counting)
+    r = run_stream(e, updates)
+    assert not r.timed_out and r.processed == len(updates)
+    assert (len(r.events), calls, rows) == GRAPHDB_WORK
