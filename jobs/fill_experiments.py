@@ -45,8 +45,11 @@ def render(name: str) -> str:
         for i, b in enumerate(data["batches"]):
             cells = [f"{b[a] * 1000:.1f}" for a in algos]
             lines.append(f"| {(i + 1) * 100} | " + " | ".join(cells) + " |")
+        cells = [f"{data['end_indexing'][a] * 1000:.1f}" for a in algos]
+        lines.append("| end_indexing | " + " | ".join(cells) + " |")
         return "\n".join(lines) + (
-            f"\n\n(ms per batch of 100 queries, median of {data['reps']} runs)"
+            "\n\n(ms per batch of 100 queries, then one `end_indexing()` call "
+            f"after the fifth batch; median of {data['reps']} runs)"
         )
     algos = list(data["configs"][0]["results"])
     lines = ["| | " + " | ".join(algos) + " |", "|---|" + "---|" * len(algos)]

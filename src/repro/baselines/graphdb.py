@@ -6,8 +6,9 @@ affected by an update, "the appropriate parameters are set", and the
 affected queries are executed.  We reproduce that behavioural profile with
 an in-memory substitute since no Neo4j is available offline:
 
-* an indexed triple store (label indexes on ``p``, ``(p, s)``, ``(p, o)`` —
-  the paper's "indexes on all labels of the schema");
+* an indexed triple store (label indexes on ``(p, s)`` and ``(p, o)`` —
+  the paper's "indexes on all labels of the schema" — and an edge count
+  per ``p``, which the planner's estimates read);
 * a backtracking pattern executor (Neo4j's expand-based runtime) with a
   greedy selectivity-ordered join plan; queries are validated as
   connected, so every step expands from a vertex already bound and no step
@@ -58,7 +59,8 @@ class GraphDBEngine(Engine):
         self.exec_latency_s = exec_latency_us * 1e-6
         # --- the stored graph + label indexes ---
         self.triples: set[tuple[str, str, str]] = set()
-        self.by_p: dict[str, list[tuple[str, str]]] = {}
+        #: predicate -> stored edges with it (no step scans a whole label)
+        self.by_p: dict[str, int] = {}
         self.by_ps: dict[tuple[str, str], list[str]] = {}
         self.by_po: dict[tuple[str, str], list[str]] = {}
         # --- query layer ---
@@ -80,7 +82,7 @@ class GraphDBEngine(Engine):
         if t in self.triples:
             return False
         self.triples.add(t)
-        self.by_p.setdefault(u.p, []).append((u.s, u.o))
+        self.by_p[u.p] = self.by_p.get(u.p, 0) + 1
         self.by_ps.setdefault((u.p, u.s), []).append(u.o)
         self.by_po.setdefault((u.p, u.o), []).append(u.s)
         return True
@@ -139,7 +141,7 @@ class GraphDBEngine(Engine):
             return len(self.by_ps.get((p, q.vertices[s]), ()))
         if o_fixed and q.vertices[o] is not None:
             return len(self.by_po.get((p, q.vertices[o]), ()))
-        n = len(self.by_p.get(p, ()))
+        n = self.by_p.get(p, 0)
         keys = len(self.by_ps) if s_fixed else len(self.by_po)
         return max(1, n // max(1, keys))
 

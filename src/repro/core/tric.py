@@ -96,8 +96,9 @@ class TricEngine(Engine):
         q.validate()
         paths = covering_paths(q)
         for pidx, p in enumerate(paths):
-            self.forest.insert_path(q, pidx, p)
-            for sig in p.sig_chain(q):
+            chain = p.sig_chain(q)
+            self.forest.insert_path(q.qid, pidx, chain, p.back_refs(q))
+            for sig in chain:
                 if sig not in self.base:
                     self.base[sig] = View(cached=self.cached)
         self.assemblers[q.qid] = QueryAssembler(q, paths, self.cached, self.max_rows)

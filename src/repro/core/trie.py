@@ -58,8 +58,7 @@ from collections import defaultdict
 from functools import cache
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-from repro.graph.covering import CoverPath
-from repro.graph.model import EdgeSig, QueryPattern, Triple
+from repro.graph.model import EdgeSig, Triple
 from repro.relational.relation import Row, View, append_target, getter
 
 if TYPE_CHECKING:
@@ -172,13 +171,21 @@ class TrieForest:
         #: one enumeration, which ``src_ind`` entries and candidates index
         self._nodes: list[TrieNode] = []
 
-    def insert_path(self, q: QueryPattern, pidx: int, path: CoverPath) -> TrieNode:
-        """Index one covering path (Fig. 6): descend along the existing trie
-        path that matches the (signature, back-reference) chain, creating
-        the missing suffix, then register the query id at the last node."""
+    def insert_path(
+        self,
+        qid: int,
+        pidx: int,
+        chain: tuple[EdgeSig, ...],
+        refs: tuple[Optional[int], ...],
+    ) -> TrieNode:
+        """Index covering path ``pidx`` of query ``qid`` (Fig. 6), given as
+        its signature chain (:meth:`~repro.graph.covering.CoverPath.sig_chain`)
+        and back-references: descend along the existing trie path that
+        matches the (signature, back-reference) chain, creating the missing
+        suffix, then register the query id at the last node."""
         level = self.roots
         node = None
-        for key in zip(path.sig_chain(q), path.back_refs(q)):
+        for key in zip(chain, refs):
             child = level.get(key)
             if child is None:
                 child = TrieNode(*key, node, self.cached, len(self._nodes))
@@ -186,7 +193,7 @@ class TrieForest:
                 self._nodes.append(child)
             node = child
             level = node.children
-        node.registered.append((q.qid, pidx))
+        node.registered.append((qid, pidx))
         return node
 
     def freeze(self, path_slots: Callable[[int, int], Iterable[int]]) -> None:

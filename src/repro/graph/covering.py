@@ -6,6 +6,14 @@ unvisited edge) is reached; repeat until every vertex and edge of the query
 graph has been visited at least once; finally drop any path that is a
 sub-path of another discovered path.
 
+Each query's out-edge and in-edge lists are built once, in edge order, and
+every search runs over them.  A walk step reads the current vertex's own
+out-edges and takes the first qualifying one in edge order.  A round's
+start vertex is the first vertex, in-degree-0 vertices first and then by
+id, among those that can still reach an unvisited edge; that set is found
+by one search backwards along the in-edges from the unvisited edges'
+sources.
+
 A covering path is represented as :class:`CoverPath` — the ordered edge
 indexes plus the vertex-id slots they thread through, so later stages know
 (a) the edge-signature chain for trie indexing and (b) which trie-view
@@ -56,15 +64,19 @@ class CoverPath:
         return tuple(refs)
 
 
-def _reaches_unvisited(q: QueryPattern, start_v: int, unvisited: set[int], banned: set[int]) -> bool:
-    """Whether a walk from ``start_v`` (not using ``banned`` edges) can still
-    traverse an edge that is globally unvisited."""
+#: per vertex: its out-edges as ``(edge index, target)``, in edge order
+OutEdges = list[list[tuple[int, int]]]
+
+
+def _reaches_unvisited(out: OutEdges, start_v: int, unvisited: set[int], banned: set[int]) -> bool:
+    """Whether a walk from ``start_v`` over the out-edge lists ``out`` (not
+    using ``banned`` edges) can still traverse an edge that is globally
+    unvisited."""
     seen_v = {start_v}
     stack = [start_v]
     while stack:
-        v = stack.pop()
-        for eidx, (s, _, o) in enumerate(q.edges):
-            if s != v or eidx in banned:
+        for eidx, o in out[stack.pop()]:
+            if eidx in banned:
                 continue
             if eidx in unvisited:
                 return True
@@ -74,8 +86,8 @@ def _reaches_unvisited(q: QueryPattern, start_v: int, unvisited: set[int], banne
     return False
 
 
-def _walk(q: QueryPattern, start: int, unvisited: set[int]) -> CoverPath:
-    """One greedy DFS walk from ``start``.
+def _walk(out: OutEdges, start: int, unvisited: set[int]) -> CoverPath:
+    """One greedy DFS walk from ``start`` over the out-edge lists ``out``.
 
     As in the paper's Fig. 5 example, a walk may re-traverse *globally*
     visited edges (so paths stay maximal and share prefixes — e.g. Q1's P2
@@ -83,30 +95,32 @@ def _walk(q: QueryPattern, start: int, unvisited: set[int]) -> CoverPath:
     twice within one walk (cycle protection = "no new vertex to visit").
     Preference order at each step: an unvisited edge, then a visited edge
     that still leads to unvisited territory, then any remaining edge (walk
-    to a leaf).
+    to a leaf); within each, the first in edge order.
     """
     edge_idxs: list[int] = []
     slots: list[int] = [start]
     used: set[int] = set()
     cur = start
     while True:
-        cands = [e for e in range(len(q.edges)) if q.edges[e][0] == cur and e not in used]
-        if not cands:
-            break
-        fresh = sorted(e for e in cands if e in unvisited)
-        if fresh:
-            nxt = fresh[0]
-        else:
-            leading = sorted(
-                e
-                for e in cands
-                if _reaches_unvisited(q, q.edges[e][2], unvisited, used | {e})
+        step = out[cur]
+        # an unvisited edge is unused too
+        nxt = next((c for c in step if c[0] in unvisited), None)
+        if nxt is None:
+            cands = [c for c in step if c[0] not in used]
+            if not cands:
+                break
+            nxt = next(
+                (
+                    (e, o)
+                    for e, o in cands
+                    if _reaches_unvisited(out, o, unvisited, used | {e})
+                ),
+                cands[0],
             )
-            nxt = leading[0] if leading else sorted(cands)[0]
-        used.add(nxt)
-        unvisited.discard(nxt)
-        edge_idxs.append(nxt)
-        cur = q.edges[nxt][2]
+        e, cur = nxt
+        used.add(e)
+        unvisited.discard(e)
+        edge_idxs.append(e)
         slots.append(cur)
     return CoverPath(tuple(edge_idxs), tuple(slots))
 
@@ -125,25 +139,34 @@ def covering_paths(q: QueryPattern) -> list[CoverPath]:
     Guarantees (tested): every edge and every vertex appears in at least one
     path (a walk may re-traverse edges an earlier walk visited), consecutive
     edges of a path chain source→target, and no path is a sub-path of another.
+    The paths come in the order their walks were taken.
     """
+    n = len(q.vertices)
+    out: OutEdges = [[] for _ in range(n)]
+    into: list[list[int]] = [[] for _ in range(n)]  # per vertex: its in-edges' sources
+    for e, (s, _, o) in enumerate(q.edges):
+        out[s].append((e, o))
+        into[o].append(s)
+    # Start walks at source vertices (in-degree 0 first, as the paper's
+    # example does, then by id) among those that can still reach an
+    # unvisited edge.
+    order = [v for v in range(n) if not into[v]] + [v for v in range(n) if into[v]]
     unvisited = set(range(len(q.edges)))
     paths: list[CoverPath] = []
-    indeg = {v: 0 for v in range(len(q.vertices))}
-    for _, _, o in q.edges:
-        indeg[o] += 1
-    # Start walks at source vertices (in-degree 0 first, as the paper's
-    # example does) among those that can still reach an unvisited edge.
     while unvisited:
-        starts = sorted(
-            (
-                v
-                for v in range(len(q.vertices))
-                if _reaches_unvisited(q, v, unvisited, set())
-            ),
-            key=lambda v: (indeg[v] != 0, v),
-        )
-        # starts[0] reaches an unvisited edge, so it has an outgoing edge
+        # the vertices that reach an unvisited edge: its source, and
+        # whatever reaches that source along the in-edges
+        reach = {q.edges[e][0] for e in unvisited}
+        stack = list(reach)
+        while stack:
+            for s in into[stack.pop()]:
+                if s not in reach:
+                    reach.add(s)
+                    stack.append(s)
+        # the start reaches an unvisited edge, so it has an outgoing edge
         # and the walk takes at least one
-        paths.append(_walk(q, starts[0], unvisited))
-    paths = [p for p in paths if not any(_is_subpath(p, o) for o in paths if o is not p)]
+        start = next(v for v in order if v in reach)
+        paths.append(_walk(out, start, unvisited))
+    if len(paths) > 1:
+        paths = [p for p in paths if not any(_is_subpath(p, o) for o in paths if o is not p)]
     return paths

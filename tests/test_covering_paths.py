@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.harness import build_workload
 from repro.graph.covering import CoverPath, covering_paths, _is_subpath
 from repro.graph.model import QueryPattern
 
@@ -185,3 +186,95 @@ class TestPropertyBased:
     @given(random_query())
     def test_invariants_on_random_multigraphs(self, q):
         check_covering_invariants(q, covering_paths(q))
+
+
+# -- reference: the edge-scanning extractor, kept verbatim as an oracle ------
+# It scans every edge of the query at each step and sorts its candidates;
+# covering_paths must return exactly its paths, in its order.
+
+
+def _ref_reaches_unvisited(q: QueryPattern, start_v: int, unvisited: set[int], banned: set[int]) -> bool:
+    """Whether a walk from ``start_v`` (not using ``banned`` edges) can still
+    traverse an edge that is globally unvisited."""
+    seen_v = {start_v}
+    stack = [start_v]
+    while stack:
+        v = stack.pop()
+        for eidx, (s, _, o) in enumerate(q.edges):
+            if s != v or eidx in banned:
+                continue
+            if eidx in unvisited:
+                return True
+            if o not in seen_v:
+                seen_v.add(o)
+                stack.append(o)
+    return False
+
+
+def _ref_walk(q: QueryPattern, start: int, unvisited: set[int]) -> CoverPath:
+    edge_idxs: list[int] = []
+    slots: list[int] = [start]
+    used: set[int] = set()
+    cur = start
+    while True:
+        cands = [e for e in range(len(q.edges)) if q.edges[e][0] == cur and e not in used]
+        if not cands:
+            break
+        fresh = sorted(e for e in cands if e in unvisited)
+        if fresh:
+            nxt = fresh[0]
+        else:
+            leading = sorted(
+                e
+                for e in cands
+                if _ref_reaches_unvisited(q, q.edges[e][2], unvisited, used | {e})
+            )
+            nxt = leading[0] if leading else sorted(cands)[0]
+        used.add(nxt)
+        unvisited.discard(nxt)
+        edge_idxs.append(nxt)
+        cur = q.edges[nxt][2]
+        slots.append(cur)
+    return CoverPath(tuple(edge_idxs), tuple(slots))
+
+
+def reference_covering_paths(q: QueryPattern) -> list[CoverPath]:
+    unvisited = set(range(len(q.edges)))
+    paths: list[CoverPath] = []
+    indeg = {v: 0 for v in range(len(q.vertices))}
+    for _, _, o in q.edges:
+        indeg[o] += 1
+    # Start walks at source vertices (in-degree 0 first, as the paper's
+    # example does) among those that can still reach an unvisited edge.
+    while unvisited:
+        starts = sorted(
+            (
+                v
+                for v in range(len(q.vertices))
+                if _ref_reaches_unvisited(q, v, unvisited, set())
+            ),
+            key=lambda v: (indeg[v] != 0, v),
+        )
+        # starts[0] reaches an unvisited edge, so it has an outgoing edge
+        # and the walk takes at least one
+        paths.append(_ref_walk(q, starts[0], unvisited))
+    paths = [p for p in paths if not any(_is_subpath(p, o) for o in paths if o is not p)]
+    return paths
+
+
+class TestMatchesReference:
+    """The adjacency-list walk returns the reference's paths, element for
+    element: the same covering paths, in the same order, and so the same
+    tries, base views and final joins."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_query())
+    def test_random_multigraphs(self, q):
+        assert covering_paths(q) == reference_covering_paths(q)
+
+    @pytest.mark.parametrize("dataset", ["snb", "biogrid", "nyc"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_generated_workloads(self, dataset, seed):
+        _, queries = build_workload(dataset, 1500, 300, seed=seed)
+        for q in queries:
+            assert covering_paths(q) == reference_covering_paths(q), q.qid

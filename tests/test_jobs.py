@@ -1,5 +1,7 @@
 """The eight answering-time jobs in ``jobs/``: each sweeps its figure's
-x-axis over the right workloads and prints and saves one table.
+x-axis over the right workloads and prints and saves one table.  The
+indexing job (Fig. 15) times five batches of ``add_query`` and then one
+``end_indexing()`` per engine.
 
 The engines, the workload builder and the results file are stubbed, so the
 test pins what a job asks for, not what the engines measure.  Each job runs
@@ -131,3 +133,53 @@ def test_make_all_runs_every_sweep_job():
     finally:
         sys.path.remove(str(JOBS))
     assert {f"{job}.py" for job in SWEEPS} <= set(make_all.JOBS)
+
+
+def test_indexing_job_times_batches_then_end_indexing(monkeypatch, capsys):
+    """Fig. 15 at --scale 0.1: five batches of 10 queries, then one
+    ``end_indexing()`` per engine, repeated ``REPS`` times on fresh engines;
+    the table has one row per batch and an ``end_indexing`` row."""
+    import repro.bench.harness as harness
+    import repro.engine.base as base
+
+    queries = [("q", i) for i in range(50)]
+    built, calls, saved = [], [], []
+
+    class Stub:
+        def __init__(self, name):
+            self.name = name
+
+        def add_query(self, q):
+            calls.append((self.name, q))
+
+        def end_indexing(self):
+            calls.append((self.name, "end"))
+
+    def build_workload(dataset, **kw):
+        built.append((dataset, kw))
+        return [], queries[: kw["n_queries"]]
+
+    monkeypatch.syspath_prepend(str(JOBS))
+    monkeypatch.setattr(harness, "build_workload", build_workload)
+    monkeypatch.setattr(harness, "save_results", lambda p, path: saved.append((p, path)))
+    monkeypatch.setattr(base, "make_engine", Stub)
+    monkeypatch.setattr(sys, "argv", ["table_indexing.py", "--scale", "0.1", "--seed", "7"])
+    job = runpy.run_path(str(JOBS / "table_indexing.py"), run_name="__main__")
+
+    assert built == [("snb", {"n_updates": 200, "n_queries": 50, "seed": 7})]
+    reps = job["REPS"]
+    for name in ALGORITHMS:
+        mine = [c for n, c in calls if n == name]
+        assert mine == (queries + ["end"]) * reps
+    ((payload, path),) = saved
+    assert Path(path).name == "table_indexing.json"
+    assert payload["reps"] == reps
+    assert [list(b) for b in payload["batches"]] == [ALGORITHMS] * 5
+    assert list(payload["end_indexing"]) == ALGORITHMS
+    out = capsys.readouterr().out
+    title = "Fig 15 — indexing time (ms) per batch of 10 queries"
+    table = out[out.index(title):].split("\n\n")[0].splitlines()
+    assert table[0].endswith(f"then end_indexing() once, median of {reps} runs")
+    assert table[2].split() == ["x", *ALGORITHMS]
+    labels = [f"|Q_DB|->{n}" for n in (10, 20, 30, 40, 50)] + ["end_indexing"]
+    assert [line.split()[0] for line in table[3:]] == labels

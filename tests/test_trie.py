@@ -11,7 +11,7 @@ from repro.graph.model import QueryPattern, Triple
 def index_query(forest: TrieForest, q: QueryPattern):
     paths = covering_paths(q)
     for pidx, p in enumerate(paths):
-        forest.insert_path(q, pidx, p)
+        forest.insert_path(q.qid, pidx, p.sig_chain(q), p.back_refs(q))
     return paths
 
 
