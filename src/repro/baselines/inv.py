@@ -51,10 +51,9 @@ class _InvertedBase(Engine):
         self._check_indexing()
         q.validate()
         paths = covering_paths(q)
-        chains = [p.sig_chain(q) for p in paths]
-        self.query_ind[q.qid] = chains
-        for chain in chains:
-            for sig in chain:
+        self.query_ind[q.qid] = [p.chain for p in paths]
+        for p in paths:
+            for sig in p.chain:
                 self.edge_ind.setdefault(sig, set()).add(q.qid)
                 if sig not in self.base:
                     self.base[sig] = View(cached=self.cached)

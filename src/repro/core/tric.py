@@ -1,9 +1,9 @@
 """TRIC / TRIC+ — the paper's contribution (§4).
 
 Indexing (§4.1): each query is decomposed into covering paths, which are
-clustered into the :class:`~repro.core.trie.TrieForest`; shared path
-prefixes across queries share trie nodes and therefore share materialized
-views and join work.
+clustered by their ``chain`` and ``refs`` into the
+:class:`~repro.core.trie.TrieForest`; shared path prefixes across queries
+share trie nodes and therefore share materialized views and join work.
 
 Answering (§4.2): each trie node's delta is computed top-down,
 semi-naively.  On whole slot rows, with ``last = parent.depth + 1`` and
@@ -96,9 +96,8 @@ class TricEngine(Engine):
         q.validate()
         paths = covering_paths(q)
         for pidx, p in enumerate(paths):
-            chain = p.sig_chain(q)
-            self.forest.insert_path(q.qid, pidx, chain, p.back_refs(q))
-            for sig in chain:
+            self.forest.insert_path(q.qid, pidx, p.chain, p.refs)
+            for sig in p.chain:
                 if sig not in self.base:
                     self.base[sig] = View(cached=self.cached)
         self.assemblers[q.qid] = QueryAssembler(q, paths, self.cached, self.max_rows)

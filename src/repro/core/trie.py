@@ -13,8 +13,8 @@ creation order puts ancestors first.  It is the forest's one enumeration:
 :meth:`TrieForest.freeze` walks it backwards and forwards,
 :meth:`TrieForest.all_nodes` returns it, and candidates come in its order.
 
-A node's key is ``(signature, back-reference)``
-(:meth:`~repro.graph.covering.CoverPath.back_refs`).  The paper indexes
+A node's key is ``(signature, back-reference)``, a covering path's
+:attr:`~repro.graph.covering.CoverPath.chain` and ``refs``.  The paper indexes
 paths by signature alone and leaves a cycle's closure to the final join
 (§4.1 "Variable Handling"), so its tries materialize every open walk of a
 cyclic path.  Here the edge that closes a cycle gets its own node, which
@@ -179,10 +179,10 @@ class TrieForest:
         refs: tuple[Optional[int], ...],
     ) -> TrieNode:
         """Index covering path ``pidx`` of query ``qid`` (Fig. 6), given as
-        its signature chain (:meth:`~repro.graph.covering.CoverPath.sig_chain`)
-        and back-references: descend along the existing trie path that
-        matches the (signature, back-reference) chain, creating the missing
-        suffix, then register the query id at the last node."""
+        its :class:`~repro.graph.covering.CoverPath` ``chain`` and ``refs``:
+        descend along the existing trie path that matches the (signature,
+        back-reference) chain, creating the missing suffix, then register
+        the query id at the last node."""
         level = self.roots
         node = None
         for key in zip(chain, refs):

@@ -57,7 +57,8 @@ class Feed:
 class _FinalJoin:
     """What both final joins of one indexed query share: the paths'
     components and join partners, each path's canonical view over the
-    variables a subclass's ``_canonical`` picks, and the greedy join."""
+    variables a subclass's ``_canonical`` picks from the path's ``first``
+    slots, and the greedy join."""
 
     def __init__(
         self,
@@ -68,15 +69,6 @@ class _FinalJoin:
     ):
         self.q = q
         self.max_rows = max_rows
-
-        # per path: the first slot of each distinct variable, in path order
-        firsts: list[dict[int, int]] = []
-        for p in paths:
-            first: dict[int, int] = {}
-            for i, vid in enumerate(p.slots):
-                if q.vertices[vid] is None:  # literal slot: value fixed by signature
-                    first.setdefault(vid, i)
-            firsts.append(first)
 
         # variable-connected components of paths (union-find)
         parent = list(range(len(paths)))
@@ -89,8 +81,8 @@ class _FinalJoin:
 
         var_owner: dict[int, int] = {}
         shared: set[int] = set()
-        for i, first in enumerate(firsts):
-            for v in first:
+        for i, p in enumerate(paths):
+            for v in p.first:
                 if v in var_owner:
                     parent[find(i)] = find(var_owner[v])
                     shared.add(v)
@@ -113,8 +105,8 @@ class _FinalJoin:
         #: is read from
         self.path_vars: list[tuple[int, ...]] = []
         self.var_slots: list[tuple[int, ...]] = []
-        for first in firsts:
-            first = self._canonical(first, shared)
+        for p in paths:
+            first = self._canonical(p.first, shared)
             self.path_vars.append(tuple(first))
             self.var_slots.append(tuple(first.values()))
         self.canon_views = [View(cached=cached) for _ in self.path_vars]
@@ -253,10 +245,10 @@ class FullJoinAssembler(_FinalJoin):
         super().__init__(q, paths, cached, max_rows)
         self._project = [getter(slots) for slots in self.var_slots]
         #: per path: getters of the (left, right) slots whose values must
-        #: agree (the cycle's closure), or None if the path closes no cycle
+        #: agree (its ``refs``, the cycle's closure), or None if it closes none
         self._closure: list[Optional[tuple[Getter, Getter]]] = []
         for p in paths:
-            pairs = [(r, i + 1) for i, r in enumerate(p.back_refs(q)) if r is not None]
+            pairs = [(r, i + 1) for i, r in enumerate(p.refs) if r is not None]
             if pairs:
                 left, right = zip(*pairs)
                 self._closure.append((getter(left), getter(right)))

@@ -72,14 +72,9 @@ def make_engine(name: str, **kw) -> Engine:
     from repro.baselines.inv import IncEngine, InvEngine
     from repro.core.tric import TricEngine
 
-    base = name.rstrip("+")
-    cached = name.endswith("+")
-    if base == "tric":
-        return TricEngine(cached=cached, **kw)
-    if base == "inv":
-        return InvEngine(cached=cached, **kw)
-    if base == "inc":
-        return IncEngine(cached=cached, **kw)
-    if base == "graphdb":
+    if name not in ALGORITHMS:
+        raise ValueError(f"unknown engine {name!r}; pick one of {ALGORITHMS}")
+    if name == "graphdb":
         return GraphDBEngine(**kw)
-    raise ValueError(f"unknown engine {name!r}; pick one of {ALGORITHMS}")
+    engine = {"tric": TricEngine, "inv": InvEngine, "inc": IncEngine}[name.removesuffix("+")]
+    return engine(cached=name.endswith("+"), **kw)

@@ -14,15 +14,16 @@ id, among those that can still reach an unvisited edge; that set is found
 by one search backwards along the in-edges from the unvisited edges'
 sources.
 
-A covering path is represented as :class:`CoverPath` — the ordered edge
-indexes plus the vertex-id slots they thread through, so later stages know
-(a) the edge-signature chain for trie indexing and (b) which trie-view
-columns correspond to which original query vertices ("intersection"
-information used during the final per-query join, §4.1 Variable Handling).
+A covering path is represented as :class:`CoverPath`: the ordered edge
+indexes and the vertex-id slots they thread through, plus what later
+stages read of them, computed here once per kept path: (a) the
+edge-signature chain for trie indexing and (b) which slots hold which
+query variable ("intersection" information used during the final
+per-query join, §4.1 Variable Handling).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.graph.model import EdgeSig, QueryPattern
@@ -35,34 +36,26 @@ class CoverPath:
     ``edge_idxs``: indexes into ``q.edges`` along the walk.
     ``slots``: the ``len(edge_idxs) + 1`` query-vertex ids visited; slot ``i``
     is the source of edge ``i`` and slot ``i+1`` its target (Definition 5).
+    ``chain``: each edge's signature (the trie key).
+    ``first``: each variable, in path order, to the first slot holding it;
+    literals have none, as the signatures fix their values.
+    ``refs``: per edge ``i``, the first slot holding the variable its target
+    (slot ``i + 1``) repeats, or ``None``: an embedding binds both slots to
+    one vertex, closing a cycle.
     """
 
     edge_idxs: tuple[int, ...]
     slots: tuple[int, ...]
+    chain: tuple[EdgeSig, ...]
+    first: dict[int, int] = field(hash=False)
+    refs: tuple[Optional[int], ...]
 
     def __len__(self) -> int:
         return len(self.edge_idxs)
 
-    def sig_chain(self, q: QueryPattern) -> tuple[EdgeSig, ...]:
-        return tuple(q.edge_sig(e) for e in self.edge_idxs)
 
-    def back_refs(self, q: QueryPattern) -> tuple[Optional[int], ...]:
-        """Per edge ``i``: the first earlier slot holding the variable that
-        edge ``i``'s target (slot ``i + 1``) repeats, or ``None``.
-
-        A back-reference closes a cycle: an embedding of the path must bind
-        slot ``i + 1`` to the same vertex as that slot.  Literal slots get
-        none, since their edge signatures already fix their values.
-        """
-        first: dict[int, int] = {}
-        refs: list[Optional[int]] = []
-        for i, vid in enumerate(self.slots):
-            if i:
-                refs.append(first.get(vid))
-            if q.vertices[vid] is None:
-                first.setdefault(vid, i)
-        return tuple(refs)
-
+#: a walk's edge indexes and the slots it threads through
+Walk = tuple[tuple[int, ...], tuple[int, ...]]
 
 #: per vertex: its out-edges as ``(edge index, target)``, in edge order
 OutEdges = list[list[tuple[int, int]]]
@@ -86,8 +79,9 @@ def _reaches_unvisited(out: OutEdges, start_v: int, unvisited: set[int], banned:
     return False
 
 
-def _walk(out: OutEdges, start: int, unvisited: set[int]) -> CoverPath:
-    """One greedy DFS walk from ``start`` over the out-edge lists ``out``.
+def _walk(out: OutEdges, start: int, unvisited: set[int]) -> Walk:
+    """One greedy DFS walk from ``start`` over the out-edge lists ``out``;
+    returns its edge indexes and slots.
 
     As in the paper's Fig. 5 example, a walk may re-traverse *globally*
     visited edges (so paths stay maximal and share prefixes — e.g. Q1's P2
@@ -122,15 +116,29 @@ def _walk(out: OutEdges, start: int, unvisited: set[int]) -> CoverPath:
         unvisited.discard(e)
         edge_idxs.append(e)
         slots.append(cur)
-    return CoverPath(tuple(edge_idxs), tuple(slots))
+    return tuple(edge_idxs), tuple(slots)
 
 
-def _is_subpath(a: CoverPath, b: CoverPath) -> bool:
-    """``a`` is a contiguous sub-path of ``b`` (and shorter)."""
-    if len(a) >= len(b):
-        return False
-    n, m = len(a.edge_idxs), len(b.edge_idxs)
-    return any(b.edge_idxs[i : i + n] == a.edge_idxs for i in range(m - n + 1))
+def _is_subpath(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Edge sequence ``a`` is a contiguous sub-path of ``b`` (and shorter)."""
+    n, m = len(a), len(b)
+    return n < m and any(b[i : i + n] == a for i in range(m - n + 1))
+
+
+def _describe(q: QueryPattern, walk: Walk) -> CoverPath:
+    """The covering path taking ``walk``, with its signature chain, first
+    slots and back-references filled in one pass."""
+    edge_idxs, slots = walk
+    chain: list[EdgeSig] = []
+    first: dict[int, int] = {}
+    refs: list[Optional[int]] = []
+    for i, vid in enumerate(slots):
+        if i:
+            chain.append(q.edge_sig(edge_idxs[i - 1]))
+            refs.append(first.get(vid))
+        if q.vertices[vid] is None:
+            first.setdefault(vid, i)
+    return CoverPath(edge_idxs, slots, tuple(chain), first, tuple(refs))
 
 
 def covering_paths(q: QueryPattern) -> list[CoverPath]:
@@ -139,7 +147,8 @@ def covering_paths(q: QueryPattern) -> list[CoverPath]:
     Guarantees (tested): every edge and every vertex appears in at least one
     path (a walk may re-traverse edges an earlier walk visited), consecutive
     edges of a path chain source→target, and no path is a sub-path of another.
-    The paths come in the order their walks were taken.
+    The paths come in the order their walks were taken, each described by
+    :func:`_describe`.
     """
     n = len(q.vertices)
     out: OutEdges = [[] for _ in range(n)]
@@ -152,7 +161,7 @@ def covering_paths(q: QueryPattern) -> list[CoverPath]:
     # unvisited edge.
     order = [v for v in range(n) if not into[v]] + [v for v in range(n) if into[v]]
     unvisited = set(range(len(q.edges)))
-    paths: list[CoverPath] = []
+    walks: list[Walk] = []
     while unvisited:
         # the vertices that reach an unvisited edge: its source, and
         # whatever reaches that source along the in-edges
@@ -166,7 +175,7 @@ def covering_paths(q: QueryPattern) -> list[CoverPath]:
         # the start reaches an unvisited edge, so it has an outgoing edge
         # and the walk takes at least one
         start = next(v for v in order if v in reach)
-        paths.append(_walk(out, start, unvisited))
-    if len(paths) > 1:
-        paths = [p for p in paths if not any(_is_subpath(p, o) for o in paths if o is not p)]
-    return paths
+        walks.append(_walk(out, start, unvisited))
+    if len(walks) > 1:
+        walks = [w for w in walks if not any(_is_subpath(w[0], o[0]) for o in walks if o is not w)]
+    return [_describe(q, w) for w in walks]

@@ -464,7 +464,7 @@ class TestEmptyPartner:
     def test_partners_at_one_node_share_a_feed_and_fire_once(self, cached):
         q = self.ONE_FEED
         paths = covering_paths(q)
-        assert [p.sig_chain(q) for p in paths] == [(("a", None, None),)] * 2
+        assert [p.chain for p in paths] == [(("a", None, None),)] * 2
         asm = QueryAssembler(q, paths, cached)
         feeds = {}
         for pidx in (0, 1):

@@ -24,7 +24,7 @@ def check_covering_invariants(q: QueryPattern, paths: list[CoverPath]):
             assert p.slots[i] == s and p.slots[i + 1] == o
     # no sub-path redundancy
     for a in paths:
-        assert not any(_is_subpath(a, b) for b in paths if b is not a)
+        assert not any(_is_subpath(a.edge_idxs, b.edge_idxs) for b in paths if b is not a)
 
 
 def chain_query(length=4, qid=0):
@@ -130,7 +130,7 @@ class TestPaperExample:
         q = self.q1()
         paths = covering_paths(q)
         check_covering_invariants(q, paths)
-        chains = sorted(tuple(s[0] for s in p.sig_chain(q)) for p in paths)
+        chains = sorted(tuple(s[0] for s in p.chain) for p in paths)
         # paper Fig. 5(b): {hasMod, posted->pst1}, {hasMod, posted->pst2}, {reply}
         assert len(paths) == 3
         assert ("reply",) in chains
@@ -152,7 +152,7 @@ class TestPaperExample:
         paths = covering_paths(q)
         check_covering_invariants(q, paths)
         assert len(paths) == 1
-        assert [s[0] for s in paths[0].sig_chain(q)] == [
+        assert [s[0] for s in paths[0].chain] == [
             "hasCreator",
             "posted",
             "containedIn",
@@ -164,6 +164,8 @@ def random_query(draw):
     n = draw(st.integers(2, 7))
     n_edges = draw(st.integers(1, 10))
     rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    # about a third of the vertices are literals: no first slot, no back-reference
+    vertices = [f"L{v}" if rng.random() < 0.3 else None for v in range(n)]
     edges = []
     # random connected-ish multigraph: chain spine + random extra edges
     for i in range(min(n - 1, n_edges)):
@@ -171,14 +173,14 @@ def random_query(draw):
     while len(edges) < n_edges:
         a, b = int(rng.integers(n)), int(rng.integers(n))
         edges.append((a, f"p{rng.integers(3)}", b))
-    q = QueryPattern(qid=0, vertices=[None] * n, edges=edges)
+    q = QueryPattern(qid=0, vertices=vertices, edges=edges)
     if not q.is_connected():
         # connect leftovers through vertex 0
         touched = {v for s, _, o in edges for v in (s, o)}
         for v in range(n):
             if v not in touched:
                 edges.append((0, "px", v))
-    return QueryPattern(qid=0, vertices=[None] * n, edges=edges)
+    return QueryPattern(qid=0, vertices=vertices, edges=edges)
 
 
 class TestPropertyBased:
@@ -190,7 +192,9 @@ class TestPropertyBased:
 
 # -- reference: the edge-scanning extractor, kept verbatim as an oracle ------
 # It scans every edge of the query at each step and sorts its candidates;
-# covering_paths must return exactly its paths, in its order.
+# covering_paths must return exactly its paths, in its order, with the same
+# chain, first slots and back-references, which the reference derives on
+# its own from q.edges and q.vertices.
 
 
 def _ref_reaches_unvisited(q: QueryPattern, start_v: int, unvisited: set[int], banned: set[int]) -> bool:
@@ -211,7 +215,7 @@ def _ref_reaches_unvisited(q: QueryPattern, start_v: int, unvisited: set[int], b
     return False
 
 
-def _ref_walk(q: QueryPattern, start: int, unvisited: set[int]) -> CoverPath:
+def _ref_walk(q: QueryPattern, start: int, unvisited: set[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     edge_idxs: list[int] = []
     slots: list[int] = [start]
     used: set[int] = set()
@@ -235,12 +239,27 @@ def _ref_walk(q: QueryPattern, start: int, unvisited: set[int]) -> CoverPath:
         edge_idxs.append(nxt)
         cur = q.edges[nxt][2]
         slots.append(cur)
-    return CoverPath(tuple(edge_idxs), tuple(slots))
+    return tuple(edge_idxs), tuple(slots)
+
+
+def _ref_describe(q: QueryPattern, edge_idxs: tuple[int, ...], slots: tuple[int, ...]) -> CoverPath:
+    """The path's signatures from its edges; a variable's first slot is
+    where ``slots.index`` finds it, and edge ``i``'s target repeats an
+    earlier variable iff that index lies before slot ``i + 1``."""
+    chain = tuple(
+        (p, q.vertices[s], q.vertices[o]) for s, p, o in (q.edges[e] for e in edge_idxs)
+    )
+    first = {v: slots.index(v) for v in dict.fromkeys(slots) if q.vertices[v] is None}
+    refs = tuple(
+        slots.index(v) if q.vertices[v] is None and slots.index(v) <= i else None
+        for i, v in enumerate(slots[1:])
+    )
+    return CoverPath(edge_idxs, slots, chain, first, refs)
 
 
 def reference_covering_paths(q: QueryPattern) -> list[CoverPath]:
     unvisited = set(range(len(q.edges)))
-    paths: list[CoverPath] = []
+    walks = []
     indeg = {v: 0 for v in range(len(q.vertices))}
     for _, _, o in q.edges:
         indeg[o] += 1
@@ -257,24 +276,31 @@ def reference_covering_paths(q: QueryPattern) -> list[CoverPath]:
         )
         # starts[0] reaches an unvisited edge, so it has an outgoing edge
         # and the walk takes at least one
-        paths.append(_ref_walk(q, starts[0], unvisited))
-    paths = [p for p in paths if not any(_is_subpath(p, o) for o in paths if o is not p)]
-    return paths
+        walks.append(_ref_walk(q, starts[0], unvisited))
+    walks = [w for w in walks if not any(_is_subpath(w[0], o[0]) for o in walks if o is not w)]
+    return [_ref_describe(q, *w) for w in walks]
+
+
+def described(paths: list[CoverPath]) -> list[tuple]:
+    """Every field of each path, ``first`` as its items so that its order
+    counts too."""
+    return [(p.edge_idxs, p.slots, p.chain, list(p.first.items()), p.refs) for p in paths]
 
 
 class TestMatchesReference:
     """The adjacency-list walk returns the reference's paths, element for
-    element: the same covering paths, in the same order, and so the same
-    tries, base views and final joins."""
+    element: the same covering paths, in the same order, with the same
+    chains, first slots and back-references, and so the same tries, base
+    views and final joins."""
 
     @settings(max_examples=300, deadline=None)
     @given(random_query())
     def test_random_multigraphs(self, q):
-        assert covering_paths(q) == reference_covering_paths(q)
+        assert described(covering_paths(q)) == described(reference_covering_paths(q))
 
     @pytest.mark.parametrize("dataset", ["snb", "biogrid", "nyc"])
     @pytest.mark.parametrize("seed", range(4))
     def test_generated_workloads(self, dataset, seed):
         _, queries = build_workload(dataset, 1500, 300, seed=seed)
         for q in queries:
-            assert covering_paths(q) == reference_covering_paths(q), q.qid
+            assert described(covering_paths(q)) == described(reference_covering_paths(q)), q.qid

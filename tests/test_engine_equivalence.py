@@ -158,9 +158,10 @@ class TestEdgeCases:
         events = run_stream(e, updates).events
         assert events and events == run_stream(lazy, updates).events
 
-    def test_engine_factory_rejects_unknown(self):
+    @pytest.mark.parametrize("name", ["nope", "graphdb+", "tric++"])
+    def test_engine_factory_rejects_unknown(self, name):
         with pytest.raises(ValueError, match="unknown engine"):
-            make_engine("nope")
+            make_engine(name)
 
     def test_engine_names(self):
         for name in ALGORITHMS:

@@ -71,9 +71,8 @@ class TestOverlapControl:
         prefixes: dict[tuple, set[int]] = {}
         for q in qs:
             for p in covering_paths(q):
-                chain = p.sig_chain(q)
-                if len(chain) >= 2:
-                    prefixes.setdefault(chain[:2], set()).add(q.qid)
+                if len(p.chain) >= 2:
+                    prefixes.setdefault(p.chain[:2], set()).add(q.qid)
         shared = {q for s in prefixes.values() if len(s) > 1 for q in s}
         return len(shared) / len(qs)
 

@@ -11,7 +11,7 @@ from repro.graph.model import QueryPattern, Triple
 def index_query(forest: TrieForest, q: QueryPattern):
     paths = covering_paths(q)
     for pidx, p in enumerate(paths):
-        forest.insert_path(q.qid, pidx, p.sig_chain(q), p.back_refs(q))
+        forest.insert_path(q.qid, pidx, p.chain, p.refs)
     return paths
 
 
@@ -290,8 +290,8 @@ class TestBackRefs:
         )
         (p_closing,) = index_query(f, closing)
         (p_open,) = index_query(f, open_)
-        assert p_closing.back_refs(closing) == (None, 0)
-        assert p_open.back_refs(open_) == (None, None)
+        assert p_closing.refs == (None, 0)
+        assert p_open.refs == (None, None)
         # one shared root, two children that differ only in the back-reference
         assert set(f.roots) == {(self.SIG, None)}
         root = f.roots[(self.SIG, None)]
@@ -313,7 +313,7 @@ class TestBackRefs:
         q = QueryPattern(qid=0, vertices=["L", None], edges=[(0, "a", 1), (1, "a", 0)])
         (path,) = index_query(f, q)
         assert path.slots == (0, 1, 0)
-        assert path.back_refs(q) == (None, None)
+        assert path.refs == (None, None)
         root = f.roots[(("a", "L", None), None)]
         assert set(root.children) == {(("a", None, "L"), None)}
 
