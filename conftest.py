@@ -73,7 +73,7 @@ def spark() -> SparkSession:
         .getOrCreate()
     )
     # One line in test_output.txt that tells the driver whether the
-    # cgroup derivation saw the real limit (README § Spark target).
+    # cgroup derivation saw the real limit.
     print(
         f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
         f"(src={os.environ.get('_SPARK_DRIVER_MEM_SRC', 'env')}) "

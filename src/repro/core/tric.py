@@ -4,6 +4,8 @@ Indexing (§4.1): each query is decomposed into covering paths, which are
 clustered by their ``chain`` and ``refs`` into the
 :class:`~repro.core.trie.TrieForest`; shared path prefixes across queries
 share trie nodes and therefore share materialized views and join work.
+:meth:`TricEngine.add_query` registers each path completely, base views
+and feeds included, so ending the indexing phase only freezes the trie.
 
 Answering (§4.2): each trie node's delta is computed top-down,
 semi-naively.  On whole slot rows, with ``last = parent.depth + 1`` and
@@ -56,10 +58,10 @@ queued it is finished after the descent: the assembler queues nothing while
 a join partner's view is empty, since that partner's own delta of this
 update, if any, finds the new rows.  The paths registered at one node that
 read the same join slots form one :class:`~repro.engine.assembler.Feed`
-(set when the trie freezes), which shares one canonical view among those
-with join partners: the descent projects, de-duplicates and stores the
-node's delta once per feed, then hands the projections to each member's
-assembler.  ``cached=True`` gives TRIC+: all views
+(formed as the paths are registered), which shares one canonical view
+among those with join partners: the descent projects, de-duplicates and
+stores the node's delta once per feed, then hands the projections to each
+member's assembler.  ``cached=True`` gives TRIC+: all views
 keep their hash-join build structures (indexes) incrementally instead of
 rebuilding them per join, so ``u``'s term, which reads the rows of the
 parent's view whose new slot is ``u.s``
@@ -70,12 +72,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.engine.assembler import Feed, QueryAssembler
+from repro.engine.assembler import QueryAssembler
 from repro.engine.base import MAX_ROWS, Engine, EngineOverflow
 from repro.core.trie import TrieForest, TrieNode
 from repro.graph.covering import covering_paths
-from repro.graph.model import EdgeSig, QueryPattern, Triple, update_sigs
-from repro.relational.relation import Row, View, hash_join
+from repro.graph.model import QueryPattern, Triple, update_sigs
+from repro.relational.relation import Row, hash_join
 
 
 class TricEngine(Engine):
@@ -86,8 +88,7 @@ class TricEngine(Engine):
         self.name = "tric+" if cached else "tric"
         self.max_rows = max_rows
         self.forest = TrieForest(cached)
-        #: base materialized view per edge signature (matV[e_i], §4.1)
-        self.base: dict[EdgeSig, View] = {}
+        self.base = self.forest.base  # matV[e_i] per edge signature (§4.1)
         self.assemblers: dict[int, QueryAssembler] = {}
 
     # -- indexing phase -------------------------------------------------
@@ -95,30 +96,20 @@ class TricEngine(Engine):
         self._check_indexing()
         q.validate()
         paths = covering_paths(q)
+        asm = QueryAssembler(q, paths, self.cached, self.max_rows)
+        self.assemblers[q.qid] = asm
         for pidx, p in enumerate(paths):
-            self.forest.insert_path(q.qid, pidx, p.chain, p.refs)
-            for sig in p.chain:
-                if sig not in self.base:
-                    self.base[sig] = View(cached=self.cached)
-        self.assemblers[q.qid] = QueryAssembler(q, paths, self.cached, self.max_rows)
+            asm.join_feed(pidx, self.forest.insert_path(q.qid, pidx, p.chain, p.refs))
 
     # -- answering phase ------------------------------------------------
     def end_indexing(self) -> None:
-        """End the indexing phase: fix every trie node's live slots, give
-        it its signature's base view, and group the paths registered there
-        into feeds, which tell each assembler which slots its path's rows
-        carry.  The paths of one feed with join partners share one
-        canonical view.  Later calls do nothing."""
+        """End the indexing phase: freeze the trie, which fixes every
+        node's live slots, its step and the projection each of its feeds
+        reads.  Later calls do nothing."""
         if self.answering:
             return
         self.answering = True
-        self.forest.freeze(lambda qid, pidx: self.assemblers[qid].var_slots[pidx])
-        for node in self.forest.all_nodes():
-            node.base = self.base[node.sig]
-            feeds: dict[tuple[int, ...], Feed] = {}
-            for qid, pidx in node.registered:
-                self.assemblers[qid].bind_columns(pidx, node.keep, feeds)
-            node.feeds = tuple(feeds.values())
+        self.forest.freeze()
 
     def process_update(self, u: Triple) -> list[int]:
         if not self.answering:

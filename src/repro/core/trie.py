@@ -45,12 +45,12 @@ get ``u``'s own term.  This is the delta-query principle of Graphflow
 (Ammar et al., PVLDB 2018): start from the update's endpoint, not from
 every place its label occurs.
 
-Once the forest's shape is final, :meth:`TrieForest.freeze` gives every
-node its live slots (:attr:`TrieNode.keep`), the only slots its rows carry,
-and the probe key and emit function of its step from its parent's rows;
-nodes with the same step share one emit function.  The engine then gives
-each node its signature's base view (:attr:`TrieNode.base`) and its
-:attr:`TrieNode.feeds`.
+The forest owns the base views, one per edge signature, and a node gets
+its signature's view when it is created.  Once the forest's shape is
+final, :meth:`TrieForest.freeze` gives every node its live slots
+(:attr:`TrieNode.keep`), the only slots its rows carry, the probe key and
+emit function of its step from its parent's rows, and the projection of
+each of its feeds; nodes with the same step share one emit function.
 """
 from __future__ import annotations
 
@@ -101,8 +101,8 @@ class TrieNode:
 
     * slot ``depth + 1``, if the node has children (their extension key);
     * every child's ``ref``, and every slot ``<= depth + 1`` a child keeps;
-    * per path registered here, the first slot of each variable that
-      :attr:`QueryAssembler.var_slots` names (its join variables).
+    * per feed, the first slot of each join variable of its paths
+      (:attr:`~repro.engine.assembler.Feed.slots`).
 
     Every other slot is existential: an event only asks whether a new
     embedding exists.  The view is the set of these projections.  Only its
@@ -119,13 +119,10 @@ class TrieNode:
     (the parent's new slot) and, when the node closes a cycle, slot
     ``ref``; and :attr:`emit`, which maps a parent row and a base row
     ``(s, o)`` to the node's row.  :attr:`order` is the node's creation
-    index in its forest.
-
-    Once frozen, the answering engine also sets :attr:`base`, the base view
-    of the node's signature, which its step joins against, and
-    :attr:`feeds`, the :class:`~repro.engine.assembler.Feed` objects that
-    group the registered paths by the slots their final join reads, in the
-    order of their first registered path.
+    index in its forest, :attr:`base` the base view of its signature, which
+    its step joins against, and :attr:`feeds` groups the paths registered
+    here into :class:`~repro.engine.assembler.Feed` objects, in the order
+    of their first path.
     """
 
     __slots__ = (
@@ -138,6 +135,7 @@ class TrieNode:
         sig: EdgeSig,
         ref: Optional[int],
         parent: Optional[TrieNode],
+        base: View,
         cached: bool,
         order: int,
     ):
@@ -152,16 +150,18 @@ class TrieNode:
         self.keep: tuple[int, ...] = ()
         self.probe: tuple[int, ...] = ()
         self.emit: Callable[[Row, Row], Row] = append_target
-        self.base: Optional[View] = None
+        self.base = base
         self.feeds: tuple[Feed, ...] = ()
 
 
 class TrieForest:
     """The forest of tries, the paper's root index, its nodes in creation
-    order, and the vertex-keyed entry index ``src_ind``."""
+    order, its base views and the vertex-keyed entry index ``src_ind``."""
 
     def __init__(self, cached: bool):
         self.cached = cached
+        #: base materialized view per edge signature (matV[e_i], §4.1)
+        self.base: dict[EdgeSig, View] = {}
         self.roots: dict[NodeKey, TrieNode] = {}  # rootInd
         #: sig -> vertex -> the creation indices (:attr:`TrieNode.order`)
         #: of the non-root nodes of that signature whose parent's view
@@ -183,12 +183,15 @@ class TrieForest:
         descend along the existing trie path that matches the (signature,
         back-reference) chain, creating the missing suffix, then register
         the query id at the last node."""
-        level = self.roots
+        level, base = self.roots, self.base
         node = None
         for key in zip(chain, refs):
             child = level.get(key)
             if child is None:
-                child = TrieNode(*key, node, self.cached, len(self._nodes))
+                sig = key[0]
+                if sig not in base:
+                    base[sig] = View(cached=self.cached)
+                child = TrieNode(*key, node, base[sig], self.cached, len(self._nodes))
                 level[key] = child
                 self._nodes.append(child)
             node = child
@@ -196,15 +199,14 @@ class TrieForest:
         node.registered.append((qid, pidx))
         return node
 
-    def freeze(self, path_slots: Callable[[int, int], Iterable[int]]) -> None:
-        """Fix every node's live slots and step once the trie's shape is
-        final; ``path_slots(qid, pidx)`` gives the slots whose values a
-        registered path's final join reads."""
+    def freeze(self) -> None:
+        """Fix every node's live slots, its step and its feeds' projections
+        once the trie's shape is final."""
         nodes = self._nodes
         # children first: a node keeps every slot its children read
         for node in reversed(nodes):
             new = node.depth + 1
-            keep = {s for qid, pidx in node.registered for s in path_slots(qid, pidx)}
+            keep = {s for f in node.feeds for s in f.slots}
             for c in node.children.values():
                 keep.update(s for s in c.keep if s <= new)
                 if c.ref is not None:
@@ -215,16 +217,19 @@ class TrieForest:
         # parents first: a step reads its parent's live slots, and a root's
         # "parent row" is the update's source, ``(0,)``
         for node in nodes:
+            keep = node.keep
             parent_keep = (0,) if node.parent is None else node.parent.keep
             node.probe = tuple(
                 parent_keep.index(s) for s in (node.depth, node.ref) if s is not None
             )
-            cols = tuple(parent_keep.index(s) for s in node.keep if s <= node.depth)
-            new = node.depth + 1 in node.keep
+            cols = tuple(parent_keep.index(s) for s in keep if s <= node.depth)
+            new = node.depth + 1 in keep
             if new and len(cols) == len(parent_keep):
                 node.emit = append_target
             else:
                 node.emit = _step_emit(cols, new)
+            for f in node.feeds:
+                f.project = getter(tuple(keep.index(s) for s in f.slots))
 
     def affected_roots(self, sigs: Iterable[EdgeSig], u: Triple) -> list[TrieNode]:
         """The candidates of update ``u``, whose signatures are ``sigs``

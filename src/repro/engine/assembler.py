@@ -24,12 +24,15 @@ Step 3).
 """
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.engine.base import MAX_ROWS, EngineOverflow
 from repro.graph.covering import CoverPath
 from repro.graph.model import QueryPattern
 from repro.relational.relation import Row, View, getter, hash_join
+
+if TYPE_CHECKING:
+    from repro.core.trie import TrieNode
 
 
 class AssemblyOverflow(EngineOverflow):
@@ -41,15 +44,17 @@ Getter = Callable[[Row], Row]
 
 class Feed:
     """The paths registered at one trie node that read its rows through
-    the same :attr:`QueryAssembler.var_slots`: ``project`` maps the node's
-    row to their canonical row, ``view`` is the canonical view they share
-    (``None`` for lone paths, whose rows project to ``()`` and are never
-    stored), and ``members`` lists them as ``(qid, pidx)``."""
+    the same :attr:`QueryAssembler.var_slots`, ``slots``: ``view`` is the
+    canonical view they share (``None`` for lone paths, whose rows project
+    to ``()`` and are never stored), ``members`` lists them as ``(qid,
+    pidx)``, and ``project``, set when the trie freezes, maps the node's
+    row to their canonical row."""
 
-    __slots__ = ("project", "view", "members")
+    __slots__ = ("slots", "view", "members", "project")
+    project: Getter
 
-    def __init__(self, project: Getter, view: Optional[View]):
-        self.project = project
+    def __init__(self, slots: tuple[int, ...], view: Optional[View]):
+        self.slots = slots
         self.view = view
         self.members: list[tuple[int, int]] = []
 
@@ -176,25 +181,21 @@ class QueryAssembler(_FinalJoin):
         """Of a path's distinct variables ``first``, the join variables."""
         return {v: i for v, i in first.items() if v in shared}
 
-    def bind_columns(
-        self, pidx: int, cols: tuple[int, ...], feeds: dict[tuple[int, ...], Feed]
-    ) -> None:
-        """Path ``pidx`` is fed rows whose columns are the slots ``cols``,
-        which must include :attr:`var_slots` ``[pidx]``.
-
-        ``feeds`` maps :attr:`var_slots` to :class:`Feed` objects, one dict
-        per source of rows (for TRIC, per trie node): the path joins the
-        feed stored there under its var_slots, or starts one with its own
-        projection and, if it has join partners, its own canonical view.
-        Every path fed the same rows with the same var_slots holds the same
-        projections, so one view serves them all.  (Only a lone path has
-        no join variable, so a feed's paths are all lone or none is.)"""
+    def join_feed(self, pidx: int, node: TrieNode) -> None:
+        """Path ``pidx`` is registered at trie node ``node``: it joins the
+        node's :class:`Feed` with its :attr:`var_slots`, or starts one with
+        its own canonical view if it has join partners.  Every path fed the
+        same rows with the same var_slots holds the same projections, so
+        one view serves them all.  (Only a lone path has no join variable,
+        so a feed's paths are all lone or none is.)"""
         slots = self.var_slots[pidx]
-        feed = feeds.get(slots)
-        if feed is None:
-            project = getter(tuple(cols.index(s) for s in slots))
+        for feed in node.feeds:
+            if feed.slots == slots:
+                break
+        else:
             view = self.canon_views[pidx] if self._partners[pidx] else None
-            feed = feeds[slots] = Feed(project, view)
+            feed = Feed(slots, view)
+            node.feeds += (feed,)
         feed.members.append((self.q.qid, pidx))
         if feed.view is not None:
             self.canon_views[pidx] = feed.view

@@ -132,9 +132,6 @@ class View:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __contains__(self, row: Row) -> bool:
-        return self._seen is not None and row in self._seen
-
     def add(self, row: Row) -> bool:
         """Insert; returns True if the row is new."""
         seen = self._seen

@@ -5,11 +5,12 @@ import random
 
 import pytest
 
+from repro.core.trie import TrieNode
 from repro.engine.assembler import AssemblyOverflow, FullJoinAssembler, QueryAssembler
 from repro.engine.base import MAX_ROWS
 from repro.graph.covering import covering_paths
 from repro.graph.model import QueryPattern
-from repro.relational.relation import getter
+from repro.relational.relation import View, getter
 
 
 def make(q, cached=False, max_rows=MAX_ROWS, cls=FullJoinAssembler):
@@ -27,13 +28,25 @@ def hand(asm, pidx, rows):
     return asm.on_path_delta(pidx, new)
 
 
-def hand_node(asm, feeds, rows):
-    """Hand one trie node's delta to every path of ``asm`` in ``feeds`` (as
-    filled by ``bind_columns``) the way TRIC's descent does: one
-    projection and one store per feed, then ``on_path_delta`` per member;
-    returns ``{pidx: queued}``."""
+def trie_node(asm, pidxs, cols):
+    """A trie node whose rows carry the slots ``cols``, with paths
+    ``pidxs`` of ``asm`` registered there: each joins a feed the way TRIC's
+    ``add_query`` does, and each feed's projection is set the way the
+    trie's freeze sets it."""
+    node = TrieNode(("a", None, None), None, None, View(), False, 0)
+    for pidx in pidxs:
+        asm.join_feed(pidx, node)
+    for feed in node.feeds:
+        feed.project = getter(tuple(cols.index(s) for s in feed.slots))
+    return node
+
+
+def hand_node(asm, node, rows):
+    """Hand one trie node's delta to every path of ``asm`` in its feeds the
+    way TRIC's descent does: one projection and one store per feed, then
+    ``on_path_delta`` per member; returns ``{pidx: queued}``."""
     queued = {}
-    for feed in feeds.values():
+    for feed in node.feeds:
         new = list(dict.fromkeys(feed.project(r) for r in rows))
         if feed.view is not None:
             feed.view.add_all(new)
@@ -380,16 +393,16 @@ class TestFreshRows:
                 assert len(v) == 0 < len(plain.canon_views[pidx])
 
     def test_bound_columns(self):
-        """Rows narrower than slot rows are read through ``bind_columns``."""
+        """Rows narrower than slot rows are read through their feed's
+        projection."""
         q = self.QUERIES["two-path component"]
         paths = covering_paths(q)
         asm = QueryAssembler(q, paths, False)
         assert asm.var_slots == [(0,), (0,)]
-        asm.bind_columns(0, (0,), {})
-        asm.bind_columns(1, (0, 1), {})
-        hand(asm, 0, [("c",)])
+        narrow, wide = trie_node(asm, [0], (0,)), trie_node(asm, [1], (0, 1))
+        hand_node(asm, narrow, [("c",)])
         assert asm.finish_update() is False
-        hand(asm, 1, [("c", "X"), ("d", "X")])
+        hand_node(asm, wide, [("c", "X"), ("d", "X")])
         assert asm.finish_update() is True
         assert sorted(asm.canon_views[1].rows) == [("c",), ("d",)]
 
@@ -466,14 +479,12 @@ class TestEmptyPartner:
         paths = covering_paths(q)
         assert [p.chain for p in paths] == [(("a", None, None),)] * 2
         asm = QueryAssembler(q, paths, cached)
-        feeds = {}
-        for pidx in (0, 1):
-            asm.bind_columns(pidx, (0, 1), feeds)
-        (feed,) = feeds.values()
+        node = trie_node(asm, [0, 1], (0, 1))
+        (feed,) = node.feeds
         assert feed.members == [(0, 0), (0, 1)]
         assert asm.canon_views[0] is asm.canon_views[1] is feed.view
         # one update gives both paths their first rows
-        assert hand_node(asm, feeds, [("c", "x")]) == {0: True, 1: True}
+        assert hand_node(asm, node, [("c", "x")]) == {0: True, 1: True}
         assert asm.finish_update() is True
         assert asm.finish_update() is False  # fired once, nothing left queued
         assert feed.view.rows == [("c",)]
@@ -484,15 +495,13 @@ class TestEmptyPartner:
         paths = covering_paths(q)
         assert [p.slots for p in paths] == [(0, 1), (0, 2), (3, 2)]
         asm = QueryAssembler(q, paths, cached)
-        feeds = {}
-        for pidx in (0, 1):
-            asm.bind_columns(pidx, (0, 1), feeds)
-        assert [f.members for f in feeds.values()] == [[(0, 0)], [(0, 1)]]
+        node = trie_node(asm, [0, 1], (0, 1))
+        assert [f.members for f in node.feeds] == [[(0, 0)], [(0, 1)]]
         assert asm.canon_views[0] is not asm.canon_views[1]
         assert hand(asm, 2, [("d", "x")]) is False
         assert asm.finish_update() is False
         # one update gives both paths at the node their first rows: the
         # first feed's path waits for the second's, which queues
-        assert hand_node(asm, feeds, [("c", "x")]) == {0: False, 1: True}
+        assert hand_node(asm, node, [("c", "x")]) == {0: False, 1: True}
         assert asm.finish_update() is True
         assert asm.finish_update() is False

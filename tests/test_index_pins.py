@@ -5,8 +5,9 @@ the same covering paths give the same tries, base views and final joins.
 Events and join counters (``tests/test_work_counters.py``) would show a
 changed structure only through its effect on answering, so this file pins
 the structure itself, right after the last ``add_query``, on the same
-30-query SNB workload.  Long values are pinned by the SHA-256 digest of
-their ``repr``; on a mismatch, print the value to see what moved.
+30-query SNB workload, and TRIC's frozen layout after ``end_indexing``.
+Long values are pinned by the SHA-256 digest of their ``repr``; on a
+mismatch, print the value to see what moved.
 """
 import hashlib
 
@@ -24,6 +25,11 @@ TRIE = (
     "55f53977ff8e9eae",
     "70d70d155db9d071",
 )
+
+#: TRIC and TRIC+ after ``end_indexing``: digests of every node's (live
+#: slots, probe columns) and of its feeds as (members, whether the feed
+#: stores no view), both in creation order
+FROZEN = ("666b95bc22ab2f9b", "526cc68c87866a3e")
 
 #: INV and INC: digests of ``base``'s keys in insertion order and of
 #: ``query_ind``
@@ -62,6 +68,18 @@ def test_trie_structure_is_pinned(queries, name):
         ]),
     )
     assert got == TRIE
+
+
+@pytest.mark.parametrize("name", ["tric", "tric+"])
+def test_frozen_layout_is_pinned(queries, name):
+    e = indexed(name, queries)
+    e.end_indexing()
+    nodes = e.forest.all_nodes()
+    got = (
+        digest([(n.keep, n.probe) for n in nodes]),
+        digest([[(f.members, f.view is None) for f in n.feeds] for n in nodes]),
+    )
+    assert got == FROZEN
 
 
 @pytest.mark.parametrize("name", ["inv", "inv+", "inc", "inc+"])

@@ -34,12 +34,6 @@ class TestView:
         assert delta == [("c", "d")]
         assert len(v) == 2
 
-    def test_contains(self):
-        v = View()
-        assert ("a", "b") not in v  # no row stored yet, so no duplicate set
-        v.add(("a", "b"))
-        assert ("a", "b") in v and ("x", "y") not in v
-
     def test_uncached_view_has_no_index(self):
         assert View(cached=False).index((0,)) is None
 

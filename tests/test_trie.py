@@ -17,7 +17,7 @@ def index_query(forest: TrieForest, q: QueryPattern):
 
 def freeze(forest: TrieForest) -> TrieForest:
     """Freeze the forest's shape, as the first update does."""
-    forest.freeze(lambda qid, pidx: ())
+    forest.freeze()
     return forest
 
 
@@ -98,6 +98,17 @@ class TestInsertPath:
         assert root.registered == []
         assert leaf.registered == [(7, 0)]
         assert [n for n in f.all_nodes() if n.registered] == [leaf]
+
+    def test_new_nodes_get_their_signatures_base_view(self):
+        f = TrieForest(cached=False)
+        for q in fig5_queries():
+            index_query(f, q)
+        nodes = f.all_nodes()
+        # right after insertion, before any freeze
+        assert all(n.base is f.base[n.sig] for n in nodes)
+        # one view per signature, in the order of its first node
+        assert list(f.base) == list(dict.fromkeys(n.sig for n in nodes))
+        assert len({id(v) for v in f.base.values()}) == len(f.base)
 
     def test_roots_of_a_signature_are_its_candidates(self):
         f = TrieForest(cached=False)
@@ -376,3 +387,4 @@ def test_cached_flag_propagates_to_views(cached):
     index_query(f, q)
     root = next(iter(f.roots.values()))
     assert root.matv.cached is cached
+    assert root.base.cached is cached
