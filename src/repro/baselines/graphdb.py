@@ -150,56 +150,54 @@ class GraphDBEngine(Engine):
         execution), enumerating all embeddings; returns their count."""
         t0 = time.perf_counter()
         s_a, _, o_a = q.edges[anchor]
+        rows: list[dict[str, str]] = []  # materialized result records
         # bind anchor endpoints to the update (literal agreement is implied
         # by the signature match, but the same *variable* may be both ends)
-        if s_a == o_a and u.s != u.o:
-            return 0
-        binding: dict[int, str] = {
-            i: t for i, t in enumerate(q.vertices) if t is not None
-        }
-        rows: list[dict[str, str]] = []  # materialized result records
-        binding[s_a] = u.s
-        binding[o_a] = u.o
-        plan = self._plan(q, anchor)
-        n_results = 0
-
-        def rec(step: int) -> None:
-            nonlocal n_results
-            if step == len(plan):
-                n_results += 1
-                if n_results > self.max_rows:
-                    raise EngineOverflow(
-                        f"graphdb: Q{q.qid} returned > {self.max_rows} rows"
-                    )
-                # materialize the record as a driver would return it
-                rows.append({f"v{i}": v for i, v in binding.items()})
-                return
-            # the plan extends only from bound vertices: bs or bo is set
-            s, p, o = q.edges[plan[step]]
-            bs, bo = binding.get(s), binding.get(o)
-            if bs is not None and bo is not None:
-                if (bs, p, bo) in self.triples:
-                    rec(step + 1)
-                return
-            if bs is not None:
-                for cand in self.by_ps.get((p, bs), ()):
-                    binding[o] = cand
-                    rec(step + 1)
-                binding.pop(o, None)
-                return
-            for cand in self.by_po.get((p, bo), ()):
-                binding[s] = cand
-                rec(step + 1)
-            binding.pop(s, None)
-
-        try:
-            rec(0)
-        finally:
-            # rec refers to itself through its closure cell: clear the cell
-            # so this call's records are freed now, not by the cyclic GC
-            del rec
+        if s_a != o_a or u.s == u.o:
+            binding: dict[int, str] = {
+                i: t for i, t in enumerate(q.vertices) if t is not None
+            }
+            binding[s_a] = u.s
+            binding[o_a] = u.o
+            self._expand(q, self._plan(q, anchor), 0, binding, rows)
         # per-invocation latency floor of the embedded runtime (see class doc)
         deadline = t0 + self.exec_latency_s
         while time.perf_counter() < deadline:
             pass
-        return n_results
+        return len(rows)
+
+    def _expand(
+        self,
+        q: QueryPattern,
+        plan: list[int],
+        step: int,
+        binding: dict[int, str],
+        rows: list[dict[str, str]],
+    ) -> None:
+        """Extend ``binding`` along ``plan[step:]``, appending one record
+        per complete embedding to ``rows``."""
+        if step == len(plan):
+            if len(rows) >= self.max_rows:
+                raise EngineOverflow(
+                    f"graphdb: Q{q.qid} returned > {self.max_rows} rows"
+                )
+            # materialize the record as a driver would return it
+            rows.append({f"v{i}": v for i, v in binding.items()})
+            return
+        # the plan extends only from bound vertices: bs or bo is set
+        s, p, o = q.edges[plan[step]]
+        bs, bo = binding.get(s), binding.get(o)
+        if bs is not None and bo is not None:
+            if (bs, p, bo) in self.triples:
+                self._expand(q, plan, step + 1, binding, rows)
+            return
+        if bs is not None:
+            for cand in self.by_ps.get((p, bs), ()):
+                binding[o] = cand
+                self._expand(q, plan, step + 1, binding, rows)
+            binding.pop(o, None)
+            return
+        for cand in self.by_po.get((p, bo), ()):
+            binding[s] = cand
+            self._expand(q, plan, step + 1, binding, rows)
+        binding.pop(s, None)

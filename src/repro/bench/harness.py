@@ -100,14 +100,15 @@ def measure_memory(
     # first call in a process, nor uncollected cycles toward any call
     warm = make_engine(name)
     index_queries(warm, queries)
-    run_stream(warm, prefix[:1], collect_events=False)
+    run_stream(warm, prefix[:1])
     del warm
     gc.collect()
     tracemalloc.start()
     try:
         engine = make_engine(name)
         index_queries(engine, queries)
-        res = run_stream(engine, prefix, collect_events=False)
+        res = run_stream(engine, prefix)
+        res.events.clear()  # the run's output, not the engine's state
         gc.collect()
         current, _ = tracemalloc.get_traced_memory()
     finally:

@@ -4,7 +4,7 @@ Indexing (§4.1): each query is decomposed into covering paths, which are
 clustered by their ``chain`` and ``refs`` into the
 :class:`~repro.core.trie.TrieForest`; shared path prefixes across queries
 share trie nodes and therefore share materialized views and join work.
-:meth:`TricEngine.add_query` registers each path completely, base views
+:meth:`TricEngine.add_query` indexes each path completely, base views
 and feeds included, so ending the indexing phase only freezes the trie.
 
 Answering (§4.2): each trie node's delta is computed top-down,
@@ -43,9 +43,9 @@ view: a new embedding whose projection is already stored must still reach
 its descendants and queries.  A node appends its delta to its view (the
 rows it does not hold) only after its children have been processed, so
 while they read it the view *is* ``old(parent)`` and needs no "minus this
-update's delta" filter; a leaf's delta goes to its registered queries
-alone.  After the append, the node's children are registered in
-``src_ind`` under each new-slot value that is new to the view.
+update's delta" filter; a leaf's delta goes to its feeds alone.  After
+the append, the node's children are registered in ``src_ind`` under each
+new-slot value that is new to the view.
 Base views take ``u`` before any descent, so a child whose base view
 (:attr:`~repro.core.trie.TrieNode.base`) is empty has a signature ``u``
 lacks: it is no candidate, its ``Δ(parent) ⋈ base`` is empty, and the
@@ -53,15 +53,15 @@ descent skips it without a join.
 A child delta above ``max_rows`` rows raises
 :class:`~repro.engine.base.EngineOverflow`.  A node's delta goes to the
 :class:`~repro.engine.assembler.QueryAssembler` (TRIC's final join across
-covering paths) of each query registered there, and only a query whose assembler
-queued it is finished after the descent: the assembler queues nothing while
-a join partner's view is empty, since that partner's own delta of this
-update, if any, finds the new rows.  The paths registered at one node that
-read the same join slots form one :class:`~repro.engine.assembler.Feed`
-(formed as the paths are registered), which shares one canonical view
-among those with join partners: the descent projects, de-duplicates and
-stores the node's delta once per feed, then hands the projections to each
-member's assembler.  ``cached=True`` gives TRIC+: all views
+covering paths) of each path ending there, which joins it at once with
+the path's partners' views as they stand: a partner whose delta arrives
+later joins against this path's new rows.  Only a query whose assembler's
+join found a row is finished after the descent.  The paths ending at one node that read the
+same join slots form one :class:`~repro.engine.assembler.Feed` (formed in
+:meth:`TricEngine.add_query`), which shares one canonical view among those
+with join partners: the descent projects, de-duplicates and stores the
+node's delta once per feed, then hands the projections to each member's
+assembler.  ``cached=True`` gives TRIC+: all views
 keep their hash-join build structures (indexes) incrementally instead of
 rebuilding them per join, so ``u``'s term, which reads the rows of the
 parent's view whose new slot is ``u.s``
@@ -99,7 +99,7 @@ class TricEngine(Engine):
         asm = QueryAssembler(q, paths, self.cached, self.max_rows)
         self.assemblers[q.qid] = asm
         for pidx, p in enumerate(paths):
-            asm.join_feed(pidx, self.forest.insert_path(q.qid, pidx, p.chain, p.refs))
+            asm.join_feed(pidx, self.forest.insert_path(p.chain, p.refs))
 
     # -- answering phase ------------------------------------------------
     def end_indexing(self) -> None:

@@ -23,9 +23,9 @@ names: paths share nodes up to the step where their equality patterns
 differ, and split there.
 
 The paper's ``queryInd`` (query id → the nodes its covering paths end at)
-has no reader here: the answering phase reaches a query only through
-:attr:`TrieNode.registered` at the node that got the delta, so the forest
-keeps just that reverse link.
+has no reader here: the answering phase reaches a path only through the
+:attr:`TrieNode.feeds` of the node that got the delta, so the forest keeps
+just that reverse link.
 
 Below the roots an update is routed by its source vertex as well as its
 signature.  An update ``u`` can start a delta at a non-root node only
@@ -107,7 +107,7 @@ class TrieNode:
     Every other slot is existential: an event only asks whether a new
     embedding exists.  The view is the set of these projections.  Only its
     children's ``old(parent) ⋈ {u}`` term reads it, so a leaf stores no rows:
-    its deltas go to the registered queries' assemblers and nowhere else.
+    its deltas go to its feeds' assemblers and nowhere else.
     The live slots, and so the view, need the trie's shape fixed before the
     first update (:meth:`TrieForest.freeze`), which is why engines refuse
     late queries.  A node appends an update's delta to its view after its
@@ -120,14 +120,14 @@ class TrieNode:
     ``ref``; and :attr:`emit`, which maps a parent row and a base row
     ``(s, o)`` to the node's row.  :attr:`order` is the node's creation
     index in its forest, :attr:`base` the base view of its signature, which
-    its step joins against, and :attr:`feeds` groups the paths registered
-    here into :class:`~repro.engine.assembler.Feed` objects, in the order
-    of their first path.
+    its step joins against, and :attr:`feeds` groups the covering paths
+    that end here into :class:`~repro.engine.assembler.Feed` objects, in
+    the order of their first path.
     """
 
     __slots__ = (
-        "sig", "ref", "depth", "parent", "children", "matv", "registered",
-        "order", "keep", "probe", "emit", "base", "feeds",
+        "sig", "ref", "depth", "parent", "children", "matv", "order", "keep",
+        "probe", "emit", "base", "feeds",
     )
 
     def __init__(
@@ -145,7 +145,6 @@ class TrieNode:
         self.depth = 0 if parent is None else parent.depth + 1
         self.children: dict[NodeKey, TrieNode] = {}
         self.matv = View(cached=cached)
-        self.registered: list[tuple[int, int]] = []  # (qid, path_idx)
         self.order = order
         self.keep: tuple[int, ...] = ()
         self.probe: tuple[int, ...] = ()
@@ -172,17 +171,13 @@ class TrieForest:
         self._nodes: list[TrieNode] = []
 
     def insert_path(
-        self,
-        qid: int,
-        pidx: int,
-        chain: tuple[EdgeSig, ...],
-        refs: tuple[Optional[int], ...],
+        self, chain: tuple[EdgeSig, ...], refs: tuple[Optional[int], ...]
     ) -> TrieNode:
-        """Index covering path ``pidx`` of query ``qid`` (Fig. 6), given as
-        its :class:`~repro.graph.covering.CoverPath` ``chain`` and ``refs``:
+        """Index a covering path (Fig. 6), given as its
+        :class:`~repro.graph.covering.CoverPath` ``chain`` and ``refs``:
         descend along the existing trie path that matches the (signature,
-        back-reference) chain, creating the missing suffix, then register
-        the query id at the last node."""
+        back-reference) chain, creating the missing suffix, and return the
+        last node, whose feeds the caller joins the path to."""
         level, base = self.roots, self.base
         node = None
         for key in zip(chain, refs):
@@ -196,7 +191,6 @@ class TrieForest:
                 self._nodes.append(child)
             node = child
             level = node.children
-        node.registered.append((qid, pidx))
         return node
 
     def freeze(self) -> None:

@@ -13,9 +13,9 @@ one greedy join over its component, run once per affected query.
 
 :class:`QueryAssembler` is TRIC's, in the style of Dynamic Yannakakis: it
 joins each path delta, projected onto the variables the path shares with
-other paths, with its partners' views.  The paths registered at one trie
-node that read its rows through the same slots form one :class:`Feed`,
-whose projections the descent computes and stores once.
+other paths, with its partners' views on arrival.  The paths ending at
+one trie node that read its rows through the same slots form one
+:class:`Feed`, whose projections the descent computes and stores once.
 
 :class:`FullJoinAssembler` is INV's and INC's: it stores the rows of each
 path that close the path's cycles, projected onto all of its variables,
@@ -43,7 +43,7 @@ Getter = Callable[[Row], Row]
 
 
 class Feed:
-    """The paths registered at one trie node that read its rows through
+    """The paths ending at one trie node that read its rows through
     the same :attr:`QueryAssembler.var_slots`, ``slots``: ``view`` is the
     canonical view they share (``None`` for lone paths, whose rows project
     to ``()`` and are never stored), ``members`` lists them as ``(qid,
@@ -155,7 +155,7 @@ class _FinalJoin:
 
 
 class QueryAssembler(_FinalJoin):
-    """TRIC's final join for one indexed query, over queued path deltas.
+    """TRIC's final join for one indexed query, on path deltas as they arrive.
 
     Every row fed to a path already closes the path's cycles and stands for
     at least one embedding new with this update.  Canonical rows are
@@ -164,9 +164,9 @@ class QueryAssembler(_FinalJoin):
     that path alone, so the full join is non-empty iff the join of the
     projections is.  The caller projects a path's delta, de-duplicates it
     and stores it in the path's view, which keeps the projections it does
-    not hold yet; :meth:`on_path_delta` then queues the whole de-duplicated
-    projection, unless a join partner's view is empty: a new embedding
-    whose projection is already stored still fires.  A path alone in its
+    not hold yet; :meth:`on_path_delta` then joins the whole de-duplicated
+    projection with its partners' views at once: a new embedding whose
+    projection is already stored still fires.  A path alone in its
     component has no join variable, so its rows project to ``()`` and its
     view stores nothing.  :attr:`comp_rows` marks a component 1 once a
     delta join finds a row.
@@ -174,7 +174,7 @@ class QueryAssembler(_FinalJoin):
 
     def __init__(self, q, paths, cached, max_rows=MAX_ROWS):
         super().__init__(q, paths, cached, max_rows)
-        self._pending: dict[int, list[Row]] = {}
+        self._hit = False
 
     @staticmethod
     def _canonical(first: dict[int, int], shared: set[int]) -> dict[int, int]:
@@ -182,9 +182,9 @@ class QueryAssembler(_FinalJoin):
         return {v: i for v, i in first.items() if v in shared}
 
     def join_feed(self, pidx: int, node: TrieNode) -> None:
-        """Path ``pidx`` is registered at trie node ``node``: it joins the
-        node's :class:`Feed` with its :attr:`var_slots`, or starts one with
-        its own canonical view if it has join partners.  Every path fed the
+        """Path ``pidx`` ends at trie node ``node``: it joins the node's
+        :class:`Feed` with its :attr:`var_slots`, or starts one with its
+        own canonical view if it has join partners.  Every path fed the
         same rows with the same var_slots holds the same projections, so
         one view serves them all.  (Only a lone path has no join variable,
         so a feed's paths are all lone or none is.)"""
@@ -201,31 +201,30 @@ class QueryAssembler(_FinalJoin):
             self.canon_views[pidx] = feed.view
 
     def on_path_delta(self, pidx: int, rows: list[Row]) -> bool:
-        """Hand a path's non-empty delta as canonical rows, de-duplicated
-        and already stored in the path's view; returns True iff they were
-        queued for :meth:`finish_update`.
-
-        Nothing is queued while a join partner's view is empty.  The
-        partner then held nothing before this update, so every new
-        embedding uses one of its rows of this update: its own queued delta
-        joins against this path's view, which by then holds these rows."""
+        """Join a path's non-empty delta, as canonical rows de-duplicated
+        and already stored in the path's view, with its partners' views as
+        they stand (an empty one is checked first); returns True iff the
+        join found a row.  Of the paths whose deltas a new embedding uses,
+        the last to arrive joins against the others' new rows: Graphflow's
+        delta-query order (Ammar et al., PVLDB 2018), ``ΔA ⋈ B_old ∪ A_new
+        ⋈ ΔB``."""
+        partners = self._partners[pidx]
         views = self.canon_views
-        for j in self._partners[pidx]:
+        for j in partners:
             if not views[j].rows:
                 return False
-        self._pending.setdefault(pidx, []).extend(rows)
+        if not self._join(rows, pidx, partners):
+            return False
+        self.comp_rows[self.path_comp[pidx]] = 1
+        self._hit = True
         return True
 
     def finish_update(self) -> bool:
-        """Close the update: join each queued delta with its partners'
-        views; returns True iff new full-query embeddings exist."""
-        delta_success = False
-        for pidx, delta in self._pending.items():
-            if self._join(delta, pidx, self._partners[pidx]):
-                self.comp_rows[self.path_comp[pidx]] = 1
-                delta_success = True
-        self._pending.clear()
-        return delta_success and all(self.comp_rows)
+        """Close the update: returns True iff new full-query embeddings
+        exist, that is iff a delta join found a row and every component
+        has one."""
+        hit, self._hit = self._hit, False
+        return hit and all(self.comp_rows)
 
 
 class FullJoinAssembler(_FinalJoin):

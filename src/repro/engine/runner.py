@@ -58,7 +58,6 @@ def run_stream(
     engine: Engine,
     updates: Sequence[Triple],
     time_limit_s: Optional[float] = None,
-    collect_events: bool = True,
 ) -> RunResult:
     """Feed ``updates`` in order; only engine time is accounted.
 
@@ -81,7 +80,7 @@ def run_stream(
             break
         elapsed += time.perf_counter() - t0
         processed = i + 1
-        if collect_events and matched:
+        if matched:
             events.extend((i, q) for q in matched)
         if time_limit_s is not None and elapsed > time_limit_s:
             timed_out = processed < len(updates)

@@ -1,6 +1,7 @@
 """The final joins: canonicalization, cycle closure, components, and the
-two assemblers: in full (FullJoinAssembler: INV, INC) and over queued
-deltas (QueryAssembler: TRIC)."""
+two assemblers: in full (FullJoinAssembler: INV, INC) and on each path
+delta as it arrives (QueryAssembler: TRIC)."""
+import itertools
 import random
 
 import pytest
@@ -44,15 +45,16 @@ def trie_node(asm, pidxs, cols):
 def hand_node(asm, node, rows):
     """Hand one trie node's delta to every path of ``asm`` in its feeds the
     way TRIC's descent does: one projection and one store per feed, then
-    ``on_path_delta`` per member; returns ``{pidx: queued}``."""
-    queued = {}
+    ``on_path_delta`` per member; returns ``{pidx: found}``, whether each
+    member's join found a row."""
+    found = {}
     for feed in node.feeds:
         new = list(dict.fromkeys(feed.project(r) for r in rows))
         if feed.view is not None:
             feed.view.add_all(new)
         for _, pidx in feed.members:
-            queued[pidx] = asm.on_path_delta(pidx, new)
-    return queued
+            found[pidx] = asm.on_path_delta(pidx, new)
+    return found
 
 
 class TestCanon:
@@ -266,9 +268,8 @@ class TestFullJoin:
         hand(asm, 2, [("z", "y0")])
         hand(asm, 1, [("m", f"y{i}") for i in range(20)])
         asm.finish_update()
-        hand(asm, 0, [("m", "w")])
         with pytest.raises(AssemblyOverflow):
-            asm.finish_update()
+            hand(asm, 0, [("m", "w")])
 
     def test_full_join_overflow_raises(self):
         # star on shared center variable: 20 x 20 join rows >> cap
@@ -407,11 +408,12 @@ class TestFreshRows:
         assert sorted(asm.canon_views[1].rows) == [("c",), ("d",)]
 
 
-class TestEmptyPartner:
-    """TRIC's assembler queues no delta while a join partner's view is
-    empty: the partner's own later delta of the same update joins against
-    this path's view, which already holds the new rows.  That holds for
-    partners registered at one trie node too, whose rows are stored once
+class TestJoinOnArrival:
+    """TRIC's assembler joins each path delta as it arrives, against its
+    partners' views as they stand, and skips the join while a partner's
+    view is empty: the partner's own later delta of the same update joins
+    against this path's view, which already holds the new rows.  That holds
+    for partners ending at one trie node too, whose rows are stored once
     per feed before any of them is handed on."""
 
     STAR2 = QueryPattern(
@@ -437,10 +439,10 @@ class TestEmptyPartner:
         assert hand(asm, first, self.rows(q, first, "c")) is False
         assert hand(asm, later, self.rows(q, later, "c")) is True
         assert asm.finish_update() is True
-        assert asm.finish_update() is False  # nothing left queued
+        assert asm.finish_update() is False  # the update's hit is cleared
         assert all(len(v) == 1 for v in asm.canon_views)
 
-    def test_partner_already_non_empty_queues(self):
+    def test_partner_already_non_empty_joins(self):
         q = self.STAR2
         asm = QueryAssembler(q, covering_paths(q), False)
         assert hand(asm, 1, self.rows(q, 1, "c")) is False
@@ -459,6 +461,32 @@ class TestEmptyPartner:
         assert hand(asm, 0, self.rows(q, 0, "c")) is False
         assert hand(asm, 1, self.rows(q, 1, "c")) is True
         assert asm.finish_update() is True
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_three_first_rows_in_one_update_last_arrival_joins(self, order):
+        q = self.STAR3
+        asm = QueryAssembler(q, covering_paths(q), False)
+        found = [hand(asm, pidx, self.rows(q, pidx, "c")) for pidx in order]
+        assert found == [False, False, True]
+        assert asm.finish_update() is True
+        assert asm.finish_update() is False
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_new_center_in_one_update_last_arrival_joins(self, order):
+        """All three views hold center c; one update brings center d to
+        all three.  The earlier arrivals find d in no partner's view yet,
+        so only the last one, which joins against the others' new rows,
+        finds the new embedding."""
+        q = self.STAR3
+        asm = QueryAssembler(q, covering_paths(q), False)
+        for pidx in range(3):  # one update each
+            hand(asm, pidx, self.rows(q, pidx, "c"))
+            assert asm.finish_update() is (pidx == 2)
+        found = [hand(asm, pidx, self.rows(q, pidx, "d")) for pidx in order]
+        assert found == [False, False, True]
+        assert asm.finish_update() is True
+        assert asm.finish_update() is False
+        assert all(sorted(v.rows) == [("c",), ("d",)] for v in asm.canon_views)
 
     #: ?c -a-> ?x and ?c -a-> ?y: both paths end at one trie node and read
     #: its rows through the same join slot, so they form one feed
@@ -486,7 +514,7 @@ class TestEmptyPartner:
         # one update gives both paths their first rows
         assert hand_node(asm, node, [("c", "x")]) == {0: True, 1: True}
         assert asm.finish_update() is True
-        assert asm.finish_update() is False  # fired once, nothing left queued
+        assert asm.finish_update() is False  # fired once, hit cleared
         assert feed.view.rows == [("c",)]
 
     @pytest.mark.parametrize("cached", [False, True])
@@ -501,7 +529,7 @@ class TestEmptyPartner:
         assert hand(asm, 2, [("d", "x")]) is False
         assert asm.finish_update() is False
         # one update gives both paths at the node their first rows: the
-        # first feed's path waits for the second's, which queues
+        # first feed's path finds its partner empty, the second's joins
         assert hand_node(asm, node, [("c", "x")]) == {0: False, 1: True}
         assert asm.finish_update() is True
         assert asm.finish_update() is False

@@ -15,7 +15,7 @@ no row in a leaf
 trie view or in the canonical view of a path alone in its component, and
 every other canonical view equal, as a set, to the one INC derives
 projected onto the path's join variables, and one such view object shared
-by exactly the paths registered at one trie node with the same join
+by exactly the covering paths ending at one trie node with the same join
 slots.  Its routing index ``src_ind``
 must register each non-root node under exactly the vertices its parent's
 view holds at its new slot.
@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine.base import ALGORITHMS, make_engine
 from repro.graph.bruteforce import embeddings, first_match_index
+from repro.graph.covering import covering_paths
 from repro.graph.model import QueryPattern, Triple
 
 LABELS = ("a", "b", "c")
@@ -140,16 +141,33 @@ def check_tric_state(tric, inc, triples):
     check_shared_canon_views(tric)
 
 
+def path_ends(tric):
+    """Each trie node to the covering paths ending there, as ``(qid,
+    pidx)`` in the order they were indexed, found by walking each path's
+    ``chain`` and ``refs`` down from the forest's roots."""
+    ends: dict[int, list] = {}  # id(node) -> [(qid, pidx)]
+    for qid, asm in tric.assemblers.items():
+        for pidx, p in enumerate(covering_paths(asm.q)):
+            level = tric.forest.roots
+            for key in zip(p.chain, p.refs):
+                node = level[key]
+                level = node.children
+            ends.setdefault(id(node), []).append((qid, pidx))
+    return ends
+
+
 def check_shared_canon_views(tric):
     """Paths with join partners share a canonical view exactly when they
-    are registered at one trie node with the same ``var_slots``; a node's
-    feeds partition its registered paths, one feed per ``var_slots``, and
-    a feed's view is the canonical view of each member (``None`` for lone
+    end at one trie node with the same ``var_slots``; a node's feeds
+    partition the paths ending there, one feed per ``var_slots``, and a
+    feed's view is the canonical view of each member (``None`` for lone
     paths)."""
     groups: dict[int, tuple] = {}  # id(view) -> (node, var_slots)
+    ends = path_ends(tric)
     for node in tric.forest.all_nodes():
+        ending = ends.get(id(node), [])
         members = [m for feed in node.feeds for m in feed.members]
-        assert sorted(members) == sorted(node.registered), "feeds do not partition"
+        assert sorted(members) == sorted(ending), "feeds do not partition"
         assert len(set(members)) == len(members)
         feed_slots = []
         for feed in node.feeds:
@@ -163,10 +181,10 @@ def check_shared_canon_views(tric):
                 if not lone:
                     assert asm.canon_views[pidx] is feed.view
         assert len(set(feed_slots)) == len(feed_slots), "two feeds share var_slots"
-        firsts = [node.registered.index(f.members[0]) for f in node.feeds]
-        assert firsts == sorted(firsts), "feeds out of registration order"
+        firsts = [ending.index(f.members[0]) for f in node.feeds]
+        assert firsts == sorted(firsts), "feeds out of indexing order"
         linked = {}
-        for qid, pidx in node.registered:
+        for qid, pidx in ending:
             asm = tric.assemblers[qid]
             if len(asm.components[asm.path_comp[pidx]]) == 1:
                 continue

@@ -150,8 +150,13 @@ class TestEdgeCases:
             e.add_query(queries[0])
         e.end_indexing()
         if name.startswith("tric"):
-            for n in e.forest.all_nodes():
-                assert sum(len(f.members) for f in n.feeds) == len(n.registered)
+            # each covering path is a member of exactly one feed
+            feeds = [f for n in e.forest.all_nodes() for f in n.feeds]
+            assert sorted(m for f in feeds for m in f.members) == sorted(
+                (qid, pidx)
+                for qid, asm in e.assemblers.items()
+                for pidx in range(len(asm.path_vars))
+            )
         lazy = make_engine(name)
         for q in queries[1:]:
             lazy.add_query(q)

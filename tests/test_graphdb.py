@@ -132,6 +132,17 @@ class TestLatencySimulation:
         t_slow = time.perf_counter() - t0
         assert t_slow > t_fast + 0.0015
 
+    def test_latency_floor_applied_when_self_loop_anchor_misses(self):
+        """An execution anchored at a self-loop edge pays the floor even
+        when the update is no self-loop and so binds nothing."""
+        import time
+
+        q = QueryPattern(qid=0, vertices=[None], edges=[(0, "a", 0)])
+        slow = engine(q, latency=2000.0)  # 2 ms per execution
+        t0 = time.perf_counter()
+        assert slow.process_update(Triple("x", "a", "y")) == []
+        assert time.perf_counter() - t0 >= 0.002
+
     def test_latency_does_not_change_results(self):
         q = chain_q()
         a, b = engine(q, latency=0.0), engine(q, latency=100.0)

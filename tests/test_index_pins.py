@@ -17,12 +17,13 @@ from repro.bench.harness import build_workload
 from repro.engine.base import make_engine
 
 #: TRIC and TRIC+: trie nodes, and digests of ``base``'s keys in insertion
-#: order, of every node's ``registered`` list in creation order, and of
-#: every node's (parent's creation index, signature, back-reference)
+#: order, of every node's feeds as (members, whether the feed stores no
+#: view) in creation order, and of every node's (parent's creation index,
+#: signature, back-reference)
 TRIE = (
     155,
     "0982ff2be28ff851",
-    "55f53977ff8e9eae",
+    "526cc68c87866a3e",
     "70d70d155db9d071",
 )
 
@@ -58,13 +59,14 @@ def indexed(name, queries):
 @pytest.mark.parametrize("name", ["tric", "tric+"])
 def test_trie_structure_is_pinned(queries, name):
     e = indexed(name, queries)
+    nodes = e.forest.all_nodes()
     got = (
         e.forest.n_nodes(),
         digest(list(e.base)),
-        digest([n.registered for n in e.forest.all_nodes()]),
+        digest([[(f.members, f.view is None) for f in n.feeds] for n in nodes]),
         digest([
             (None if n.parent is None else n.parent.order, n.sig, n.ref)
-            for n in e.forest.all_nodes()
+            for n in nodes
         ]),
     )
     assert got == TRIE

@@ -62,10 +62,6 @@ class TestRunStream:
         assert r.timed_out and r.processed == 3
         assert "overflow" in r.timeout_reason
 
-    def test_no_events_collection(self):
-        r = run_stream(FakeEngine(matches={0: [1]}), UPDATES, collect_events=False)
-        assert r.events == []
-
     def test_empty_stream(self):
         r = run_stream(FakeEngine(), [])
         assert r.processed == 0 and r.avg_ms_per_update != r.avg_ms_per_update  # NaN

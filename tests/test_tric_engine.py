@@ -131,8 +131,9 @@ class TestDeltaPropagation:
             e.add_query(q)
         assert e.process_update(Triple("c", "a", "X")) == []
         (node,) = [n for n in e.forest.all_nodes() if n.sig[0] == "a"]
-        assert sorted(qid for qid, _ in node.registered) == [0, 1]
-        views = [e.assemblers[qid].canon_views[pidx] for qid, pidx in node.registered]
+        members = [m for feed in node.feeds for m in feed.members]
+        assert sorted(qid for qid, _ in members) == [0, 1]
+        views = [e.assemblers[qid].canon_views[pidx] for qid, pidx in members]
         assert views[0] is views[1] and views[0].rows == [("c",)]
         assert e.process_update(Triple("c", "b", "Y")) == [0]
         assert e.process_update(Triple("c", "d", "Z")) == [1]
@@ -160,7 +161,7 @@ class TestDeltaPropagation:
         e.process_update(Triple("s", "unindexed", "o"))  # freezes the trie
         (node,) = [n for n in e.forest.all_nodes() if n.sig[0] == "a"]
         (feed,) = node.feeds
-        assert sorted(feed.members) == [(0, 0), (1, 0)] == sorted(node.registered)
+        assert sorted(feed.members) == [(0, 0), (1, 0)]
         add_all = View.add_all
         stores = []
 
@@ -235,10 +236,10 @@ class TestDeltaPropagation:
         ]
         assert got == want == [[], [], [], [0]]
 
-    def test_finish_only_queries_that_queued(self, monkeypatch):
-        """While the b path of query 0 has no row, its a rows queue no join
-        and its final join is not run; the lone path of query 1 queues on
-        every update."""
+    def test_finish_only_queries_whose_join_found_a_row(self, monkeypatch):
+        """While the b path of query 0 has no row, its a rows find no join
+        row and its update is not finished; the lone path of query 1 finds
+        one on every update."""
         from repro.engine.assembler import QueryAssembler
 
         e = TricEngine()

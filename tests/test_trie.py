@@ -1,4 +1,4 @@
-"""Trie forest (rootInd / registered queries) — clustering behaviour,
+"""Trie forest (rootInd / the node each covering path ends at) — clustering behaviour,
 incl. the paper's Fig. 5/8 worked example, and the candidates an update's
 signatures and source vertex reach (``src_ind``)."""
 import pytest
@@ -9,10 +9,20 @@ from repro.graph.model import QueryPattern, Triple
 
 
 def index_query(forest: TrieForest, q: QueryPattern):
-    paths = covering_paths(q)
-    for pidx, p in enumerate(paths):
-        forest.insert_path(q.qid, pidx, p.chain, p.refs)
-    return paths
+    """Insert ``q``'s covering paths; returns the node ``insert_path``
+    gave each ``(qid, pidx)``."""
+    return {
+        (q.qid, pidx): forest.insert_path(p.chain, p.refs)
+        for pidx, p in enumerate(covering_paths(q))
+    }
+
+
+def index_fig5(forest: TrieForest):
+    """Insert Fig. 5(a)'s queries; returns the node of each path."""
+    ends = {}
+    for q in fig5_queries():
+        ends |= index_query(forest, q)
+    return ends
 
 
 def freeze(forest: TrieForest) -> TrieForest:
@@ -78,26 +88,26 @@ class TestInsertPath:
 
     def test_identical_paths_fully_shared(self):
         f = TrieForest(cached=False)
+        ends = {}
         for qid in range(5):
             q = QueryPattern(
                 qid=qid, vertices=[None, None, None], edges=[(0, "a", 1), (1, "b", 2)]
             )
-            index_query(f, q)
+            ends |= index_query(f, q)
         assert f.n_nodes() == 2
         leaf = list(next(iter(f.roots.values())).children.values())[0]
-        assert len(leaf.registered) == 5
+        assert list(ends) == [(qid, 0) for qid in range(5)]
+        assert all(n is leaf for n in ends.values())
 
-    def test_query_registered_at_last_node(self):
+    def test_path_ends_at_last_node(self):
         f = TrieForest(cached=False)
         q = QueryPattern(
             qid=7, vertices=[None, None, None], edges=[(0, "a", 1), (1, "b", 2)]
         )
-        index_query(f, q)
+        ends = index_query(f, q)
         root = next(iter(f.roots.values()))
         leaf = list(root.children.values())[0]
-        assert root.registered == []
-        assert leaf.registered == [(7, 0)]
-        assert [n for n in f.all_nodes() if n.registered] == [leaf]
+        assert ends == {(7, 0): leaf}
 
     def test_new_nodes_get_their_signatures_base_view(self):
         f = TrieForest(cached=False)
@@ -299,16 +309,19 @@ class TestBackRefs:
         open_ = QueryPattern(
             qid=1, vertices=[None, None, None], edges=[(0, "a", 1), (1, "a", 2)]
         )
-        (p_closing,) = index_query(f, closing)
-        (p_open,) = index_query(f, open_)
+        (p_closing,) = covering_paths(closing)
+        (p_open,) = covering_paths(open_)
+        ends = index_query(f, closing) | index_query(f, open_)
         assert p_closing.refs == (None, 0)
         assert p_open.refs == (None, None)
         # one shared root, two children that differ only in the back-reference
         assert set(f.roots) == {(self.SIG, None)}
         root = f.roots[(self.SIG, None)]
         assert set(root.children) == {(self.SIG, 0), (self.SIG, None)}
-        assert root.children[(self.SIG, 0)].registered == [(0, 0)]
-        assert root.children[(self.SIG, None)].registered == [(1, 0)]
+        assert ends == {
+            (0, 0): root.children[(self.SIG, 0)],
+            (1, 0): root.children[(self.SIG, None)],
+        }
         assert f.n_nodes() == 3
 
     def test_self_loop_root(self):
@@ -322,7 +335,8 @@ class TestBackRefs:
     def test_repeated_literal_gets_no_back_reference(self):
         f = TrieForest(cached=False)
         q = QueryPattern(qid=0, vertices=["L", None], edges=[(0, "a", 1), (1, "a", 0)])
-        (path,) = index_query(f, q)
+        (path,) = covering_paths(q)
+        index_query(f, q)
         assert path.slots == (0, 1, 0)
         assert path.refs == (None, None)
         root = f.roots[(("a", "L", None), None)]
@@ -349,8 +363,7 @@ class TestPaperFig8:
 
     def test_clustering(self):
         f = TrieForest(cached=False)
-        for q in fig5_queries():
-            index_query(f, q)
+        ends = index_fig5(f)
         # Tries rooted at hasMod, reply, hasCreator (paper's T1, T2, T3)
         assert set(f.roots) == {
             (("hasMod", None, None), None),
@@ -359,23 +372,22 @@ class TestPaperFig8:
         }
         # T1 clusters Q1.P1, Q1.P2, Q2.P1 and Q4.P1:
         t1 = f.roots[(("hasMod", None, None), None)]
-        assert {qid for n in subtree(t1) for qid, _ in n.registered} == {1, 2, 4}
+        in_t1 = set(subtree(t1))
+        assert {qid for (qid, _), n in ends.items() if n in in_t1} == {1, 2, 4}
         # posted=(?var,pst1) appears under both T1 (Q1/Q4) and T3 (Q3)
         t3 = f.roots[(("hasCreator", "com1", None), None)]
         posted = (("posted", None, "pst1"), None)
         assert posted in t1.children and posted in t3.children
-        # Q1 was registered under 3 nodes (its 3 covering paths)
-        assert len([n for n in f.all_nodes() for qid, _ in n.registered if qid == 1]) == 3
+        # Q1's 3 covering paths end at 3 distinct nodes
+        assert len({n for (qid, _), n in ends.items() if qid == 1}) == 3
 
     def test_shared_posted_pst1_node(self):
         f = TrieForest(cached=False)
-        for q in fig5_queries():
-            index_query(f, q)
+        ends = index_fig5(f)
         t1 = f.roots[(("hasMod", None, None), None)]
         # hasMod -> posted:pst1 shared by Q1.P1 and Q4.P1 prefix
         child = t1.children[(("posted", None, "pst1"), None)]
-        regs = {qid for qid, _ in child.registered}
-        assert 1 in regs  # Q1's P1 terminates here
+        assert ends[(1, 0)] is child  # Q1's P1 terminates here
         # Q4 continues below with containedIn
         assert (("containedIn", "pst1", None), None) in child.children
 

@@ -21,8 +21,8 @@ from repro.relational.relation import COUNTERS, reset_counters
 
 #: engine -> (build_rows, probe_rows, out_rows, events)
 EXPECTED = {
-    "tric": (10145, 714, 778, 51),
-    "tric+": (0, 928, 778, 51),
+    "tric": (10057, 702, 762, 51),
+    "tric+": (0, 916, 762, 51),
     "inv": (4622, 21681, 26503, 51),
     "inv+": (0, 21681, 26503, 51),
     "inc": (26855, 4329, 3552, 51),
