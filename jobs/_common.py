@@ -2,10 +2,11 @@
 
 Each job reproduces one evaluation artifact of the paper (see DESIGN.md §6).
 The eight answering-time figures are one experiment, :func:`sweep_job`: it
-sweeps the paper's x-axis at the scaled-down workload, prints the same rows
-the paper reports (algorithm × x-value → answering time per update in ms,
-with "timeout at |G_E|=X" markers), and dumps JSON under ``results/`` so
-EXPERIMENTS.md can diff paper vs measured.
+sweeps the paper's x-axis at the scaled-down workload and builds the rows
+the paper reports (x-value × algorithm → answering time per update in ms,
+with timeout markers).  Every job builds its table once, prints it and
+saves it with its payload under ``results/`` (:func:`report`), where
+``fill_experiments.py`` renders it into EXPERIMENTS.md.
 
 Run directly (``python jobs/table_snb_answering.py``) or via ``spark-submit``.
 ``--verify`` additionally checks, through a SparkSession, that the engines'
@@ -23,7 +24,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.bench.harness import (  # noqa: E402
     build_workload,
     cell,
-    fmt_table,
+    markdown_table,
     run_algorithms,
     save_results,
 )
@@ -37,7 +38,7 @@ N_VERIFY = 10
 def parser(desc: str) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(description=desc)
     p.add_argument("--scale", type=float, default=1.0, help="workload scale factor")
-    p.add_argument("--time-limit", type=float, default=30.0, help="per-run cap (s)")
+    p.add_argument("--time-limit", type=float, default=20.0, help="per-run cap (s)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--verify",
@@ -78,7 +79,7 @@ def sweep_job(
     vary: str,
     values: tuple,
     label: str,
-) -> dict:
+) -> None:
     """One answering-time figure: for each of ``values``, build the workload
     (2000 updates, 300 queries, both scaled by ``--scale``) with its
     ``build_workload`` argument ``vary`` set to the value (scaled too when
@@ -86,7 +87,6 @@ def sweep_job(
     ``label.format(value)`` names each config."""
     args = parser(doc).parse_args()
     s = args.scale
-    rows = []
     payload = {"title": title, "configs": []}
     for value in values:
         kw = dict(dataset=dataset, n_updates=int(2000 * s), n_queries=int(300 * s))
@@ -97,11 +97,23 @@ def sweep_job(
         if args.verify:
             verify_sample(updates, queries)
         res = run_algorithms(updates, queries, ALGORITHMS, time_limit_s=args.time_limit)
-        rows.append({"x": name} | {algo: cell(m) for algo, m in res.items()})
         payload["configs"].append({"label": name, "workload": kw, "results": res})
         print(f"[done] {name}")
-    print()
-    print(fmt_table(title, rows, ["x"] + ALGORITHMS))
+    report(title, payload, sweep_table(payload), out_name)
+
+
+def sweep_table(payload: dict) -> dict:
+    """A sweep's table: one row per config, one column per algorithm."""
+    algos = list(payload["configs"][0]["results"])
+    rows = [[c["label"], *(cell(c["results"][a]) for a in algos)] for c in payload["configs"]]
+    note = "(ms/update; * = hit threshold after N updates)"
+    return {"columns": ["", *algos], "rows": rows, "note": note}
+
+
+def report(title: str, payload: dict, table: dict, out_name: str) -> None:
+    """Print ``title`` and ``table``; save ``payload``, table added, in ``results/``."""
+    payload["table"] = table
+    print(f"\n{title}")
+    print(markdown_table(table))
     save_results(payload, os.path.join(RESULTS_DIR, out_name))
     print(f"\nresults written to results/{out_name}")
-    return payload

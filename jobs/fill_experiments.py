@@ -1,7 +1,8 @@
 """Inject measured results into EXPERIMENTS.md.
 
-Replaces each ``<!-- MEASURED:<name> -->`` marker with a markdown table
-rendered from ``results/<name>.json`` (as produced by the per-table jobs).
+Replaces each ``<!-- MEASURED:<name> -->`` marker with the table saved in
+``results/<name>.json`` by its job, rendered by the same
+:func:`~repro.bench.harness.markdown_table` the job printed it with.
 Idempotent: a marker line is kept in place and the generated block between
 ``<!-- BEGIN:<name> -->`` / ``<!-- END:<name> -->`` is rewritten.
 """
@@ -11,52 +12,23 @@ import re
 import sys
 
 HERE = os.path.dirname(__file__)
+sys.path.insert(0, os.path.join(HERE, "..", "src"))
+
+from repro.bench.harness import markdown_table  # noqa: E402
+
 RESULTS = os.path.join(HERE, "..", "results")
 EXPERIMENTS = os.path.join(HERE, "..", "EXPERIMENTS.md")
 
 
-def _fmt_cell(m: dict) -> str:
-    v = f"{m['avg_ms_per_update']:.3f}"
-    if m.get("timed_out"):
-        v += f"\\* @{m['processed']}"
-    return v
-
-
 def render(name: str) -> str:
     path = os.path.join(RESULTS, f"{name}.json")
-    if not os.path.exists(path):
+    table = None
+    if os.path.exists(path):
+        with open(path) as f:
+            table = json.load(f).get("table")
+    if table is None:
         return "_results missing — run the corresponding job_"
-    with open(path) as f:
-        data = json.load(f)
-    if name == "table1_memory":
-        algos = list(data["algorithms"])
-        dss = list(next(iter(data["algorithms"].values())))
-        heads = [f"{ds} ({data['updates'][ds]} updates)" for ds in dss]
-        lines = ["| algorithm | " + " | ".join(heads) + " |",
-                 "|---|" + "---|" * len(dss)]
-        for a in algos:
-            cells = [f"{data['algorithms'][a][ds] / (1 << 20):.1f} MiB" for ds in dss]
-            lines.append(f"| {a} | " + " | ".join(cells) + " |")
-        return "\n".join(lines)
-    if name == "table_indexing":
-        algos = list(data["batches"][0])
-        lines = ["| batch | " + " | ".join(algos) + " |",
-                 "|---|" + "---|" * len(algos)]
-        for i, b in enumerate(data["batches"]):
-            cells = [f"{b[a] * 1000:.1f}" for a in algos]
-            lines.append(f"| {(i + 1) * 100} | " + " | ".join(cells) + " |")
-        cells = [f"{data['end_indexing'][a] * 1000:.1f}" for a in algos]
-        lines.append("| end_indexing | " + " | ".join(cells) + " |")
-        return "\n".join(lines) + (
-            "\n\n(ms per batch of 100 queries, then one `end_indexing()` call "
-            f"after the fifth batch; median of {data['reps']} runs)"
-        )
-    algos = list(data["configs"][0]["results"])
-    lines = ["| | " + " | ".join(algos) + " |", "|---|" + "---|" * len(algos)]
-    for cfg in data["configs"]:
-        cells = [_fmt_cell(cfg["results"][a]) for a in algos]
-        lines.append(f"| {cfg['label']} | " + " | ".join(cells) + " |")
-    return "\n".join(lines) + "\n\n(ms/update; \\* = hit threshold after N updates)"
+    return markdown_table(table)
 
 
 def main() -> None:
@@ -67,7 +39,7 @@ def main() -> None:
         block = f"<!-- MEASURED:{n} -->\n<!-- BEGIN:{n} -->\n{render(n)}\n<!-- END:{n} -->"
         text = re.sub(
             rf"<!-- MEASURED:{n} -->(?:\n<!-- BEGIN:{n} -->.*?<!-- END:{n} -->)?",
-            block.replace("\\", "\\\\"),
+            lambda _: block,
             text,
             flags=re.S,
         )

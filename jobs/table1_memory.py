@@ -9,9 +9,9 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from _common import RESULTS_DIR, parser  # noqa: E402
+from _common import parser, report  # noqa: E402
 
-from repro.bench.harness import build_workload, fmt_table, measure_memory, save_results  # noqa: E402
+from repro.bench.harness import build_workload, measure_memory  # noqa: E402
 from repro.engine.base import ALGORITHMS  # noqa: E402
 
 
@@ -22,37 +22,41 @@ PREFIX = {"snb": 2000, "nyc": 1500, "biogrid": 300}
 def main() -> None:
     args = parser(__doc__).parse_args()
     s = args.scale
-    datasets = tuple(PREFIX)
     prefix = {ds: int(n * s) for ds, n in PREFIX.items()}
     workloads = {
         ds: build_workload(ds, n_updates=int(2000 * s), n_queries=int(300 * s), seed=args.seed)
-        for ds in datasets
+        for ds in PREFIX
     }
-    rows = []
     payload = {
         "title": "Table 1 — memory usage (resident MiB)",
         "updates": prefix,
         "algorithms": {},
     }
     for name in ALGORITHMS:
-        row = {"algorithm": name}
-        rec = {}
-        for ds, (updates, queries) in workloads.items():
-            peak = measure_memory(name, updates, queries, max_updates=prefix[ds])
-            row[ds] = f"{peak / (1 << 20):.1f}MiB"
-            rec[ds] = peak
-        rows.append(row)
-        payload["algorithms"][name] = rec
+        payload["algorithms"][name] = {
+            ds: measure_memory(name, updates, queries, max_updates=prefix[ds])
+            for ds, (updates, queries) in workloads.items()
+        }
         print(f"[done] {name}")
-    print()
     answered = ", ".join(f"{ds} {n}" for ds, n in prefix.items())
-    print(fmt_table(
-        f"Table 1 — memory usage, Q=300, updates answered: {answered} (resident tracemalloc)",
-        rows,
-        ["algorithm", *datasets],
-    ))
-    save_results(payload, os.path.join(RESULTS_DIR, "table1_memory.json"))
-    print("\nresults written to results/table1_memory.json")
+    report(
+        f"Table 1 — memory usage, Q={int(300 * s)}, "
+        f"updates answered: {answered} (resident tracemalloc)",
+        payload,
+        memory_table(payload),
+        "table1_memory.json",
+    )
+
+
+def memory_table(payload: dict) -> dict:
+    """Table 1: one row per algorithm, one column per dataset, in MiB."""
+    updates = payload["updates"]
+    columns = ["algorithm", *(f"{ds} ({n} updates)" for ds, n in updates.items())]
+    rows = [
+        [name, *(f"{rec[ds] / (1 << 20):.1f} MiB" for ds in updates)]
+        for name, rec in payload["algorithms"].items()
+    ]
+    return {"columns": columns, "rows": rows, "note": ""}
 
 
 if __name__ == "__main__":

@@ -13,9 +13,9 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from _common import RESULTS_DIR, parser  # noqa: E402
+from _common import parser, report  # noqa: E402
 
-from repro.bench.harness import build_workload, fmt_table, save_results  # noqa: E402
+from repro.bench.harness import build_workload  # noqa: E402
 from repro.engine.base import ALGORITHMS, make_engine  # noqa: E402
 
 #: repetitions of the indexing sequence per cell
@@ -47,28 +47,30 @@ def main() -> None:
             t0 = time.perf_counter()
             e.end_indexing()
             ends[name].append(time.perf_counter() - t0)
-    rows = []
-    payload = {"title": "Fig 15 — indexing time", "reps": REPS, "batches": []}
-    for b in range(5):
-        rec = {name: statistics.median(secs[name][b]) for name in ALGORITHMS}
-        rows.append(
-            {"x": f"|Q_DB|->{(b + 1) * batch}"}
-            | {name: f"{t * 1000:.1f}" for name, t in rec.items()}
-        )
-        payload["batches"].append(rec)
-    payload["end_indexing"] = {name: statistics.median(ends[name]) for name in ALGORITHMS}
-    rows.append(
-        {"x": "end_indexing"}
-        | {name: f"{t * 1000:.1f}" for name, t in payload["end_indexing"].items()}
-    )
-    print(fmt_table(
+    payload = {"title": "Fig 15 — indexing time", "reps": REPS}
+    payload["batches"] = [{n: statistics.median(secs[n][b]) for n in ALGORITHMS} for b in range(5)]
+    payload["end_indexing"] = {n: statistics.median(ends[n]) for n in ALGORITHMS}
+    report(
         f"Fig 15 — indexing time (ms) per batch of {batch} queries, "
         f"then end_indexing() once, median of {REPS} runs",
-        rows,
-        ["x"] + ALGORITHMS,
-    ))
-    save_results(payload, os.path.join(RESULTS_DIR, "table_indexing.json"))
-    print("\nresults written to results/table_indexing.json")
+        payload,
+        indexing_table(payload, batch),
+        "table_indexing.json",
+    )
+
+
+def indexing_table(payload: dict, batch: int) -> dict:
+    """Fig. 15's table: one row per batch of ``batch`` queries, labelled by
+    the query count it reaches, then the ``end_indexing`` row; ms per cell."""
+    algos = list(payload["end_indexing"])
+    labels = [str((b + 1) * batch) for b in range(len(payload["batches"]))]
+    times = zip([*labels, "end_indexing"], [*payload["batches"], payload["end_indexing"]])
+    rows = [[x, *(f"{t[a] * 1000:.1f}" for a in algos)] for x, t in times]
+    note = (
+        f"(ms per batch of {batch} queries, then one `end_indexing()` call "
+        f"after the fifth batch; median of {payload['reps']} runs)"
+    )
+    return {"columns": ["batch", *algos], "rows": rows, "note": note}
 
 
 if __name__ == "__main__":

@@ -9,7 +9,8 @@ processed once *per query*.
 * **INV**: per update, every affected query's covering paths are
   re-materialized **in full** by joining the base views left-to-right
   ("utilizes all tuples of each materialized view"), then the final
-  cross-path join runs.  Nothing but the base views persists.
+  cross-path join runs.  The base views persist, and so do each affected
+  path's canonical rows, which the query's assembler keeps in its views.
 * **INC**: per update, only the update tuple is extended left/right along
   each affected path through the base views, yielding the path's *delta*
   ("makes use of only the update u_i"); per-(query, path) results persist in

@@ -1,16 +1,17 @@
 """Shared harness for the per-table jobs.
 
-Each evaluation artifact of the paper maps to one job in ``jobs/`` (prints
-the same rows the paper reports: x-value × algorithm → answering time per
-update in ms, with "timeout at |G_E| = X" markers).  Results are also
-dumped as JSON under ``results/`` so EXPERIMENTS.md can diff paper vs
-measured.
+Each evaluation artifact of the paper maps to one job in ``jobs/``, which
+builds its table once (x-value × algorithm → answering time per update in
+ms, as the paper reports), prints it with :func:`markdown_table` and saves
+it under ``results/``, where ``jobs/fill_experiments.py`` renders it into
+EXPERIMENTS.md.
 """
 from __future__ import annotations
 
 import gc
 import json
 import os
+import re
 import tracemalloc
 from typing import Optional, Sequence
 
@@ -121,26 +122,31 @@ def measure_memory(
     return current
 
 
-def fmt_table(title: str, rows: list[dict], columns: list[str]) -> str:
-    """Fixed-width text table in the style of the paper's reported rows."""
-    widths = {c: max(len(c), *(len(str(r.get(c, ""))) for r in rows)) for c in columns}
-    lines = [title, "-" * len(title)]
-    lines.append("  ".join(c.ljust(widths[c]) for c in columns))
-    for r in rows:
-        lines.append("  ".join(str(r.get(c, "")).ljust(widths[c]) for c in columns))
-    return "\n".join(lines)
-
-
-#: decimals of a result cell's ms/update
-CELL_DIGITS = 3
-
-
 def cell(m: dict) -> str:
-    """One result cell: avg ms/update, with the paper's timeout asterisk."""
-    v = f"{m['avg_ms_per_update']:.{CELL_DIGITS}f}"
+    """One result cell: avg ms/update, ``0.201``, or ``10.172* @1975`` for a
+    run that hit the time limit after answering 1975 updates."""
+    v = f"{m['avg_ms_per_update']:.3f}"
     if m["timed_out"]:
-        v += f"* (timeout at |G_E|={m['processed']})"
+        v += f"* @{m['processed']}"
     return v
+
+
+def markdown_table(table: dict) -> str:
+    """A job's ``table`` (``columns``, ``rows`` of strings, ``note``) as
+    markdown, the note a paragraph below; ``|`` and ``*`` are escaped in
+    every cell and the note, so a label like ``|G_E|=2000`` is one cell."""
+
+    def esc(text: str) -> str:
+        return re.sub(r"([|*])", r"\\\1", text)
+
+    def line(cells: list[str]) -> str:
+        return "|" + "|".join(f" {esc(c)} " if c else " " for c in cells) + "|"
+
+    lines = [line(table["columns"]), "|" + "---|" * len(table["columns"])]
+    lines += [line(r) for r in table["rows"]]
+    if table["note"]:
+        lines += ["", esc(table["note"])]
+    return "\n".join(lines)
 
 
 def save_results(payload: dict, path: str) -> None:

@@ -9,7 +9,7 @@ import sys
 from repro.bench.harness import (
     build_workload,
     cell,
-    fmt_table,
+    markdown_table,
     measure_memory,
     run_algorithms,
     save_results,
@@ -83,12 +83,27 @@ class TestFormatting:
     def test_cell_plain_and_timeout(self):
         assert cell({"avg_ms_per_update": 1.23456, "timed_out": False}) == "1.235"
         s = cell({"avg_ms_per_update": 9.9, "timed_out": True, "processed": 42})
-        assert s.startswith("9.900*") and "|G_E|=42" in s
+        assert s == "9.900* @42"
 
-    def test_fmt_table_contains_all_cells(self):
-        rows = [{"x": "a", "tric": "1.0"}, {"x": "b", "tric": "2.0"}]
-        out = fmt_table("T", rows, ["x", "tric"])
-        assert "T" in out and "1.0" in out and "2.0" in out
+    def test_markdown_table_contains_all_cells(self):
+        table = {"columns": ["x", "tric"], "rows": [["a", "1.0"], ["b", "2.0"]], "note": ""}
+        assert markdown_table(table) == "| x | tric |\n|---|---|\n| a | 1.0 |\n| b | 2.0 |"
+
+    def test_markdown_table_escapes_pipes_and_asterisks(self):
+        """``|`` and ``*`` are escaped in every cell and in the note; an
+        empty cell renders as one space."""
+        table = {
+            "columns": ["", "tric|x"],
+            "rows": [["|G_E|=2000", "9.900* @42"]],
+            "note": "(* = timeout | cap)",
+        }
+        assert markdown_table(table).splitlines() == [
+            "| | tric\\|x |",
+            "|---|---|",
+            "| \\|G_E\\|=2000 | 9.900\\* @42 |",
+            "",
+            "(\\* = timeout \\| cap)",
+        ]
 
     def test_save_results_roundtrip(self, tmp_path):
         p = tmp_path / "sub" / "r.json"

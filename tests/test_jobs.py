@@ -1,13 +1,16 @@
-"""The eight answering-time jobs in ``jobs/``: each sweeps its figure's
-x-axis over the right workloads and prints and saves one table.  The
+"""The jobs in ``jobs/``.  The eight answering-time jobs each sweep their
+figure's x-axis over the right workloads and print and save one table.  The
 indexing job (Fig. 15) times five batches of ``add_query`` and then one
-``end_indexing()`` per engine.
+``end_indexing()`` per engine; the memory job (Table 1) measures each
+dataset's prefix; ``fill_experiments.py`` renders the saved tables into
+EXPERIMENTS.md.
 
 The engines, the workload builder and the results file are stubbed, so the
 test pins what a job asks for, not what the engines measure.  Each job runs
 as ``make_all.py`` runs it: a script with ``jobs/`` on ``sys.path``, run as
 ``__main__``.
 """
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -15,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.engine.base import ALGORITHMS
+from tests.test_experiments_md import cells
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
@@ -117,13 +121,21 @@ def test_job_sweeps_its_figure(monkeypatch, capsys, job, scale):
     assert [c["label"] for c in payload["configs"]] == [label for label, _ in points]
     assert [c["workload"] for c in payload["configs"]] == want
     assert all(list(c["results"]) == ALGORITHMS for c in payload["configs"])
+    assert [r[0] for r in payload["table"]["rows"]] == [label for label, _ in points]
     out = capsys.readouterr().out
     table = out[out.index(title):].split("\n\n")[0].splitlines()
-    assert table[2].split() == ["x", *ALGORITHMS]
-    inv = f"{ALGORITHMS.index('inv') + 0.25:.3f}* (timeout at |G_E|=42)"
+    assert cells(table[1]) == ["", *ALGORITHMS]
+    inv = f"{ALGORITHMS.index('inv') + 0.25:.3f}\\* @42"
     for (label, _), line in zip(points, table[3:], strict=True):
-        assert line.split()[0] == label and inv in line
+        row = cells(line)
+        assert row[0] == label.replace("|", "\\|") and inv in row
     assert out.rstrip().endswith(f"results written to results/{job}.json")
+
+
+def test_sweep_time_limit_defaults_to_20s(monkeypatch):
+    """EXPERIMENTS.md's tables come from the default cap of 20 s."""
+    _, ran, _ = run_job(monkeypatch, "table_snb_answering")
+    assert [r[3] for r in ran] == [20.0, 20.0]
 
 
 def test_make_all_runs_every_sweep_job():
@@ -160,8 +172,10 @@ def test_indexing_job_times_batches_then_end_indexing(monkeypatch, capsys):
         return [], queries[: kw["n_queries"]]
 
     monkeypatch.syspath_prepend(str(JOBS))
+    import _common
+
     monkeypatch.setattr(harness, "build_workload", build_workload)
-    monkeypatch.setattr(harness, "save_results", lambda p, path: saved.append((p, path)))
+    monkeypatch.setattr(_common, "save_results", lambda p, path: saved.append((p, path)))
     monkeypatch.setattr(base, "make_engine", Stub)
     monkeypatch.setattr(sys, "argv", ["table_indexing.py", "--scale", "0.1", "--seed", "7"])
     job = runpy.run_path(str(JOBS / "table_indexing.py"), run_name="__main__")
@@ -180,6 +194,81 @@ def test_indexing_job_times_batches_then_end_indexing(monkeypatch, capsys):
     title = "Fig 15 — indexing time (ms) per batch of 10 queries"
     table = out[out.index(title):].split("\n\n")[0].splitlines()
     assert table[0].endswith(f"then end_indexing() once, median of {reps} runs")
-    assert table[2].split() == ["x", *ALGORITHMS]
-    labels = [f"|Q_DB|->{n}" for n in (10, 20, 30, 40, 50)] + ["end_indexing"]
-    assert [line.split()[0] for line in table[3:]] == labels
+    assert cells(table[1]) == ["batch", *ALGORITHMS]
+    labels = [str(n) for n in (10, 20, 30, 40, 50)] + ["end_indexing"]
+    assert [cells(line)[0] for line in table[3:]] == labels
+    assert "(ms per batch of 10 queries, then one `end_indexing()` call" in out
+
+
+def test_memory_job_measures_each_prefix(monkeypatch, capsys):
+    """Table 1 at --scale 0.5: every engine answers each dataset's scaled
+    prefix; the table has one row per algorithm, one column per dataset."""
+    import repro.bench.harness as harness
+
+    built, measured, saved = [], [], []
+
+    def build_workload(dataset, **kw):
+        built.append((dataset, kw))
+        return [("u", dataset)], [("q", dataset)]
+
+    def measure_memory(name, updates, queries, max_updates=None):
+        measured.append((name, updates, queries, max_updates))
+        return 3 << 19
+
+    monkeypatch.syspath_prepend(str(JOBS))
+    import _common
+
+    monkeypatch.setattr(harness, "build_workload", build_workload)
+    monkeypatch.setattr(harness, "measure_memory", measure_memory)
+    monkeypatch.setattr(_common, "save_results", lambda p, path: saved.append((p, path)))
+    monkeypatch.setattr(sys, "argv", ["table1_memory.py", "--scale", "0.5", "--seed", "7"])
+    runpy.run_path(str(JOBS / "table1_memory.py"), run_name="__main__")
+
+    prefix = {"snb": 1000, "nyc": 750, "biogrid": 150}
+    assert built == [(ds, {"n_updates": 1000, "n_queries": 150, "seed": 7}) for ds in prefix]
+    assert measured == [
+        (name, [("u", ds)], [("q", ds)], n) for name in ALGORITHMS for ds, n in prefix.items()
+    ]
+    ((payload, path),) = saved
+    assert Path(path).name == "table1_memory.json"
+    assert payload["updates"] == prefix
+    assert payload["algorithms"] == {name: dict.fromkeys(prefix, 3 << 19) for name in ALGORITHMS}
+    columns = ["algorithm", "snb (1000 updates)", "nyc (750 updates)", "biogrid (150 updates)"]
+    assert payload["table"]["columns"] == columns
+    out = capsys.readouterr().out
+    table = out[out.index("Table 1 — memory usage"):].split("\n\n")[0].splitlines()
+    assert cells(table[1]) == columns
+    assert [cells(line) for line in table[3:]] == [[name] + ["1.5 MiB"] * 3 for name in ALGORITHMS]
+
+
+def test_fill_experiments_renders_each_marker(monkeypatch, tmp_path):
+    """A marker gains the block of its saved table, a second run changes no
+    byte, and a results file that is absent or has no table is reported."""
+    monkeypatch.syspath_prepend(str(JOBS))
+    import fill_experiments
+
+    results = tmp_path / "results"
+    results.mkdir()
+    table = {"columns": ["", "tric"], "rows": [["|G_E|=10", "1.000* @5"]], "note": "(* = cap)"}
+    (results / "table_a.json").write_text(json.dumps({"title": "A", "table": table}))
+    (results / "table_b.json").write_text(json.dumps({"title": "B"}))
+    md = tmp_path / "EXPERIMENTS.md"
+    md.write_text(
+        "# E\n\n<!-- MEASURED:table_a -->\n\ntext\n\n<!-- MEASURED:table_b -->\n"
+        "<!-- MEASURED:table_c -->\n"
+    )
+    monkeypatch.setattr(fill_experiments, "RESULTS", str(results))
+    monkeypatch.setattr(fill_experiments, "EXPERIMENTS", str(md))
+
+    fill_experiments.main()
+    first = md.read_bytes()
+    missing = "_results missing — run the corresponding job_"
+    assert first.decode() == (
+        "# E\n\n<!-- MEASURED:table_a -->\n<!-- BEGIN:table_a -->\n"
+        "| | tric |\n|---|---|\n| \\|G_E\\|=10 | 1.000\\* @5 |\n\n(\\* = cap)\n"
+        "<!-- END:table_a -->\n\ntext\n\n"
+        f"<!-- MEASURED:table_b -->\n<!-- BEGIN:table_b -->\n{missing}\n<!-- END:table_b -->\n"
+        f"<!-- MEASURED:table_c -->\n<!-- BEGIN:table_c -->\n{missing}\n<!-- END:table_c -->\n"
+    )
+    fill_experiments.main()
+    assert md.read_bytes() == first
