@@ -11,7 +11,8 @@ saves it with its payload under ``results/`` (:func:`report`), where
 Run directly (``python jobs/table_snb_answering.py``) or via ``spark-submit``.
 ``--verify`` additionally checks, through a SparkSession, that the engines'
 first-match events equal the Catalyst/DuckDB-validated ground truth on a
-sample of queries.
+sample of queries of every workload the job builds.  Only the sweep jobs
+answer updates under a time limit, so only they take ``--time-limit``.
 """
 from __future__ import annotations
 
@@ -36,9 +37,9 @@ N_VERIFY = 10
 
 
 def parser(desc: str) -> argparse.ArgumentParser:
+    """The options every job takes."""
     p = argparse.ArgumentParser(description=desc)
     p.add_argument("--scale", type=float, default=1.0, help="workload scale factor")
-    p.add_argument("--time-limit", type=float, default=20.0, help="per-run cap (s)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--verify",
@@ -85,7 +86,9 @@ def sweep_job(
     ``build_workload`` argument ``vary`` set to the value (scaled too when
     ``vary`` is a count), run every algorithm, and print and save the table.
     ``label.format(value)`` names each config."""
-    args = parser(doc).parse_args()
+    p = parser(doc)
+    p.add_argument("--time-limit", type=float, default=20.0, help="per-run cap (s)")
+    args = p.parse_args()
     s = args.scale
     payload = {"title": title, "configs": []}
     for value in values:

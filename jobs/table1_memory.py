@@ -9,7 +9,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from _common import parser, report  # noqa: E402
+from _common import parser, report, verify_sample  # noqa: E402
 
 from repro.bench.harness import build_workload, measure_memory  # noqa: E402
 from repro.engine.base import ALGORITHMS  # noqa: E402
@@ -27,6 +27,9 @@ def main() -> None:
         ds: build_workload(ds, n_updates=int(2000 * s), n_queries=int(300 * s), seed=args.seed)
         for ds in PREFIX
     }
+    if args.verify:
+        for updates, queries in workloads.values():
+            verify_sample(updates, queries)
     payload = {
         "title": "Table 1 — memory usage (resident MiB)",
         "updates": prefix,

@@ -13,7 +13,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from _common import parser, report  # noqa: E402
+from _common import parser, report, verify_sample  # noqa: E402
 
 from repro.bench.harness import build_workload  # noqa: E402
 from repro.engine.base import ALGORITHMS, make_engine  # noqa: E402
@@ -29,6 +29,8 @@ def main() -> None:
     updates, queries = build_workload(
         "snb", n_updates=int(2000 * s), n_queries=5 * batch, seed=args.seed
     )
+    if args.verify:
+        verify_sample(updates, queries)
     # secs[name][b]: the times of batch b over the repetitions
     secs = {name: [[] for _ in range(5)] for name in ALGORITHMS}
     # ends[name]: the times of end_indexing() over the repetitions

@@ -6,6 +6,9 @@ clustered by their ``chain`` and ``refs`` into the
 share trie nodes and therefore share materialized views and join work.
 :meth:`TricEngine.add_query` indexes each path completely, base views
 and feeds included, so ending the indexing phase only freezes the trie.
+It is the one place that wires the trie to the final join: it puts each
+path in a feed of the node the path ends at and gives the query's
+assembler that feed's view as the path's canonical view.
 
 Answering (§4.2): each trie node's delta is computed top-down,
 semi-naively.  On whole slot rows, with ``last = parent.depth + 1`` and
@@ -56,11 +59,12 @@ A child delta above ``max_rows`` rows raises
 covering paths) of each path ending there, which joins it at once with
 the path's partners' views as they stand: a partner whose delta arrives
 later joins against this path's new rows.  Only a query whose assembler's
-join found a row is finished after the descent.  The paths ending at one node that read the
-same join slots form one :class:`~repro.engine.assembler.Feed` (formed in
-:meth:`TricEngine.add_query`), which shares one canonical view among those
-with join partners: the descent projects, de-duplicates and stores the
-node's delta once per feed, then hands the projections to each member's
+join found a row is finished after the descent.  The paths ending at
+one node that read the same join slots form one
+:class:`~repro.core.trie.Feed`, which owns the canonical view they share:
+the descent projects and de-duplicates the node's delta once per feed,
+stores it in the feed's view unless the feed's paths are lone (no join
+slot, so nothing is stored), then hands the projections to each member's
 assembler.  ``cached=True`` gives TRIC+: all views
 keep their hash-join build structures (indexes) incrementally instead of
 rebuilding them per join, so ``u``'s term, which reads the rows of the
@@ -96,10 +100,14 @@ class TricEngine(Engine):
         self._check_indexing()
         q.validate()
         paths = covering_paths(q)
-        asm = QueryAssembler(q, paths, self.cached, self.max_rows)
+        asm = QueryAssembler(q, paths, self.max_rows)
         self.assemblers[q.qid] = asm
+        forest = self.forest
         for pidx, p in enumerate(paths):
-            asm.join_feed(pidx, self.forest.insert_path(p.chain, p.refs))
+            node = forest.insert_path(p.chain, p.refs)
+            asm.canon_views.append(
+                forest.join_feed(node, asm.var_slots[pidx], (q.qid, pidx))
+            )
 
     # -- answering phase ------------------------------------------------
     def end_indexing(self) -> None:
@@ -192,7 +200,7 @@ class TricEngine(Engine):
             new = [project(r) for r in delta]
             if len(new) > 1:
                 new = list(dict.fromkeys(new))
-            if feed.view is not None:
+            if feed.slots:
                 feed.view.add_all(new)
             for qid, pidx in feed.members:
                 if assemblers[qid].on_path_delta(pidx, new):

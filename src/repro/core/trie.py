@@ -25,7 +25,11 @@ differ, and split there.
 The paper's ``queryInd`` (query id → the nodes its covering paths end at)
 has no reader here: the answering phase reaches a path only through the
 :attr:`TrieNode.feeds` of the node that got the delta, so the forest keeps
-just that reverse link.
+just that reverse link.  A :class:`Feed` groups the paths ending at a node
+that read its rows through the same slots, and owns the canonical view
+they share; :meth:`TrieForest.join_feed` puts a path in one.  The final
+join (:mod:`repro.engine.assembler`) only reads those views, and knows
+nothing of the trie.
 
 Below the roots an update is routed by its source vertex as well as its
 signature.  An update ``u`` can start a delta at a non-root node only
@@ -56,13 +60,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import cache
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.graph.model import EdgeSig, Triple
 from repro.relational.relation import Row, View, append_target, getter
-
-if TYPE_CHECKING:
-    from repro.engine.assembler import Feed
 
 #: a trie node's key among its siblings: (edge signature, back-reference)
 NodeKey = tuple[EdgeSig, Optional[int]]
@@ -89,6 +90,24 @@ def _step_emit(cols: tuple[int, ...], new: bool) -> Callable[[Row, Row], Row]:
     return lambda pr, br: g(pr) + br[1:]
 
 
+class Feed:
+    """The covering paths ending at one trie node that read its rows
+    through the same ``slots``, the first slots of their join variables:
+    ``members`` lists them as ``(qid, pidx)``, ``view`` is the canonical
+    view they share, and ``project``, set when the trie freezes, maps the
+    node's row to their canonical row.  A lone path has no join variable,
+    so its feed's ``slots`` are ``()`` and its view stays empty: the
+    descent stores projections only for a feed with slots."""
+
+    __slots__ = ("slots", "view", "members", "project")
+    project: Callable[[Row], Row]
+
+    def __init__(self, slots: tuple[int, ...], view: View):
+        self.slots = slots
+        self.view = view
+        self.members: list[tuple[int, int]] = []
+
+
 class TrieNode:
     """One trie node indexing one edge signature at depth ``depth``.
 
@@ -102,7 +121,7 @@ class TrieNode:
     * slot ``depth + 1``, if the node has children (their extension key);
     * every child's ``ref``, and every slot ``<= depth + 1`` a child keeps;
     * per feed, the first slot of each join variable of its paths
-      (:attr:`~repro.engine.assembler.Feed.slots`).
+      (:attr:`Feed.slots`).
 
     Every other slot is existential: an event only asks whether a new
     embedding exists.  The view is the set of these projections.  Only its
@@ -121,8 +140,8 @@ class TrieNode:
     ``(s, o)`` to the node's row.  :attr:`order` is the node's creation
     index in its forest, :attr:`base` the base view of its signature, which
     its step joins against, and :attr:`feeds` groups the covering paths
-    that end here into :class:`~repro.engine.assembler.Feed` objects, in
-    the order of their first path.
+    that end here into :class:`Feed` objects, in the order of their first
+    path.
     """
 
     __slots__ = (
@@ -177,7 +196,8 @@ class TrieForest:
         :class:`~repro.graph.covering.CoverPath` ``chain`` and ``refs``:
         descend along the existing trie path that matches the (signature,
         back-reference) chain, creating the missing suffix, and return the
-        last node, whose feeds the caller joins the path to."""
+        last node, whose feeds the caller joins the path to
+        (:meth:`join_feed`)."""
         level, base = self.roots, self.base
         node = None
         for key in zip(chain, refs):
@@ -192,6 +212,23 @@ class TrieForest:
             node = child
             level = node.children
         return node
+
+    def join_feed(
+        self, node: TrieNode, slots: tuple[int, ...], member: tuple[int, int]
+    ) -> View:
+        """Put ``member``, a covering path ``(qid, pidx)`` that ends at
+        ``node`` and reads its rows through ``slots``, in the node's feed
+        with those slots, or in a new one; return the feed's view, the
+        path's canonical view.  Paths fed the same rows through the same
+        slots hold the same projections, so one view serves them all."""
+        for feed in node.feeds:
+            if feed.slots == slots:
+                break
+        else:
+            feed = Feed(slots, View(cached=self.cached))
+            node.feeds += (feed,)
+        feed.members.append(member)
+        return feed.view
 
     def freeze(self) -> None:
         """Fix every node's live slots, its step and its feeds' projections

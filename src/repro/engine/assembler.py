@@ -8,31 +8,29 @@ paths' matches **on the query vertices the paths share** ("intersection"
 information, §4.1) to decide whether new full-query embeddings appeared.
 Paths are grouped into variable-connected components, and a new full-query
 embedding exists after an update iff some component gained a join row and
-every component has one.  Each path keeps a *canonical* view, read only by
+every component has one.  Each path has a *canonical* view, read only by
 one greedy join over its component, run once per affected query.
 
 :class:`QueryAssembler` is TRIC's, in the style of Dynamic Yannakakis: it
 joins each path delta, projected onto the variables the path shares with
-other paths, with its partners' views on arrival.  The paths ending at
-one trie node that read its rows through the same slots form one
-:class:`Feed`, whose projections the descent computes and stores once.
+other paths, with its partners' views on arrival.  It owns none of its
+views and writes none: each is the view of the trie feed the path ends in
+(:class:`~repro.core.trie.Feed`), which the descent fills once per feed,
+and ``TricEngine.add_query`` appends it to :attr:`~_FinalJoin.canon_views`.
 
-:class:`FullJoinAssembler` is INV's and INC's: it stores the rows of each
-path that close the path's cycles, projected onto all of its variables,
-and fires when the full join of a component's views grows (paper §5.1
-Step 3).
+:class:`FullJoinAssembler` is INV's and INC's: it owns one view per path,
+stores there the rows of the path that close its cycles, projected onto
+all of its variables, and fires when the full join of a component's
+views grows (paper §5.1 Step 3).
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from repro.engine.base import MAX_ROWS, EngineOverflow
 from repro.graph.covering import CoverPath
 from repro.graph.model import QueryPattern
 from repro.relational.relation import Row, View, getter, hash_join
-
-if TYPE_CHECKING:
-    from repro.core.trie import TrieNode
 
 
 class AssemblyOverflow(EngineOverflow):
@@ -42,36 +40,17 @@ class AssemblyOverflow(EngineOverflow):
 Getter = Callable[[Row], Row]
 
 
-class Feed:
-    """The paths ending at one trie node that read its rows through
-    the same :attr:`QueryAssembler.var_slots`, ``slots``: ``view`` is the
-    canonical view they share (``None`` for lone paths, whose rows project
-    to ``()`` and are never stored), ``members`` lists them as ``(qid,
-    pidx)``, and ``project``, set when the trie freezes, maps the node's
-    row to their canonical row."""
-
-    __slots__ = ("slots", "view", "members", "project")
-    project: Getter
-
-    def __init__(self, slots: tuple[int, ...], view: Optional[View]):
-        self.slots = slots
-        self.view = view
-        self.members: list[tuple[int, int]] = []
-
-
 class _FinalJoin:
     """What both final joins of one indexed query share: the paths'
-    components and join partners, each path's canonical view over the
-    variables a subclass's ``_canonical`` picks from the path's ``first``
-    slots, and the greedy join."""
+    components and join partners, the variables of each path's canonical
+    rows, which a subclass's ``_canonical`` picks from the path's ``first``
+    slots, and the greedy join over the paths' :attr:`canon_views`, which
+    a subclass provides."""
 
-    def __init__(
-        self,
-        q: QueryPattern,
-        paths: list[CoverPath],
-        cached: bool,
-        max_rows: int = MAX_ROWS,
-    ):
+    #: per path: its canonical view
+    canon_views: list[View]
+
+    def __init__(self, q: QueryPattern, paths: list[CoverPath], max_rows: int = MAX_ROWS):
         self.q = q
         self.max_rows = max_rows
 
@@ -114,7 +93,6 @@ class _FinalJoin:
             first = self._canonical(p.first, shared)
             self.path_vars.append(tuple(first))
             self.var_slots.append(tuple(first.values()))
-        self.canon_views = [View(cached=cached) for _ in self.path_vars]
 
     def _join(self, acc: list[Row], start: int, others: list[int]) -> list[Row]:
         """Join ``acc`` (rows over path ``start``'s variables) with the
@@ -170,35 +148,21 @@ class QueryAssembler(_FinalJoin):
     component has no join variable, so its rows project to ``()`` and its
     view stores nothing.  :attr:`comp_rows` marks a component 1 once a
     delta join finds a row.
+
+    :attr:`canon_views` starts empty: the caller appends each path's view,
+    in path order, once it has joined the path to the trie feed that
+    shares it.
     """
 
-    def __init__(self, q, paths, cached, max_rows=MAX_ROWS):
-        super().__init__(q, paths, cached, max_rows)
+    def __init__(self, q, paths, max_rows=MAX_ROWS):
+        super().__init__(q, paths, max_rows)
+        self.canon_views = []
         self._hit = False
 
     @staticmethod
     def _canonical(first: dict[int, int], shared: set[int]) -> dict[int, int]:
         """Of a path's distinct variables ``first``, the join variables."""
         return {v: i for v, i in first.items() if v in shared}
-
-    def join_feed(self, pidx: int, node: TrieNode) -> None:
-        """Path ``pidx`` ends at trie node ``node``: it joins the node's
-        :class:`Feed` with its :attr:`var_slots`, or starts one with its
-        own canonical view if it has join partners.  Every path fed the
-        same rows with the same var_slots holds the same projections, so
-        one view serves them all.  (Only a lone path has no join variable,
-        so a feed's paths are all lone or none is.)"""
-        slots = self.var_slots[pidx]
-        for feed in node.feeds:
-            if feed.slots == slots:
-                break
-        else:
-            view = self.canon_views[pidx] if self._partners[pidx] else None
-            feed = Feed(slots, view)
-            node.feeds += (feed,)
-        feed.members.append((self.q.qid, pidx))
-        if feed.view is not None:
-            self.canon_views[pidx] = feed.view
 
     def on_path_delta(self, pidx: int, rows: list[Row]) -> bool:
         """Join a path's non-empty delta, as canonical rows de-duplicated
@@ -242,7 +206,8 @@ class FullJoinAssembler(_FinalJoin):
     """
 
     def __init__(self, q, paths, cached, max_rows=MAX_ROWS):
-        super().__init__(q, paths, cached, max_rows)
+        super().__init__(q, paths, max_rows)
+        self.canon_views = [View(cached=cached) for _ in paths]
         self._project = [getter(slots) for slots in self.var_slots]
         #: per path: getters of the (left, right) slots whose values must
         #: agree (its ``refs``, the cycle's closure), or None if it closes none

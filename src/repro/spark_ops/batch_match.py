@@ -39,9 +39,12 @@ def _edge_order(q: QueryPattern) -> list[int]:
 def spark_bgp_match(triples: DataFrame, q: QueryPattern, with_time: bool = False) -> DataFrame:
     """All distinct embeddings of ``q`` into ``triples`` as a DataFrame.
 
-    With ``with_time=True`` adds ``mt`` = the embedding's latest update index
-    (requires a ``t`` column; duplicate triples are collapsed to their first
-    arrival, matching the engines' set semantics).
+    With ``with_time=True`` (requires a ``t`` column) each embedding's row
+    also carries ``mt``, the update index at which it appeared: the latest
+    first arrival of its triples, duplicate triples being collapsed to their
+    first arrival as the engines' set semantics collapse them.  The rows are
+    then distinct without a ``distinct``: a binding of the variables fixes
+    each edge's triple, which the collapsed input holds once.
     """
     if with_time:
         base = triples.groupBy("s", "p", "o").agg(F.min("t").alias("t"))
@@ -85,13 +88,7 @@ def spark_bgp_match(triples: DataFrame, q: QueryPattern, with_time: bool = False
     out_cols = [F.col(c).alias(f"v{vid}") for vid, c in sorted(var_col.items())]
     if with_time:
         mt = F.greatest(*[F.col(c) for c in t_cols]) if len(t_cols) > 1 else F.col(t_cols[0])
-        if not out_cols:
-            return acc.select(mt.alias("mt")).groupBy().agg(F.min("mt").alias("mt"))
-        return (
-            acc.select(*out_cols, mt.alias("mt"))
-            .groupBy([f"v{vid}" for vid in sorted(var_col)])
-            .agg(F.min("mt").alias("mt"))
-        )
+        return acc.select(*out_cols, mt.alias("mt"))
     if not out_cols:
         return acc.select(F.lit(1).alias("m")).distinct()
     return acc.select(*out_cols).distinct()

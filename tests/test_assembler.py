@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.core.trie import TrieNode
+from repro.core.trie import TrieForest, TrieNode
 from repro.engine.assembler import AssemblyOverflow, FullJoinAssembler, QueryAssembler
 from repro.engine.base import MAX_ROWS
 from repro.graph.covering import covering_paths
@@ -16,7 +16,25 @@ from repro.relational.relation import View, getter
 
 def make(q, cached=False, max_rows=MAX_ROWS, cls=FullJoinAssembler):
     paths = covering_paths(q)
+    if cls is QueryAssembler:
+        return delta_asm(q, paths, cached, max_rows), paths
     return cls(q, paths, cached, max_rows), paths
+
+
+def new_node():
+    """A root of signature ``a``, with no rows."""
+    return TrieNode(("a", None, None), None, None, View(), False, 0)
+
+
+def delta_asm(q, paths, cached=False, max_rows=MAX_ROWS):
+    """TRIC's assembler for ``q``, each path joined to a feed of a trie
+    node of its own the way TRIC's ``add_query`` does, which gives the path
+    its canonical view."""
+    asm = QueryAssembler(q, paths, max_rows)
+    forest = TrieForest(cached)
+    for pidx, slots in enumerate(asm.var_slots):
+        asm.canon_views.append(forest.join_feed(new_node(), slots, (q.qid, pidx)))
+    return asm
 
 
 def hand(asm, pidx, rows):
@@ -24,7 +42,7 @@ def hand(asm, pidx, rows):
     TRIC's descent does: project it, de-duplicate it and store it in the
     path's view, then pass the projections to ``on_path_delta``."""
     new = list(dict.fromkeys(map(getter(asm.var_slots[pidx]), rows)))
-    if asm._partners[pidx]:
+    if asm.var_slots[pidx]:
         asm.canon_views[pidx].add_all(new)
     return asm.on_path_delta(pidx, new)
 
@@ -32,11 +50,14 @@ def hand(asm, pidx, rows):
 def trie_node(asm, pidxs, cols):
     """A trie node whose rows carry the slots ``cols``, with paths
     ``pidxs`` of ``asm`` registered there: each joins a feed the way TRIC's
-    ``add_query`` does, and each feed's projection is set the way the
-    trie's freeze sets it."""
-    node = TrieNode(("a", None, None), None, None, View(), False, 0)
+    ``add_query`` does, which rebinds its canonical view, and each feed's
+    projection is set the way the trie's freeze sets it.  The new views
+    are cached as the assembler's are."""
+    node = new_node()
+    forest = TrieForest(asm.canon_views[pidxs[0]].cached)
     for pidx in pidxs:
-        asm.join_feed(pidx, node)
+        member = (asm.q.qid, pidx)
+        asm.canon_views[pidx] = forest.join_feed(node, asm.var_slots[pidx], member)
     for feed in node.feeds:
         feed.project = getter(tuple(cols.index(s) for s in feed.slots))
     return node
@@ -50,7 +71,7 @@ def hand_node(asm, node, rows):
     found = {}
     for feed in node.feeds:
         new = list(dict.fromkeys(feed.project(r) for r in rows))
-        if feed.view is not None:
+        if feed.slots:
             feed.view.add_all(new)
         for _, pidx in feed.members:
             found[pidx] = asm.on_path_delta(pidx, new)
@@ -363,7 +384,7 @@ class TestFreshRows:
         q = self.QUERIES[kind]
         paths = covering_paths(q)
         plain = FullJoinAssembler(q, paths, cached)
-        tric = QueryAssembler(q, paths, cached)
+        tric = delta_asm(q, paths, cached)
         rng = random.Random(kind)
         fed = [set() for _ in paths]
         fired = []
@@ -398,7 +419,7 @@ class TestFreshRows:
         projection."""
         q = self.QUERIES["two-path component"]
         paths = covering_paths(q)
-        asm = QueryAssembler(q, paths, False)
+        asm = delta_asm(q, paths, False)
         assert asm.var_slots == [(0,), (0,)]
         narrow, wide = trie_node(asm, [0], (0,)), trie_node(asm, [1], (0, 1))
         hand_node(asm, narrow, [("c",)])
@@ -434,7 +455,7 @@ class TestJoinOnArrival:
     @pytest.mark.parametrize("first", [0, 1])
     def test_first_rows_of_both_paths_in_one_update(self, first):
         q = self.STAR2
-        asm = QueryAssembler(q, covering_paths(q), False)
+        asm = delta_asm(q, covering_paths(q), False)
         later = 1 - first
         assert hand(asm, first, self.rows(q, first, "c")) is False
         assert hand(asm, later, self.rows(q, later, "c")) is True
@@ -444,7 +465,7 @@ class TestJoinOnArrival:
 
     def test_partner_already_non_empty_joins(self):
         q = self.STAR2
-        asm = QueryAssembler(q, covering_paths(q), False)
+        asm = delta_asm(q, covering_paths(q), False)
         assert hand(asm, 1, self.rows(q, 1, "c")) is False
         assert asm.finish_update() is False
         assert hand(asm, 0, self.rows(q, 0, "c")) is True
@@ -454,7 +475,7 @@ class TestJoinOnArrival:
         q = self.STAR3
         paths = covering_paths(q)
         assert len(paths) == 3
-        asm = QueryAssembler(q, paths, False)
+        asm = delta_asm(q, paths, False)
         assert hand(asm, 2, self.rows(q, 2, "c")) is False  # C
         assert asm.finish_update() is False
         # one update: A while B is empty and C is not, then B
@@ -465,7 +486,7 @@ class TestJoinOnArrival:
     @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
     def test_three_first_rows_in_one_update_last_arrival_joins(self, order):
         q = self.STAR3
-        asm = QueryAssembler(q, covering_paths(q), False)
+        asm = delta_asm(q, covering_paths(q), False)
         found = [hand(asm, pidx, self.rows(q, pidx, "c")) for pidx in order]
         assert found == [False, False, True]
         assert asm.finish_update() is True
@@ -478,7 +499,7 @@ class TestJoinOnArrival:
         so only the last one, which joins against the others' new rows,
         finds the new embedding."""
         q = self.STAR3
-        asm = QueryAssembler(q, covering_paths(q), False)
+        asm = delta_asm(q, covering_paths(q), False)
         for pidx in range(3):  # one update each
             hand(asm, pidx, self.rows(q, pidx, "c"))
             assert asm.finish_update() is (pidx == 2)
@@ -506,7 +527,7 @@ class TestJoinOnArrival:
         q = self.ONE_FEED
         paths = covering_paths(q)
         assert [p.chain for p in paths] == [(("a", None, None),)] * 2
-        asm = QueryAssembler(q, paths, cached)
+        asm = delta_asm(q, paths, cached)
         node = trie_node(asm, [0, 1], (0, 1))
         (feed,) = node.feeds
         assert feed.members == [(0, 0), (0, 1)]
@@ -522,7 +543,7 @@ class TestJoinOnArrival:
         q = self.TWO_FEEDS
         paths = covering_paths(q)
         assert [p.slots for p in paths] == [(0, 1), (0, 2), (3, 2)]
-        asm = QueryAssembler(q, paths, cached)
+        asm = delta_asm(q, paths, cached)
         node = trie_node(asm, [0, 1], (0, 1))
         assert [f.members for f in node.feeds] == [[(0, 0)], [(0, 1)]]
         assert asm.canon_views[0] is not asm.canon_views[1]

@@ -160,8 +160,8 @@ def check_shared_canon_views(tric):
     """Paths with join partners share a canonical view exactly when they
     end at one trie node with the same ``var_slots``; a node's feeds
     partition the paths ending there, one feed per ``var_slots``, and a
-    feed's view is the canonical view of each member (``None`` for lone
-    paths)."""
+    feed's view is the canonical view of each member (for lone paths, whose
+    feed has no slots, an empty one)."""
     groups: dict[int, tuple] = {}  # id(view) -> (node, var_slots)
     ends = path_ends(tric)
     for node in tric.forest.all_nodes():
@@ -177,9 +177,10 @@ def check_shared_canon_views(tric):
             for qid, pidx in feed.members:
                 asm = tric.assemblers[qid]
                 lone = len(asm.components[asm.path_comp[pidx]]) == 1
-                assert lone == (feed.view is None), "a feed view where none belongs"
-                if not lone:
-                    assert asm.canon_views[pidx] is feed.view
+                assert lone == (feed.slots == ()), "join slots where none belong"
+                assert asm.canon_views[pidx] is feed.view
+                if lone:
+                    assert not feed.view.rows, "a lone feed's view stored rows"
         assert len(set(feed_slots)) == len(feed_slots), "two feeds share var_slots"
         firsts = [ending.index(f.members[0]) for f in node.feeds]
         assert firsts == sorted(firsts), "feeds out of indexing order"

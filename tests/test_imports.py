@@ -13,6 +13,12 @@ in the project's code: as a loaded ``Name``, as a loaded attribute, or as
 an identifier string, such as the attribute names of ``perfbench``'s
 tracing targets.  The check goes by name, so a method is read once any
 object's attribute of that name is.
+
+No two modules under ``src/repro`` import each other, directly or through
+others, at module level.  Imports under ``if TYPE_CHECKING:`` count: a
+cycle there is a dependency a reader has to follow both ways, even if it
+never runs.  Imports inside a function, made when it is called (such as
+``make_engine``'s), do not.
 """
 import ast
 from pathlib import Path
@@ -137,3 +143,102 @@ def test_check_sees_a_dead_definition():
     )
     reader = "e = Engine()\ne.run()\nTARGETS = [('m', 'Engine', 'traced')]\ne.helper = 1\n"
     assert dead_definitions(source, [source, reader]) == ["orphan (line 5)", "helper (line 6)"]
+
+
+def module_imports(source: str, module: str, known: set[str]) -> set[str]:
+    """The modules of ``known`` that ``source``, the code of ``module``,
+    imports at module level, including inside module-level ``if`` and
+    ``try`` blocks but not inside functions or classes.  ``from a import
+    b`` imports ``a``, and ``a.b`` too if that is a module."""
+    package = module.rpartition(".")[0]
+    found: set[str] = set()
+    todo = list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.If):
+            todo += node.body + node.orelse
+        elif isinstance(node, ast.Try):
+            todo += node.body + node.orelse + node.finalbody
+            todo += [s for h in node.handlers for s in h.body]
+        elif isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # relative: level 1 is the module's own package
+                parts = package.split(".")
+                parts = parts[: len(parts) - node.level + 1] + [base]
+                base = ".".join(p for p in parts if p)
+            found.add(base)
+            found.update(f"{base}.{alias.name}" for alias in node.names)
+    return found & known
+
+
+def import_cycles(graph: dict[str, set[str]]) -> list[list[str]]:
+    """The strongly connected components of ``graph`` (module -> the
+    modules it imports) that hold a cycle, each sorted, a self-import
+    included (Tarjan's algorithm)."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    cycles: list[list[str]] = []
+
+    def visit(v: str) -> None:
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        for w in sorted(graph[v]):
+            if w not in index:
+                visit(w)
+                low[v] = min(low[v], low[w])
+            elif w in on_stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            comp = []
+            while True:
+                w = stack.pop()
+                on_stack.discard(w)
+                comp.append(w)
+                if w == v:
+                    break
+            if len(comp) > 1 or v in graph[v]:
+                cycles.append(sorted(comp))
+
+    for v in sorted(graph):
+        if v not in index:
+            visit(v)
+    return sorted(cycles)
+
+
+def import_graph(root: Path) -> dict[str, set[str]]:
+    """Each module under ``root`` (a package directory) to the modules
+    under it that it imports at module level."""
+    names = {}
+    for path in sorted(root.rglob("*.py")):
+        parts = path.relative_to(root.parent).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        names[".".join(parts)] = path
+    known = set(names)
+    graph = {}
+    for name, path in names.items():
+        module = name if path.name != "__init__.py" else f"{name}.__init__"
+        graph[name] = module_imports(path.read_text(), module, known) - {name}
+    return graph
+
+
+def test_no_import_cycle():
+    assert import_cycles(import_graph(SRC / "repro")) == []
+
+
+def test_check_sees_an_import_cycle():
+    sources = {
+        "p.a": "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    from p.b import X\n",
+        "p.b": "from p import c\n",
+        "p.c": "from .a import Y\n",
+        "p.d": "def f():\n    from p.a import Y\n",
+        "p.e": "try:\n    import p.d\nexcept ImportError:\n    pass\n",
+    }
+    graph = {m: module_imports(src, m, set(sources)) for m, src in sources.items()}
+    assert graph == {"p.a": {"p.b"}, "p.b": {"p.c"}, "p.c": {"p.a"}, "p.d": set(), "p.e": {"p.d"}}
+    assert import_cycles(graph) == [["p.a", "p.b", "p.c"]]

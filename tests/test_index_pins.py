@@ -63,7 +63,7 @@ def test_trie_structure_is_pinned(queries, name):
     got = (
         e.forest.n_nodes(),
         digest(list(e.base)),
-        digest([[(f.members, f.view is None) for f in n.feeds] for n in nodes]),
+        digest([[(f.members, f.slots == ()) for f in n.feeds] for n in nodes]),
         digest([
             (None if n.parent is None else n.parent.order, n.sig, n.ref)
             for n in nodes
@@ -79,7 +79,7 @@ def test_frozen_layout_is_pinned(queries, name):
     nodes = e.forest.all_nodes()
     got = (
         digest([(n.keep, n.probe) for n in nodes]),
-        digest([[(f.members, f.view is None) for f in n.feeds] for n in nodes]),
+        digest([[(f.members, f.slots == ()) for f in n.feeds] for n in nodes]),
     )
     assert got == FROZEN
 

@@ -147,6 +147,82 @@ def test_make_all_runs_every_sweep_job():
     assert {f"{job}.py" for job in SWEEPS} <= set(make_all.JOBS)
 
 
+def test_make_all_passes_time_limit_to_sweep_jobs_only(monkeypatch):
+    """Every job gets every option but ``--time-limit``, which goes to the
+    eight sweep jobs alone."""
+    import subprocess
+
+    runs = []
+    monkeypatch.setattr(subprocess, "run", lambda cmd, check: runs.append(cmd))
+    argv = ["make_all.py", "--scale", "0.5", "--time-limit", "3", "--verify"]
+    monkeypatch.setattr(sys, "argv", argv)
+    job = runpy.run_path(str(JOBS / "make_all.py"), run_name="__main__")
+
+    assert [Path(cmd[1]).name for cmd in runs] == job["JOBS"]
+    assert all(cmd[0] == sys.executable for cmd in runs)
+    timed = {f"{j}.py" for j in SWEEPS}
+    for cmd in runs:
+        limit = ["--time-limit", "3"] if Path(cmd[1]).name in timed else []
+        assert cmd[2:] == ["--scale", "0.5", "--verify", *limit]
+    assert sum("--time-limit" in cmd for cmd in runs) == 8
+
+
+class NoEngine:
+    def __init__(self, name):
+        pass
+
+    def add_query(self, q):
+        pass
+
+    def end_indexing(self):
+        pass
+
+
+def run_untimed_job(monkeypatch, job, *argv):
+    """Run the indexing or the memory job with its workloads, engines,
+    memory probe, ground-truth check and results file stubbed; returns the
+    workloads it built and those it verified, as ``(updates, queries)``."""
+    import repro.bench.harness as harness
+    import repro.engine.base as base
+
+    monkeypatch.syspath_prepend(str(JOBS))
+    import _common
+
+    built, verified = [], []
+
+    def build_workload(dataset, **kw):
+        built.append(([("u", dataset)], [("q", i) for i in range(kw["n_queries"])]))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "build_workload", build_workload)
+    monkeypatch.setattr(harness, "measure_memory", lambda *a, **kw: 0)
+    monkeypatch.setattr(base, "make_engine", NoEngine)
+    monkeypatch.setattr(_common, "verify_sample", lambda u, q: verified.append((u, q)))
+    monkeypatch.setattr(_common, "save_results", lambda p, path: None)
+    monkeypatch.setattr(sys, "argv", [f"{job}.py", *argv])
+    runpy.run_path(str(JOBS / f"{job}.py"), run_name="__main__")
+    return built, verified
+
+
+@pytest.mark.parametrize("job, n_workloads", [("table_indexing", 1), ("table1_memory", 3)])
+def test_untimed_job_verifies_each_workload(monkeypatch, job, n_workloads):
+    built, verified = run_untimed_job(monkeypatch, job, "--scale", "0.1", "--verify")
+    assert len(built) == n_workloads
+    assert verified == built
+    _, verified = run_untimed_job(monkeypatch, job, "--scale", "0.1")
+    assert verified == []
+
+
+@pytest.mark.parametrize("job", ["table_indexing", "table1_memory"])
+def test_untimed_job_rejects_time_limit(monkeypatch, capsys, job):
+    """The indexing and memory jobs answer no updates under a time limit,
+    so ``--time-limit`` is a usage error, not an option they ignore."""
+    with pytest.raises(SystemExit) as exc:
+        run_untimed_job(monkeypatch, job, "--scale", "0.1", "--time-limit", "3")
+    assert exc.value.code == 2
+    assert "--time-limit" in capsys.readouterr().err
+
+
 def test_indexing_job_times_batches_then_end_indexing(monkeypatch, capsys):
     """Fig. 15 at --scale 0.1: five batches of 10 queries, then one
     ``end_indexing()`` per engine, repeated ``REPS`` times on fresh engines;

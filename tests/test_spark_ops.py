@@ -61,6 +61,12 @@ class TestStructuredStreaming:
         )
         # batch boundaries don't change the final matched set (monotone)
         assert {q for _, q in events} == offline.matched
+        # nor the event stream, the contract: each micro-batch is answered
+        # in t order, and the file source takes one chunk file per trigger,
+        # oldest first (its default, latestFirst=false), which is the order
+        # the chunks were written in, so the engine sees the updates in
+        # stream order
+        assert sorted(events) == sorted(offline.events)
 
     def test_single_batch_equals_event_stream(self, spark, workload, offline, tmp_path):
         updates, queries = workload
