@@ -7,8 +7,10 @@ share trie nodes and therefore share materialized views and join work.
 :meth:`TricEngine.add_query` indexes each path completely, base views
 and feeds included, so ending the indexing phase only freezes the trie.
 It is the one place that wires the trie to the final join: it puts each
-path in a feed of the node the path ends at and gives the query's
-assembler that feed's view as the path's canonical view.
+path in a feed of the node the path ends at, which arms a lone path
+there at once and makes any other path's query wait on the feed, and
+gives the query's assembler that feed's view as the path's canonical
+view.
 
 Answering (§4.2): each trie node's delta is computed top-down,
 semi-naively.  On whole slot rows, with ``last = parent.depth + 1`` and
@@ -64,8 +66,13 @@ one node that read the same join slots form one
 :class:`~repro.core.trie.Feed`, which owns the canonical view they share:
 the descent projects and de-duplicates the node's delta once per feed,
 stores it in the feed's view unless the feed's paths are lone (no join
-slot, so nothing is stored), then hands the projections to each member's
-assembler.  ``cached=True`` gives TRIC+: all views
+slot, so nothing is stored), then hands the projections to each armed
+member's assembler.  A member's delta cannot join while a partner's view
+is empty, so until then it is not handed one; when a feed's view takes
+its first rows, the feed arms the paths of the queries waiting on it
+whose partners all hold rows (:meth:`~repro.core.trie.Feed.wake`) before
+its own members are handed the delta, since partners can share one feed.
+``cached=True`` gives TRIC+: all views
 keep their hash-join build structures (indexes) incrementally instead of
 rebuilding them per join, so ``u``'s term, which reads the rows of the
 parent's view whose new slot is ``u.s``
@@ -78,7 +85,7 @@ from typing import Optional
 
 from repro.engine.assembler import QueryAssembler
 from repro.engine.base import MAX_ROWS, Engine, EngineOverflow
-from repro.core.trie import TrieForest, TrieNode
+from repro.core.trie import Feed, TrieForest, TrieNode
 from repro.graph.covering import covering_paths
 from repro.graph.model import QueryPattern, Triple, update_sigs
 from repro.relational.relation import Row, hash_join
@@ -103,11 +110,13 @@ class TricEngine(Engine):
         asm = QueryAssembler(q, paths, self.max_rows)
         self.assemblers[q.qid] = asm
         forest = self.forest
+        feeds: list[Feed] = []
+        waiter = (q.qid, feeds, asm.partners)
         for pidx, p in enumerate(paths):
             node = forest.insert_path(p.chain, p.refs)
-            asm.canon_views.append(
-                forest.join_feed(node, asm.var_slots[pidx], (q.qid, pidx))
-            )
+            feed = forest.join_feed(node, asm.var_slots[pidx], (q.qid, pidx), waiter)
+            asm.canon_views.append(feed.view)
+            feeds.append(feed)
 
     # -- answering phase ------------------------------------------------
     def end_indexing(self) -> None:
@@ -201,8 +210,13 @@ class TricEngine(Engine):
             if len(new) > 1:
                 new = list(dict.fromkeys(new))
             if feed.slots:
-                feed.view.add_all(new)
-            for qid, pidx in feed.members:
+                view = feed.view
+                first = not view.rows
+                view.add_all(new)
+                if first:
+                    # before this feed's members: a partner can share it
+                    feed.wake()
+            for qid, pidx in feed.armed:
                 if assemblers[qid].on_path_delta(pidx, new):
                     affected.add(qid)
         if not node.children:  # a leaf's view is never read

@@ -26,10 +26,11 @@ The paper's ``queryInd`` (query id → the nodes its covering paths end at)
 has no reader here: the answering phase reaches a path only through the
 :attr:`TrieNode.feeds` of the node that got the delta, so the forest keeps
 just that reverse link.  A :class:`Feed` groups the paths ending at a node
-that read its rows through the same slots, and owns the canonical view
-they share; :meth:`TrieForest.join_feed` puts a path in one.  The final
-join (:mod:`repro.engine.assembler`) only reads those views, and knows
-nothing of the trie.
+that read its rows through the same slots, owns the canonical view
+they share, and knows which of its paths are armed, those whose join
+partners' views all hold rows; :meth:`TrieForest.join_feed` puts a path
+in one.  The final join (:mod:`repro.engine.assembler`) only reads those
+views, and knows nothing of the trie.
 
 Below the roots an update is routed by its source vertex as well as its
 signature.  An update ``u`` can start a delta at a non-root node only
@@ -67,6 +68,10 @@ from repro.relational.relation import Row, View, append_target, getter
 
 #: a trie node's key among its siblings: (edge signature, back-reference)
 NodeKey = tuple[EdgeSig, Optional[int]]
+#: what a feed's first rows re-check of one query (:meth:`Feed.wake`): its
+#: id, the feed of each of its paths and each path's join partners, both
+#: in path order
+Waiter = tuple[int, list["Feed"], list[list[int]]]
 
 
 def _target(pr: Row, br: Row) -> Row:
@@ -97,15 +102,41 @@ class Feed:
     view they share, and ``project``, set when the trie freezes, maps the
     node's row to their canonical row.  A lone path has no join variable,
     so its feed's ``slots`` are ``()`` and its view stays empty: the
-    descent stores projections only for a feed with slots."""
+    descent stores projections only for a feed with slots.
 
-    __slots__ = ("slots", "view", "members", "project")
+    A member is *armed* once the canonical view of each of its join
+    partners holds rows; until then no delta of its path can join, so the
+    descent hands deltas to the members in :attr:`armed` alone.  Views only
+    grow, so an armed member stays armed.  :meth:`TrieForest.join_feed`
+    arms a lone path at once.  Any other path's query waits on the path's
+    feed (:attr:`waiting`): every view is empty while queries are indexed,
+    so a member's partners hold rows once the feed of each of them has
+    taken its first rows, and :meth:`wake` then arms it."""
+
+    __slots__ = ("slots", "view", "members", "armed", "waiting", "project")
     project: Callable[[Row], Row]
 
     def __init__(self, slots: tuple[int, ...], view: View):
         self.slots = slots
         self.view = view
         self.members: list[tuple[int, int]] = []
+        #: the members handed deltas, in the order they were armed
+        self.armed: list[tuple[int, int]] = []
+        #: the queries with a path here that has join partners, once per
+        #: such path, as :data:`Waiter`; emptied by :meth:`wake`
+        self.waiting: list[Waiter] = []
+
+    def wake(self) -> None:
+        """Arm, once this feed's view holds its first rows, each path of
+        the queries waiting here that is not armed yet and whose partners'
+        views all hold rows.  The others still have a partner whose feed's
+        view is empty, and that feed's first rows wake them."""
+        for qid, feeds, partners in self.waiting:
+            for pidx, ps in enumerate(partners):
+                feed, member = feeds[pidx], (qid, pidx)
+                if member not in feed.armed and all(feeds[j].view.rows for j in ps):
+                    feed.armed.append(member)
+        self.waiting = []
 
 
 class TrieNode:
@@ -214,13 +245,22 @@ class TrieForest:
         return node
 
     def join_feed(
-        self, node: TrieNode, slots: tuple[int, ...], member: tuple[int, int]
-    ) -> View:
+        self,
+        node: TrieNode,
+        slots: tuple[int, ...],
+        member: tuple[int, int],
+        waiter: Waiter,
+    ) -> Feed:
         """Put ``member``, a covering path ``(qid, pidx)`` that ends at
         ``node`` and reads its rows through ``slots``, in the node's feed
-        with those slots, or in a new one; return the feed's view, the
-        path's canonical view.  Paths fed the same rows through the same
-        slots hold the same projections, so one view serves them all."""
+        with those slots, or in a new one, and return that feed: its view
+        is the path's canonical view.  Paths fed the same rows through the
+        same slots hold the same projections, so one view serves them all.
+
+        A lone path, whose ``slots`` are ``()``, is armed at once; for any
+        other, ``waiter``, the path's query as :data:`Waiter`, waits on
+        the feed for its first rows.  The caller fills ``waiter``'s feeds
+        as its paths join theirs, before the first update."""
         for feed in node.feeds:
             if feed.slots == slots:
                 break
@@ -228,7 +268,11 @@ class TrieForest:
             feed = Feed(slots, View(cached=self.cached))
             node.feeds += (feed,)
         feed.members.append(member)
-        return feed.view
+        if slots:
+            feed.waiting.append(waiter)
+        else:
+            feed.armed.append(member)
+        return feed
 
     def freeze(self) -> None:
         """Fix every node's live slots, its step and its feeds' projections
@@ -297,8 +341,8 @@ class TrieForest:
         An entry grows by tuple concatenation, which stays cheap: it holds
         at most the nodes of one signature (16 at most on the snb benchmark
         input)."""
-        children = list(node.children.values())
-        first = children[0]
+        children = node.children.values()
+        first = next(iter(children))
         col = first.probe[0]  # node's new slot, which every child probes
         src_ind = self.src_ind
         firsts, first_order = src_ind[first.sig], first.order

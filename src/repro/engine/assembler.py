@@ -38,6 +38,9 @@ class AssemblyOverflow(EngineOverflow):
 
 
 Getter = Callable[[Row], Row]
+#: one planned step of a final join: probe key, build key, emit, and the
+#: variables of the rows it yields
+Step = tuple[tuple[int, ...], tuple[int, ...], Callable[[Row, Row], Row], tuple[int, ...]]
 
 
 class _FinalJoin:
@@ -78,7 +81,7 @@ class _FinalJoin:
         self.components = [[i for i, r in enumerate(roots) if r == c] for c in comp_roots]
         self.path_comp = [comp_roots.index(r) for r in roots]
         #: per path: the other paths of its component (its join partners)
-        self._partners = [
+        self.partners = [
             [j for j in self.components[c] if j != i]
             for i, c in enumerate(self.path_comp)
         ]
@@ -93,6 +96,36 @@ class _FinalJoin:
             first = self._canonical(p.first, shared)
             self.path_vars.append(tuple(first))
             self.var_slots.append(tuple(first.values()))
+        #: variables of the rows so far -> the paths sharing one of them ->
+        #: that step's plan (see :meth:`_steps`)
+        self._plans: dict[tuple[int, ...], dict[int, Step]] = {}
+
+    def _steps(self, acc_vars: tuple[int, ...]) -> dict[int, Step]:
+        """The steps that can extend rows over ``acc_vars``: each path
+        sharing a variable with them, to its probe key, its build key, the
+        emit that appends the path's other variables, and the variables of
+        the rows it yields.  Planned at the first join that reaches
+        ``acc_vars`` and kept, so a join only picks among the steps."""
+        steps = self._plans.get(acc_vars)
+        if steps is not None:
+            return steps
+        steps = self._plans[acc_vars] = {}
+        for j, path_vars in enumerate(self.path_vars):
+            shared = [v for v in path_vars if v in acc_vars]
+            if not shared:
+                continue
+            new_cols = tuple(i for i, v in enumerate(path_vars) if v not in acc_vars)
+
+            def emit(pr: Row, br: Row, tail=getter(new_cols)) -> Row:
+                return pr + tail(br)
+
+            steps[j] = (
+                tuple(acc_vars.index(v) for v in shared),
+                tuple(path_vars.index(v) for v in shared),
+                emit,
+                acc_vars + tuple(path_vars[c] for c in new_cols),
+            )
+        return steps
 
     def _join(self, acc: list[Row], start: int, others: list[int]) -> list[Row]:
         """Join ``acc`` (rows over path ``start``'s variables) with the
@@ -100,34 +133,25 @@ class _FinalJoin:
 
         Each step takes, among the paths sharing a variable with the rows so
         far (one exists by construction of components), the one with the
-        smallest view.  Returns ``[]`` as soon as an intermediate result is
-        empty; raises :class:`AssemblyOverflow` past ``max_rows`` — the
-        row-cap analogue of the paper's execution-time threshold.
+        smallest view, and joins by the plan :meth:`_steps` keeps.  Returns
+        ``[]`` as soon as an intermediate result is empty; raises
+        :class:`AssemblyOverflow` past ``max_rows`` — the row-cap analogue
+        of the paper's execution-time threshold.
         """
         views = self.canon_views
-        acc_vars = list(self.path_vars[start])
+        acc_vars = self.path_vars[start]
         remaining = set(others)
         while remaining and acc:
-            cands = [
-                j for j in remaining if any(v in acc_vars for v in self.path_vars[j])
-            ]
-            j = min(cands, key=lambda x: len(views[x].rows))
-            shared = [v for v in self.path_vars[j] if v in acc_vars]
-            probe_key = tuple(acc_vars.index(v) for v in shared)
-            build_key = tuple(self.path_vars[j].index(v) for v in shared)
-            new_cols = tuple(
-                i for i, v in enumerate(self.path_vars[j]) if v not in acc_vars
+            steps = self._steps(acc_vars)
+            j = min(
+                [j for j in remaining if j in steps], key=lambda x: len(views[x].rows)
             )
-
-            def emit(pr: Row, br: Row, tail=getter(new_cols)) -> Row:
-                return pr + tail(br)
-
+            probe_key, build_key, emit, acc_vars = steps[j]
             acc = hash_join(acc, probe_key, views[j], build_key, emit)
             if len(acc) > self.max_rows:
                 raise AssemblyOverflow(
                     f"Q{self.q.qid}: cross-path join exceeded {self.max_rows} rows"
                 )
-            acc_vars += [self.path_vars[j][c] for c in new_cols]
             remaining.discard(j)
         return acc
 
@@ -167,17 +191,14 @@ class QueryAssembler(_FinalJoin):
     def on_path_delta(self, pidx: int, rows: list[Row]) -> bool:
         """Join a path's non-empty delta, as canonical rows de-duplicated
         and already stored in the path's view, with its partners' views as
-        they stand (an empty one is checked first); returns True iff the
-        join found a row.  Of the paths whose deltas a new embedding uses,
-        the last to arrive joins against the others' new rows: Graphflow's
-        delta-query order (Ammar et al., PVLDB 2018), ``ΔA ⋈ B_old ∪ A_new
-        ⋈ ΔB``."""
-        partners = self._partners[pidx]
-        views = self.canon_views
-        for j in partners:
-            if not views[j].rows:
-                return False
-        if not self._join(rows, pidx, partners):
+        they stand; returns True iff the join found a row.  TRIC calls it
+        only for an armed path, one whose partners' views all hold rows
+        (:class:`~repro.core.trie.Feed`); an empty partner view would only
+        make the join empty.  Of the paths whose deltas a new embedding
+        uses, the last to arrive joins against the others' new rows:
+        Graphflow's delta-query order (Ammar et al., PVLDB 2018), ``ΔA ⋈
+        B_old ∪ A_new ⋈ ΔB``."""
+        if not self._join(rows, pidx, self.partners[pidx]):
             return False
         self.comp_rows[self.path_comp[pidx]] = 1
         self._hit = True
@@ -252,7 +273,7 @@ class FullJoinAssembler(_FinalJoin):
         grew = False
         for c, members in enumerate(self.components):
             first = min(members, key=lambda j: len(views[j].rows))
-            n = len(self._join(views[first].rows, first, self._partners[first]))
+            n = len(self._join(views[first].rows, first, self.partners[first]))
             if n > counts[c]:
                 counts[c] = n
                 grew = True

@@ -33,8 +33,16 @@ def delta_asm(q, paths, cached=False, max_rows=MAX_ROWS):
     asm = QueryAssembler(q, paths, max_rows)
     forest = TrieForest(cached)
     for pidx, slots in enumerate(asm.var_slots):
-        asm.canon_views.append(forest.join_feed(new_node(), slots, (q.qid, pidx)))
+        feed = forest.join_feed(new_node(), slots, (q.qid, pidx), unwoken(asm))
+        asm.canon_views.append(feed.view)
     return asm
+
+
+def unwoken(asm):
+    """A waiter for ``join_feed`` that no feed wakes: these helpers hand
+    each member its delta themselves, armed or not, as ``hand`` and
+    ``hand_node`` do."""
+    return (asm.q.qid, [], asm.partners)
 
 
 def hand(asm, pidx, rows):
@@ -57,7 +65,8 @@ def trie_node(asm, pidxs, cols):
     forest = TrieForest(asm.canon_views[pidxs[0]].cached)
     for pidx in pidxs:
         member = (asm.q.qid, pidx)
-        asm.canon_views[pidx] = forest.join_feed(node, asm.var_slots[pidx], member)
+        feed = forest.join_feed(node, asm.var_slots[pidx], member, unwoken(asm))
+        asm.canon_views[pidx] = feed.view
     for feed in node.feeds:
         feed.project = getter(tuple(cols.index(s) for s in feed.slots))
     return node
@@ -66,8 +75,9 @@ def trie_node(asm, pidxs, cols):
 def hand_node(asm, node, rows):
     """Hand one trie node's delta to every path of ``asm`` in its feeds the
     way TRIC's descent does: one projection and one store per feed, then
-    ``on_path_delta`` per member; returns ``{pidx: found}``, whether each
-    member's join found a row."""
+    ``on_path_delta`` per member, armed or not (an unarmed member's join
+    meets an empty partner view and finds nothing); returns ``{pidx:
+    found}``, whether each member's join found a row."""
     found = {}
     for feed in node.feeds:
         new = list(dict.fromkeys(feed.project(r) for r in rows))

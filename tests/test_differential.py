@@ -18,7 +18,8 @@ projected onto the path's join variables, and one such view object shared
 by exactly the covering paths ending at one trie node with the same join
 slots.  Its routing index ``src_ind``
 must register each non-root node under exactly the vertices its parent's
-view holds at its new slot.
+view holds at its new slot, and each feed must have armed, once, exactly
+those of its paths whose join partners' views all hold rows.
 """
 from hypothesis import given, settings, strategies as st
 
@@ -139,6 +140,19 @@ def check_tric_state(tric, inc, triples):
                 want = {tuple(r[c] for c in cols) for r in full.canon_views[pidx].rows}
                 assert set(v.rows) == want
     check_shared_canon_views(tric)
+    check_armed(tric)
+
+
+def check_armed(tric):
+    """A feed's member is armed, once, iff every partner's canonical view
+    holds rows: the descent hands deltas to armed members alone."""
+    for node in tric.forest.all_nodes():
+        for feed in node.feeds:
+            assert len(set(feed.armed)) == len(feed.armed), "armed twice"
+            for qid, pidx in feed.members:
+                asm = tric.assemblers[qid]
+                ready = all(asm.canon_views[j].rows for j in asm.partners[pidx])
+                assert ((qid, pidx) in feed.armed) == ready, "armed iff partners hold rows"
 
 
 def path_ends(tric):

@@ -233,6 +233,54 @@ class TestUncachedBuildKeepsMatchableRows:
         else:
             assert sorted(indexed) == sorted(self.ROWS)
 
+    #: more build rows than :attr:`SKEWED_PROBES`, so the filter runs
+    WIDE_ROWS = ROWS + [("b", "x", "1"), ("c", "y", "3"), ("d", "z", "5"),
+                        ("a", "z", "1")]
+    #: probe rows for :attr:`KEY_PAIRS`; under each pair some row agrees
+    #: with a build row on the first key column only
+    SKEWED_PROBES = [("1", "a", "p"), ("1", "b", "q"), ("a", "3", "r"),
+                     ("5", "a", "s"), ("9", "z", "t"), ("x", "3", "u")]
+    #: (probe key, build key): build keys off column 0 or not ascending,
+    #: probe keys unlike the build key
+    KEY_PAIRS = [((0,), (2,)), ((0, 1), (2, 0)), ((1, 0), (2, 0)),
+                 ((1, 0), (0, 2))]
+
+    @pytest.mark.parametrize("probe_key,build_key", KEY_PAIRS)
+    def test_keys_off_column_zero_and_first_column_matches(
+        self, monkeypatch, probe_key, build_key
+    ):
+        built = []
+        build = relation._build
+
+        def spy(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(relation, "_build", spy)
+        rows, wide = self.SKEWED_PROBES, self.WIDE_ROWS
+        uncached, cached = View(cached=False), View(cached=True)
+        uncached.add_all(wide)
+        cached.add_all(wide)
+        got = hash_join(rows, probe_key, uncached, build_key, self.emit)
+        counted = dict(COUNTERS)
+        reset_counters()
+        assert got == hash_join(rows, probe_key, cached, build_key, self.emit)
+        assert counted == dict(COUNTERS, build_rows=len(wide))
+
+        def agree(pr, br, n):
+            return all(pr[p] == br[b] for p, b in zip(probe_key[:n], build_key[:n]))
+
+        want = [pr + br[2:] for pr in rows for br in wide if agree(pr, br, 2)]
+        assert got == want != []
+        # rows agreeing on the first key column only are read, not indexed
+        assert any(agree(pr, br, 1) and not agree(pr, br, 2)
+                   for pr in rows for br in wide) == (len(build_key) > 1)
+        (index,) = built
+        indexed = [r for bucket in index.buckets.values() for r in bucket]
+        assert sorted(indexed) == sorted(
+            br for br in wide if any(agree(pr, br, 2) for pr in rows)
+        )
+
 
 class TestBuckets:
     """A bucket with one row is a 1-tuple, which the cyclic collector stops

@@ -399,6 +399,108 @@ class TestLiveSlots:
         }
 
 
+class TestArming:
+    """The descent hands a node's delta only to the armed members of its
+    feeds, the paths whose join partners' views all hold rows; the first
+    rows of a view arm the paths waiting on it before any member of its
+    feed is handed the delta."""
+
+    STAR2 = QueryPattern(
+        qid=0, vertices=[None, "X", "Y"], edges=[(0, "a", 1), (0, "b", 2)]
+    )
+    #: ?c -a-> ?x and ?c -a-> ?y: partners in one feed of one node
+    ONE_FEED = QueryPattern(
+        qid=0, vertices=[None, None, None], edges=[(0, "a", 1), (0, "a", 2)]
+    )
+
+    @staticmethod
+    def index(qs, cached):
+        e = TricEngine(cached=cached)
+        for q in qs:
+            e.add_query(q)
+        return e
+
+    @staticmethod
+    def run(e, qs, stream, monkeypatch):
+        """Process ``stream`` on ``e``, which indexed ``qs``, with
+        ``on_path_delta`` spied on; returns the events per update, which
+        must equal brute force, and the ``(qid, pidx)`` of each
+        ``on_path_delta`` call per update."""
+        from repro.engine.assembler import QueryAssembler
+
+        on_path_delta = QueryAssembler.on_path_delta
+        calls = []
+
+        def spy(self, pidx, rows):
+            calls[-1].append((self.q.qid, pidx))
+            return on_path_delta(self, pidx, rows)
+
+        monkeypatch.setattr(QueryAssembler, "on_path_delta", spy)
+        got = []
+        for u in stream:
+            calls.append([])
+            got.append(sorted(e.process_update(u)))
+        want = [
+            [
+                q.qid
+                for q in qs
+                if len(embeddings(q, stream[: t + 1])) > len(embeddings(q, stream[:t]))
+            ]
+            for t in range(len(stream))
+        ]
+        assert got == want
+        return got, calls
+
+    @staticmethod
+    def feed_of(e, label):
+        (node,) = [n for n in e.forest.all_nodes() if n.sig[0] == label]
+        (feed,) = node.feeds
+        return feed
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_no_call_while_partner_view_is_empty(self, cached, monkeypatch):
+        stream = [Triple("c", "a", "X"), Triple("d", "a", "X"), Triple("e", "a", "X")]
+        e = self.index([self.STAR2], cached)
+        got, calls = self.run(e, [self.STAR2], stream, monkeypatch)
+        assert got == [[], [], []] and calls == [[], [], []]
+        a, b = self.feed_of(e, "a"), self.feed_of(e, "b")
+        assert len(a.view) == 3 and a.armed == [] and b.armed == [(0, 1)]
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_partner_first_rows_arm_the_path(self, cached, monkeypatch):
+        stream = [
+            Triple("c", "a", "X"), Triple("d", "b", "Y"), Triple("c", "b", "Y"),
+            Triple("d", "a", "X"), Triple("e", "a", "X"),
+        ]
+        e = self.index([self.STAR2], cached)
+        got, calls = self.run(e, [self.STAR2], stream, monkeypatch)
+        assert got == [[], [], [0], [0], []]
+        # b's first rows arm the a path; b itself was armed by a's first rows
+        assert calls == [[], [(0, 1)], [(0, 1)], [(0, 0)], [(0, 0)]]
+        assert self.feed_of(e, "a").armed == [(0, 0)]
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_partners_in_one_feed_fire_on_its_first_rows(self, cached, monkeypatch):
+        stream = [Triple("c", "a", "x"), Triple("c", "a", "y")]
+        e = self.index([self.ONE_FEED], cached)
+        feed = self.feed_of(e, "a")
+        assert feed.members == [(0, 0), (0, 1)] and feed.armed == []
+        got, calls = self.run(e, [self.ONE_FEED], stream, monkeypatch)
+        assert got == [[0], [0]]
+        assert calls == [[(0, 0), (0, 1)], [(0, 0), (0, 1)]]
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_lone_path_armed_from_the_start(self, cached, monkeypatch):
+        qs = [chain_q()]
+        e = self.index(qs, cached)
+        (feed,) = [f for n in e.forest.all_nodes() for f in n.feeds]
+        assert feed.slots == () and feed.armed == feed.members == [(0, 0)]
+        assert feed.waiting == []
+        stream = [Triple("v", "b", "L"), Triple("u", "a", "v")]
+        got, calls = self.run(e, qs, stream, monkeypatch)
+        assert got == [[], [0]] and calls == [[], [(0, 0)]]
+
+
 def _chains(node, prefix=()):
     chain = prefix + (node,)
     yield chain

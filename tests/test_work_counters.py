@@ -6,7 +6,8 @@ engine does on a 300-update SNB stream with 30 queries.  A change that
 alters the join work of an engine fails here deterministically: a rise is
 a work regression, a fall must be explained and the numbers updated.  The
 same holds for TRIC's trie walk, counted as ``TricEngine._descend`` calls,
-for INV and INC's final join, counted as ``FullJoinAssembler._join`` calls,
+for the path deltas it hands its final join, counted as
+``QueryAssembler.on_path_delta`` calls (only armed paths get them), for INV and INC's final join, counted as ``FullJoinAssembler._join`` calls,
 and for graphdb's parameterized executions and the result rows they return.
 """
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from repro.baselines.graphdb import GraphDBEngine
 from repro.bench.harness import build_workload
 from repro.core.tric import TricEngine
-from repro.engine.assembler import FullJoinAssembler
+from repro.engine.assembler import FullJoinAssembler, QueryAssembler
 from repro.engine.base import make_engine
 from repro.engine.runner import index_queries, run_stream
 from repro.relational.relation import COUNTERS, reset_counters
@@ -31,6 +32,9 @@ EXPECTED = {
 
 #: engine -> ``TricEngine._descend`` calls over the stream
 DESCEND_CALLS = {"tric": 867, "tric+": 867}
+
+#: engine -> ``QueryAssembler.on_path_delta`` calls over the stream
+PATH_DELTA_CALLS = {"tric": 68, "tric+": 68}
 
 #: graphdb -> (events, ``_execute`` calls, result rows over all calls)
 GRAPHDB_WORK = (51, 1870, 613)
@@ -77,6 +81,27 @@ def test_trie_walk_is_pinned(workload, name, monkeypatch):
     r = run_stream(e, updates)
     assert not r.timed_out and len(r.events) == EXPECTED[name][3]
     assert calls == DESCEND_CALLS[name]
+
+
+@pytest.mark.parametrize("name", list(PATH_DELTA_CALLS))
+def test_path_deltas_are_pinned(workload, name, monkeypatch):
+    """TRIC hands a path delta to the final join only once every join
+    partner's view holds rows (an armed path)."""
+    updates, queries = workload
+    e = make_engine(name)
+    index_queries(e, queries)
+    on_path_delta = QueryAssembler.on_path_delta
+    calls = 0
+
+    def counting(self, *args):
+        nonlocal calls
+        calls += 1
+        return on_path_delta(self, *args)
+
+    monkeypatch.setattr(QueryAssembler, "on_path_delta", counting)
+    r = run_stream(e, updates)
+    assert not r.timed_out and len(r.events) == EXPECTED[name][3]
+    assert calls == PATH_DELTA_CALLS[name]
 
 
 @pytest.mark.parametrize("name", ["inv", "inv+", "inc", "inc+"])
